@@ -32,11 +32,7 @@ from .inverse_moment import (
     inverse_moment_bound,
     inverse_moment_bound_many,
 )
-from .service import (
-    ServiceCharacterization,
-    heterogeneous_log_mgf_bound,
-    heterogeneous_mgf_bound,
-)
+from .service import ServiceCharacterization, heterogeneous_log_mgf_bound
 from .simulator import (
     PathRecord,
     SimConfig,
@@ -71,7 +67,6 @@ __all__ = [
     "exact_inverse_moment",
     "generate_arrivals",
     "heterogeneous_log_mgf_bound",
-    "heterogeneous_mgf_bound",
     "inverse_moment_bound",
     "inverse_moment_bound_many",
     "kernel_bound",

@@ -4,9 +4,9 @@ A scenario is a JSON document selecting a channel, an arrival flow, a
 discretization mode, a bound query, one sweep axis, and optional
 simulation settings. Unit conversions live here and nowhere else:
 arrival rates enter in Gbps and become bits per slot; delay bounds leave
-in seconds. Sweep points are independent and evaluated concurrently, but
-output rows are always ordered by sweep index, and a fixed scenario plus
-seed yields a byte-identical table.
+in seconds. Sweep points are evaluated one after another in sweep-index
+order on the calling thread, output rows follow that order, and a fixed
+scenario plus seed yields a byte-identical table.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import hashlib
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -307,8 +306,8 @@ def _evaluate_point(point: Scenario, axis: str, value, index: int,
 def run_scenario(scenario: Scenario) -> list[ResultRow]:
     """Evaluate every (sweep point x epsilon) cell of a scenario.
 
-    Sweep points run concurrently; rows come back ordered by sweep index
-    then by the scenario's epsilon order.
+    Sweep points run in sweep-index order on the calling thread; rows come
+    back ordered by sweep index then by the scenario's epsilon order.
     """
     scenario.validate()
     axis = scenario.sweep_axis
@@ -334,13 +333,8 @@ def run_scenario(scenario: Scenario) -> list[ResultRow]:
             )
 
     rows: list[ResultRow] = []
-    with ThreadPoolExecutor(max_workers=min(8, len(points))) as pool:
-        futures = [
-            pool.submit(_evaluate_point, pt, axis, val, i, shared_svc)
-            for i, (pt, val) in enumerate(zip(points, values))
-        ]
-        for fut in futures:
-            rows.extend(fut.result())
+    for i, (pt, val) in enumerate(zip(points, values)):
+        rows.extend(_evaluate_point(pt, axis, val, i, shared_svc))
     return rows
 
 

@@ -16,7 +16,7 @@ quantity and is guaranteed monotone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
@@ -107,8 +107,33 @@ def _as_vectorized(cdf):
     return np.vectorize(lambda x: float(cdf(x)), otypes=[float])
 
 
-def _survival(cdfv, x: float) -> float:
-    return 1.0 - float(cdfv(np.asarray([x]))[0])
+def _doubling_ladder() -> list[float]:
+    xs = [_SEARCH_X0]
+    while xs[-1] < _SEARCH_CEIL:
+        xs.append(2.0 * xs[-1])
+    return xs
+
+
+# Every point the doubling phase of the truncation search can probe, and
+# the bisection depth that always meets its 1e-3 relative width (2^-10 < 1e-3).
+_LADDER = _doubling_ladder()
+_BISECT_DEPTH = 10
+
+
+def _bisection_grid(lo: float, hi: float) -> np.ndarray:
+    """[lo, hi] with every midpoint its bisection can probe, in increasing order.
+
+    Each level inserts 0.5 * (left + right) between neighbouring points, the
+    arithmetic of a point-by-point bisection, so the midpoint of the points
+    at indices i and j is found at index (i + j) // 2.
+    """
+    pts = np.asarray([lo, hi])
+    for _ in range(_BISECT_DEPTH):
+        finer = np.empty(2 * pts.size - 1)
+        finer[0::2] = pts
+        finer[1::2] = 0.5 * (pts[:-1] + pts[1:])
+        pts = finer
+    return pts
 
 
 def truncation_point(cdf, theta: float, config: DiscretizationConfig) -> float:
@@ -117,31 +142,37 @@ def truncation_point(cdf, theta: float, config: DiscretizationConfig) -> float:
     Stops where either the survival falls below tail_mass_tol or the
     residual-slack proxy survival * (1+x)^(-theta) falls below slack_tol.
     Located by doubling then bisection; deliberately independent of the
-    step so that refinements truncate at the same point.
+    step so that refinements truncate at the same point. The CDF is
+    evaluated in two array calls, one over every doubling candidate and
+    one over every midpoint the bisection can reach; the branches taken
+    are those of a point-by-point search.
     """
     cdfv = _as_vectorized(cdf)
 
-    def stopped(x: float) -> bool:
-        surv = _survival(cdfv, x)
+    def stopped(x: float, surv: float) -> bool:
         if surv <= config.tail_mass_tol:
             return True
         return surv * math.exp(-theta * math.log1p(x)) <= config.slack_tol
 
-    x = _SEARCH_X0
-    if stopped(x):
-        return x
-    while x < _SEARCH_CEIL and not stopped(2.0 * x):
-        x *= 2.0
+    ladder_surv = (1.0 - cdfv(np.asarray(_LADDER))).tolist()
+    if stopped(_SEARCH_X0, ladder_surv[0]):
+        return _SEARCH_X0
+    j = 0
+    while _LADDER[j] < _SEARCH_CEIL and not stopped(_LADDER[j + 1], ladder_surv[j + 1]):
+        j += 1
+    x = _LADDER[j]
     if x >= _SEARCH_CEIL:
         return _SEARCH_CEIL
-    lo, hi = x, 2.0 * x
-    while hi - lo > 1e-3 * hi:
-        mid = 0.5 * (lo + hi)
-        if stopped(mid):
-            hi = mid
+    grid = _bisection_grid(x, 2.0 * x)
+    pts, surv = grid.tolist(), (1.0 - cdfv(grid)).tolist()
+    i_lo, i_hi = 0, len(pts) - 1
+    while pts[i_hi] - pts[i_lo] > 1e-3 * pts[i_hi]:
+        i_mid = (i_lo + i_hi) // 2
+        if stopped(pts[i_mid], surv[i_mid]):
+            i_hi = i_mid
         else:
-            lo = mid
-    return hi
+            i_lo = i_mid
+    return pts[i_hi]
 
 
 def _check_chunk(f: np.ndarray, prev_last: float) -> np.ndarray:
@@ -414,8 +445,3 @@ def exact_inverse_moment(dist, theta: float) -> float:
     if isinstance(dist, PointMass):
         return _point_mass_exact(dist.value, theta)
     return _generic_exact(dist, theta)
-
-
-def with_step(config: DiscretizationConfig, delta: float) -> DiscretizationConfig:
-    """Copy of a config with a different grid step."""
-    return replace(config, step_delta=delta)

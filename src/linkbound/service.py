@@ -56,9 +56,8 @@ class ServiceCharacterization:
         exact: substitute the exact quadrature inverse moment for the
             discretized bound (the step -> 0 mode).
 
-    The memoization cache is keyed on theta rounded to 12 significant
-    digits; entries are immutable once written, so concurrent readers are
-    safe and racing writers at worst recompute the same value.
+    The memoization cache is keyed on the exact float theta, so a cached
+    value always belongs to the theta asked for.
     """
 
     def __init__(
@@ -70,7 +69,7 @@ class ServiceCharacterization:
         self.channel = channel
         self.config = config if config is not None else DiscretizationConfig()
         self.exact = exact
-        self._log_cache: dict[str, float] = {}
+        self._log_cache: dict[float, float] = {}
         self._table: StieltjesTable | None = None
         self._log_moments: tuple[float, float] | None = None
 
@@ -138,11 +137,10 @@ class ServiceCharacterization:
         """ln of the per-slot transform bound; non-positive, floored at ln(1e-300)."""
         if theta <= 0:
             raise ValueError("theta must be positive")
-        key = f"{theta:.12g}"
-        cached = self._log_cache.get(key)
+        cached = self._log_cache.get(theta)
         if cached is None:
             cached = min(max(self._compute_log(theta), _LOG_FLOOR), 0.0)
-            self._log_cache[key] = cached
+            self._log_cache[theta] = cached
         return cached
 
     def log_per_slot_bound_many(self, thetas) -> np.ndarray:
@@ -189,12 +187,3 @@ def heterogeneous_log_mgf_bound(
         val = inverse_moment_bound_many(cdf, np.asarray([exponent]), config)[0]
         total += math.log(val)
     return total
-
-
-def heterogeneous_mgf_bound(
-    snr_cdfs: Sequence,
-    theta: float,
-    bits_per_nat: float,
-    config: DiscretizationConfig,
-) -> float:
-    return math.exp(heterogeneous_log_mgf_bound(snr_cdfs, theta, bits_per_nat, config))

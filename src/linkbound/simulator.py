@@ -6,8 +6,8 @@ backlog at the horizon. The virtual delay of the data present at the
 horizon is the number of additional slots of fresh service needed to
 drain that backlog, which under FCFS equals the first w with
 D(0, t+w) >= A(0, t). Replications use independent child streams derived
-from (master_seed, replication index), so shard partitioning cannot
-change any sample.
+from (master_seed, replication index), so the order in which they run
+cannot change any sample.
 """
 
 from __future__ import annotations
@@ -26,20 +26,17 @@ _DRAIN_CHUNK = 256
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Replication plan: observation horizon, count, seeding, and sharding."""
+    """Replication plan: observation horizon, count, and seeding."""
 
     horizon_slots: int = 2000
     replications: int = 10000
     master_seed: int = 0
-    parallel_shards: int = 1
 
     def __post_init__(self) -> None:
         if self.horizon_slots < 1:
             raise ValueError("horizon_slots must be at least 1")
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
-        if self.parallel_shards < 1:
-            raise ValueError("parallel_shards must be at least 1")
 
 
 def replication_rng(master_seed: int, index: int) -> np.random.Generator:
@@ -47,7 +44,7 @@ def replication_rng(master_seed: int, index: int) -> np.random.Generator:
 
     Uses the documented spawn-key scheme of numpy's SeedSequence with a
     pinned PCG64 bit generator, so streams are reproducible bit-for-bit
-    and independent of how replications are grouped into shards.
+    and independent of the order in which replications run.
     """
     ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(index,))
     return np.random.Generator(np.random.PCG64(ss))
@@ -184,24 +181,19 @@ def run_experiment(
 ) -> SimOutcome:
     """Run the configured replications and collect samples by index.
 
-    Shards partition the index range contiguously; since every replication
-    seeds itself from (master_seed, index), the outcome is identical for
-    any shard count and any execution order.
+    Every replication seeds itself from (master_seed, index), so the
+    outcome is identical for any execution order.
     """
     n = config.replications
     backlog = np.empty(n)
     delay = np.empty(n, dtype=np.int64)
     censored = np.zeros(n, dtype=bool)
-    per_shard = -(-n // config.parallel_shards)  # ceil division
-    for shard in range(config.parallel_shards):
-        start = shard * per_shard
-        stop = min(start + per_shard, n)
-        for idx in range(start, stop):
-            rng = replication_rng(config.master_seed, idx)
-            b, w, c = run_replication(env, channel, config.horizon_slots, rng)
-            backlog[idx] = b
-            delay[idx] = w
-            censored[idx] = c
+    for idx in range(n):
+        rng = replication_rng(config.master_seed, idx)
+        b, w, c = run_replication(env, channel, config.horizon_slots, rng)
+        backlog[idx] = b
+        delay[idx] = w
+        censored[idx] = c
     return SimOutcome(
         backlog_samples=backlog,
         delay_samples=delay,

@@ -3,6 +3,7 @@ import json
 import pytest
 
 import linkbound as lb
+from linkbound import service
 from linkbound.cli import (
     Scenario,
     ScenarioError,
@@ -128,6 +129,28 @@ class TestRunScenario:
             assert row.violation is not None
             assert 0.0 <= row.violation <= 1.0
             assert row.violation_halfwidth > 0.0
+
+    @pytest.mark.parametrize(
+        "axis, grid, tables",
+        [("rate", [0.1, 0.2, 0.3, 0.4], 1), ("sigma", [1.0, 1.5, 2.0], 3)],
+    )
+    def test_one_table_build_per_channel(self, monkeypatch, axis, grid, tables):
+        # A rate sweep shares one service, so its table is built once; a
+        # sigma sweep builds one table per point.
+        builds = []
+        real = service.StieltjesTable
+
+        def counting(*args, **kwargs):
+            builds.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(service, "StieltjesTable", counting)
+        doc = base_doc(sweep={"axis": axis, "grid": grid})
+        doc["channel"]["mean_snr_db"] = 10.0
+        doc["channel"]["sigma_db"] = 2.0
+        rows = run_scenario(Scenario.from_dict(doc))
+        assert all(r.stable for r in rows)
+        assert len(builds) == tables
 
     def test_unstable_point_row(self):
         doc = base_doc()

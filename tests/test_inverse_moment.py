@@ -2,10 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import linkbound as lb
-from linkbound.inverse_moment import StieltjesTable, truncation_point, with_step
+from linkbound.inverse_moment import (
+    _SEARCH_CEIL,
+    _SEARCH_X0,
+    StieltjesTable,
+    _as_vectorized,
+    truncation_point,
+)
 
 
 def lognormal_cdf(channel):
@@ -188,6 +194,33 @@ class TestExactInverseMoment:
         assert val == pytest.approx(0.5963473623231941, rel=1e-9)
 
 
+def scalar_truncation_point(cdf, theta, config):
+    """Point-by-point doubling-and-bisection search, the reference for truncation_point."""
+    cdfv = _as_vectorized(cdf)
+
+    def stopped(x):
+        surv = 1.0 - float(cdfv(np.asarray([x]))[0])
+        if surv <= config.tail_mass_tol:
+            return True
+        return surv * math.exp(-theta * math.log1p(x)) <= config.slack_tol
+
+    x = _SEARCH_X0
+    if stopped(x):
+        return x
+    while x < _SEARCH_CEIL and not stopped(2.0 * x):
+        x *= 2.0
+    if x >= _SEARCH_CEIL:
+        return _SEARCH_CEIL
+    lo, hi = x, 2.0 * x
+    while hi - lo > 1e-3 * hi:
+        mid = 0.5 * (lo + hi)
+        if stopped(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 class TestTruncationAndTable:
     def test_truncation_point_is_step_independent(self, operating_channel):
         cdf = lognormal_cdf(operating_channel)
@@ -195,9 +228,37 @@ class TestTruncationAndTable:
         b = truncation_point(cdf, 2.0, lb.DiscretizationConfig(step_delta=1e-3))
         assert a == b
 
-    def test_with_step(self):
-        cfg = with_step(lb.DiscretizationConfig(), 0.5)
-        assert cfg.step_delta == 0.5
+    @settings(max_examples=150, deadline=None)
+    @given(
+        mean_snr_db=st.floats(-10.0, 45.0),
+        sigma_db=st.one_of(st.just(0.0), st.floats(0.1, 12.0)),
+        theta=st.one_of(st.just(0.0), st.floats(-6.0, 2.0).map(lambda e: 10.0**e)),
+        tail_mass_tol=st.one_of(
+            st.floats(-12.0, -0.01).map(lambda e: 10.0**e),
+            st.floats(-12.0, -1.0).map(lambda e: 1.0 - 10.0**e),
+        ),
+        slack_tol=st.floats(-200.0, -1.0).map(lambda e: 10.0**e),
+    )
+    @example(mean_snr_db=25.0, sigma_db=0.0, theta=0.0, tail_mass_tol=2e-3, slack_tol=1e-12)
+    @example(mean_snr_db=25.0, sigma_db=8.0, theta=0.0, tail_mass_tol=2e-3, slack_tol=1e-12)
+    @example(mean_snr_db=25.0, sigma_db=8.0, theta=2.0, tail_mass_tol=1.0 - 1e-12,
+             slack_tol=1e-12)
+    @example(mean_snr_db=25.0, sigma_db=8.0, theta=0.0, tail_mass_tol=1e-12, slack_tol=1e-200)
+    @example(mean_snr_db=40.0, sigma_db=12.0, theta=1e-6, tail_mass_tol=1e-12,
+             slack_tol=1e-200)
+    def test_truncation_point_matches_scalar_search(
+        self, mean_snr_db, sigma_db, theta, tail_mass_tol, slack_tol
+    ):
+        cdf = lognormal_cdf(lb.ShadowingChannel(mean_snr_db, sigma_db, 5e8))
+        cfg = lb.DiscretizationConfig(tail_mass_tol=tail_mass_tol, slack_tol=slack_tol)
+        assert truncation_point(cdf, theta, cfg) == scalar_truncation_point(cdf, theta, cfg)
+
+    def test_truncation_point_search_ceiling(self):
+        # Survival 1 everywhere: no tolerance is met before the search cap.
+        cdf = lambda x: np.zeros_like(np.asarray(x, dtype=float))
+        cfg = lb.DiscretizationConfig(slack_tol=1e-200)
+        assert truncation_point(cdf, 0.0, cfg) == _SEARCH_CEIL
+        assert scalar_truncation_point(cdf, 0.0, cfg) == _SEARCH_CEIL
 
     def test_table_upper_bounds_grid_value(self, operating_channel):
         cdf = lognormal_cdf(operating_channel)

@@ -46,8 +46,28 @@ class TestPerSlotBound:
     def test_memoized(self, operating_channel):
         svc = lb.ServiceCharacterization(operating_channel)
         first = svc.per_slot_bound(2e-9)
-        assert f"{2e-9:.12g}" in svc._log_cache
+        assert 2e-9 in svc._log_cache
         assert svc.per_slot_bound(2e-9) == first
+
+    def test_memo_key_is_exact_theta(self, operating_channel, monkeypatch):
+        # A neighbouring float theta is computed afresh, never served the
+        # cached value of a theta that merely agrees in its leading digits.
+        svc = lb.ServiceCharacterization(operating_channel)
+        theta = 2e-9
+        svc.log_per_slot_bound(theta)
+        computed = []
+        real = svc._compute_log
+
+        def counting(t):
+            computed.append(t)
+            return real(t)
+
+        monkeypatch.setattr(svc, "_compute_log", counting)
+        svc.log_per_slot_bound(theta)
+        assert computed == []
+        neighbour = math.nextafter(theta, 1.0)
+        svc.log_per_slot_bound(neighbour)
+        assert computed == [neighbour]
 
     def test_domain_error(self, operating_svc):
         with pytest.raises(ValueError):

@@ -13,8 +13,6 @@ class TestSimConfig:
             lb.SimConfig(horizon_slots=0)
         with pytest.raises(ValueError):
             lb.SimConfig(replications=0)
-        with pytest.raises(ValueError):
-            lb.SimConfig(parallel_shards=0)
 
 
 class TestRunReplication:
@@ -119,19 +117,19 @@ class TestRunExperiment:
         )
         assert not np.array_equal(a.backlog_samples, b.backlog_samples)
 
-    def test_shard_invariance(self, gbps_env, operating_channel):
-        outs = [
-            lb.run_experiment(
-                gbps_env,
-                operating_channel,
-                lb.SimConfig(100, 53, master_seed=8, parallel_shards=shards),
+    def test_evaluation_order_invariance(self, gbps_env, operating_channel):
+        # Replications run in reverse index order reproduce the samples that
+        # run_experiment collects in forward order.
+        out = lb.run_experiment(
+            gbps_env, operating_channel, lb.SimConfig(100, 53, master_seed=8)
+        )
+        for idx in reversed(range(53)):
+            b, w, c = lb.run_replication(
+                gbps_env, operating_channel, 100, lb.replication_rng(8, idx)
             )
-            for shards in (1, 2, 7)
-        ]
-        for other in outs[1:]:
-            assert np.array_equal(outs[0].backlog_samples, other.backlog_samples)
-            assert np.array_equal(outs[0].delay_samples, other.delay_samples)
-            assert np.array_equal(outs[0].censored, other.censored)
+            assert out.backlog_samples[idx] == b
+            assert out.delay_samples[idx] == w
+            assert bool(out.censored[idx]) == c
 
 
 @pytest.fixture(scope="module")
