@@ -32,7 +32,7 @@ from .inverse_moment import (
     inverse_moment_bound,
     inverse_moment_bound_many,
 )
-from .service import ServiceCharacterization, heterogeneous_log_mgf_bound
+from .service import ServiceCharacterization
 from .simulator import (
     PathRecord,
     SimConfig,
@@ -66,7 +66,6 @@ __all__ = [
     "delay_bound",
     "exact_inverse_moment",
     "generate_arrivals",
-    "heterogeneous_log_mgf_bound",
     "inverse_moment_bound",
     "inverse_moment_bound_many",
     "kernel_bound",

@@ -223,26 +223,25 @@ def _point_seed(seed: int, index: int) -> int:
     return int(state[0]) | (int(state[1]) << 32)
 
 
+def _service(point: Scenario) -> ServiceCharacterization:
+    """Service characterization of a point's channel, in its discretization mode."""
+    channel = ShadowingChannel(point.mean_snr_db, point.sigma_db, point.bandwidth_hz,
+                               point.slot_seconds)
+    if point.delta == "limit":
+        return ServiceCharacterization(channel, exact=True)
+    return ServiceCharacterization(
+        channel, DiscretizationConfig(step_delta=float(point.delta))
+    )
+
+
 def _evaluate_point(point: Scenario, axis: str, value, index: int,
                     shared_svc: ServiceCharacterization | None) -> list[ResultRow]:
-    channel = ShadowingChannel(
-        mean_snr_db=point.mean_snr_db,
-        sigma_db=point.sigma_db,
-        bandwidth_hz=point.bandwidth_hz,
-        slot_seconds=point.slot_seconds,
-    )
+    svc = shared_svc if shared_svc is not None else _service(point)
+    channel = svc.channel
     env = AffineEnvelope(
         burst_bits=point.burst_bits,
         rate_bits_per_slot=point.rate_gbps * 1e9 * point.slot_seconds,
     )
-    if shared_svc is not None:
-        svc = shared_svc
-    elif point.delta == "limit":
-        svc = ServiceCharacterization(channel, exact=True)
-    else:
-        svc = ServiceCharacterization(
-            channel, DiscretizationConfig(step_delta=float(point.delta))
-        )
 
     rows: list[ResultRow] = []
     results = {}
@@ -322,15 +321,7 @@ def run_scenario(scenario: Scenario) -> list[ResultRow]:
     # characterization so its memoized transform grid is computed once.
     shared_svc = None
     if axis in ("rate", "epsilon", "none") or len(points) == 1:
-        p0 = points[0]
-        channel = ShadowingChannel(p0.mean_snr_db, p0.sigma_db, p0.bandwidth_hz,
-                                   p0.slot_seconds)
-        if p0.delta == "limit":
-            shared_svc = ServiceCharacterization(channel, exact=True)
-        else:
-            shared_svc = ServiceCharacterization(
-                channel, DiscretizationConfig(step_delta=float(p0.delta))
-            )
+        shared_svc = _service(points[0])
 
     rows: list[ResultRow] = []
     for i, (pt, val) in enumerate(zip(points, values)):

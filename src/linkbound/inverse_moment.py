@@ -31,6 +31,9 @@ _STABLE_FORM_THETA = 1e-3
 # the ceiling even for pathologically heavy cdfs.
 _SEARCH_X0 = 1e-12
 _SEARCH_CEIL = 1e12
+# Passes allowed to move a guessed block start onto its exact grid cell;
+# the expm1 guess is off by at most a cell or two.
+_NUDGE_PASSES = 8
 
 
 class CdfContractError(ValueError):
@@ -52,7 +55,8 @@ class DiscretizationConfig:
             at most tail_mass_tol times the integrand at the cut.
         slack_tol: additionally truncate once survival * (1+x)^(-theta)
             drops below this value, which bounds the residual directly and
-            cuts far earlier for large exponents.
+            cuts far earlier for large exponents. The service's table is
+            cut at theta = 0, where the survival alone decides.
         max_terms: hard cap on the number of grid terms.
         refine_to_limit: when set, successively halve the step and return a
             step -> 0 estimate (Richardson-extrapolated), stopping once the
@@ -315,6 +319,38 @@ def inverse_moment_bound(cdf, theta: float, config: DiscretizationConfig) -> flo
     return float(inverse_moment_bound_many(cdf, np.asarray([theta]), config)[0])
 
 
+def _block_starts(delta: float, n_terms: int, width: float) -> np.ndarray:
+    """Index m of the first cell [m delta, (m+1) delta] of every block, increasing.
+
+    Cell m belongs to block floor(log1p(m delta) / width). The first
+    ceil(1 / width) cells, which at the usual steps span a lattice step or
+    more each, are assigned ids one by one; above them the first cell of
+    lattice id j is guessed as ceil(expm1(j width) / delta) and nudged until
+    it is the smallest m whose float id is at least j.
+    """
+    def block_id(m):
+        return np.floor(np.log1p(m * delta) / width)
+
+    dense = np.arange(min(n_terms, math.ceil(1.0 / width)), dtype=float)
+    dense_ids = block_id(dense)
+    starts = [dense[np.diff(dense_ids, prepend=-1.0) != 0]]
+    top = block_id(float(n_terms - 1))
+    if dense.size < n_terms and top > dense_ids[-1]:
+        j = np.arange(dense_ids[-1] + 1.0, top + 1.0)
+        m = np.minimum(np.ceil(np.expm1(j * width) / delta), n_terms - 1.0)
+        for _ in range(_NUDGE_PASSES):
+            low = block_id(m) < j
+            high = ~low & (block_id(m - 1.0) >= j)
+            if not (low.any() or high.any()):
+                break
+            m += low
+            m -= high
+        else:
+            raise RuntimeError("block lattice starts did not settle")
+        starts.append(m[np.diff(m, prepend=-1.0) != 0])
+    return np.concatenate(starts)
+
+
 class StieltjesTable:
     """Mass/edge aggregation of a CDF over the uniform grid, for fast sweeps.
 
@@ -323,44 +359,33 @@ class StieltjesTable:
     probability mass and the log1p of its left edge. Evaluating with the
     left edge overestimates every merged cell, so the result stays an upper
     bound on the expectation and exceeds the unmerged grid value by at most
-    a factor exp(theta * block_log_width) - 1. Build cost is one sweep over
-    the grid; each exponent afterwards costs one exp pass over the blocks.
+    a factor exp(theta * block_log_width) - 1.
+
+    The build locates the first grid cell of each block on the lattice and
+    evaluates the CDF once, at the block edges and the grid end; a block's
+    mass is the difference of the CDF across it. The number of blocks is at
+    most 1 + log1p(delta * n_terms) / block_log_width, whatever the step,
+    and the build handles at most 1 / block_log_width more ids than that.
+    Each exponent afterwards costs one exp pass over the blocks.
     """
 
     def __init__(self, cdf, delta: float, n_terms: int, block_log_width: float):
-        cdfv = _as_vectorized(cdf)
         self.block_log_width = float(block_log_width)
-        masses: list[np.ndarray] = []
-        edges: list[np.ndarray] = []
-        prev_f = 0.0
-        last_id = -1
-        for k0 in range(1, n_terms + 1, _CHUNK):
-            k1 = min(k0 + _CHUNK - 1, n_terms)
-            k = np.arange(k0, k1 + 1, dtype=float)
-            f = _check_chunk(cdfv(k * delta), prev_f)
-            log_left = np.log1p((k - 1.0) * delta)
-            mass = np.diff(np.concatenate(([prev_f], f)))
-            ids = np.floor(log_left / self.block_log_width).astype(np.int64)
-            starts = np.concatenate(([0], np.nonzero(np.diff(ids))[0] + 1))
-            block_mass = np.add.reduceat(mass, starts)
-            block_edge = log_left[starts]
-            if last_id >= 0 and ids[0] == last_id:
-                masses[-1][-1] += block_mass[0]
-                block_mass = block_mass[1:]
-                block_edge = block_edge[1:]
-            if block_mass.size:
-                masses.append(block_mass)
-                edges.append(block_edge)
-                last_id = int(ids[-1])
-            prev_f = float(f[-1])
-        self.mass = np.concatenate(masses) if masses else np.zeros(0)
-        self.log_edges = np.concatenate(edges) if edges else np.zeros(0)
-        self.end_survival = 1.0 - prev_f
+        starts = _block_starts(delta, n_terms, self.block_log_width)
+        edges = np.append(starts[1:], float(n_terms)) * delta
+        f = _check_chunk(_as_vectorized(cdf)(edges), 0.0)
+        self.mass = np.diff(f, prepend=0.0)
+        self.log_edges = np.log1p(starts * delta)
+        self.end_survival = 1.0 - float(f[-1])
         self.end_log_edge = math.log1p(n_terms * delta)
 
     def bound(self, theta: float) -> float:
         """Upper bound on E[(1+X)^(-theta)] from the aggregated blocks."""
-        val = float(np.dot(self.mass, np.exp(-theta * self.log_edges)))
+        # numpy's pairwise sum, not a BLAS dot: single-threaded, so its
+        # cost and its rounding do not depend on the BLAS thread pool.
+        terms = np.exp(-theta * self.log_edges)
+        terms *= self.mass
+        val = float(terms.sum())
         val += self.end_survival * math.exp(-theta * self.end_log_edge)
         return min(max(val, 1e-300), 1.0)
 

@@ -7,15 +7,15 @@ is bounded from above via the discretized inverse-moment machinery (or
 its exact quadrature limit in step -> 0 mode) and the n-slot bound is
 that factor to the n-th power, carried in the log domain.
 
-Theta sweeps hit the per-slot factor hundreds of times, so evaluation is
-routed by the size of the composite exponent:
+The per-slot factor comes from one of three routes:
 
+  * exact mode: the quadrature inverse moment, for every exponent;
   * tiny exponents: a second-order bound 1 - t*E[Y] + t^2*E[Y^2]/2 on
     E[exp(-t Y)], Y = ln(1+SNR) >= 0, valid since exp(-z) <= 1 - z + z^2/2;
-  * mid-range exponents: a mass-aggregated table of the discretized grid
-    (still an upper bound, within a configured relative looseness of it);
-  * large exponents: direct streaming evaluation, cheap because the
-    truncation point collapses.
+  * every larger exponent: a mass-aggregated table of the discretized
+    grid, built once per service and truncated where the tail mass falls
+    below the configured tolerance. It is an upper bound, looser than the
+    unmerged grid by a factor of at most exp(t * _BLOCK_LOG_WIDTH).
 
 Every route returns an upper bound on the exact per-slot factor, which is
 the property all downstream guarantees rest on.
@@ -24,7 +24,6 @@ the property all downstream guarantees rest on.
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 from scipy import integrate
@@ -34,15 +33,15 @@ from .inverse_moment import (
     DiscretizationConfig,
     StieltjesTable,
     exact_inverse_moment,
-    inverse_moment_bound_many,
     truncation_point,
 )
 
-# Composite-exponent routing thresholds and the table's relative looseness
-# budget against the unmerged grid at the top of its band.
+# Composite exponents up to this take the quadratic route.
 _QUADRATIC_MAX_EXPONENT = 0.05
-_DIRECT_MIN_EXPONENT = 5.0
-_TABLE_REL_TOL = 1e-4
+# Width of the table's blocks in log1p(SNR). Against the unmerged grid the
+# table is looser by a factor of at most exp(t * width) - 1 in relative
+# terms: 1e-4 at t = 5 and 4e-4 at t = 20, near the usual stability edge.
+_BLOCK_LOG_WIDTH = 2e-5
 
 _LOG_FLOOR = math.log(1e-300)
 
@@ -106,6 +105,8 @@ class ServiceCharacterization:
 
     def _ensure_table(self) -> StieltjesTable:
         if self._table is None:
+            # At theta = 0 only the survival decides the cut, which is never
+            # earlier than a per-exponent cut; extra terms only tighten.
             tail_x = truncation_point(self._cdf, 0.0, self.config)
             n = int(
                 min(self.config.max_terms, math.ceil(tail_x / self.config.step_delta))
@@ -114,7 +115,7 @@ class ServiceCharacterization:
                 self._cdf,
                 self.config.step_delta,
                 max(n, 1),
-                block_log_width=_TABLE_REL_TOL / _DIRECT_MIN_EXPONENT,
+                block_log_width=_BLOCK_LOG_WIDTH,
             )
         return self._table
 
@@ -128,10 +129,7 @@ class ServiceCharacterization:
         if exponent <= _QUADRATIC_MAX_EXPONENT:
             m1, m2 = self._capacity_log_moments()
             return math.log(1.0 - exponent * m1 + 0.5 * exponent * exponent * m2)
-        if exponent < _DIRECT_MIN_EXPONENT:
-            return math.log(self._ensure_table().bound(exponent))
-        val = inverse_moment_bound_many(self._cdf, np.asarray([exponent]), self.config)[0]
-        return math.log(val)
+        return math.log(self._ensure_table().bound(exponent))
 
     def log_per_slot_bound(self, theta: float) -> float:
         """ln of the per-slot transform bound; non-positive, floored at ln(1e-300)."""
@@ -166,24 +164,3 @@ class ServiceCharacterization:
         """Bound on E[exp(-theta * S(0, n))]; exponentiated only on demand."""
         return math.exp(self.log_mgf_bound(theta, n_slots))
 
-
-def heterogeneous_log_mgf_bound(
-    snr_cdfs: Sequence,
-    theta: float,
-    bits_per_nat: float,
-    config: DiscretizationConfig,
-) -> float:
-    """Slow path for independent but non-identically distributed slots.
-
-    Takes one SNR CDF per slot and multiplies the per-slot inverse-moment
-    bounds (summed in log domain). Reduces to the i.i.d. power form when
-    all CDFs coincide.
-    """
-    if theta <= 0:
-        raise ValueError("theta must be positive")
-    exponent = theta * bits_per_nat
-    total = 0.0
-    for cdf in snr_cdfs:
-        val = inverse_moment_bound_many(cdf, np.asarray([exponent]), config)[0]
-        total += math.log(val)
-    return total

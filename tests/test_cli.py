@@ -1,4 +1,6 @@
 import json
+import pathlib
+from dataclasses import replace
 
 import pytest
 
@@ -231,12 +233,25 @@ class TestMain:
         assert doc["tool"] == "linkbound"
 
 
-def test_bundled_scenarios_parse():
-    import pathlib
+BUNDLED = sorted((pathlib.Path(__file__).resolve().parents[1] / "scenarios").glob("*.json"))
 
-    root = pathlib.Path(__file__).resolve().parents[1] / "scenarios"
-    files = sorted(root.glob("*.json"))
-    assert files, "bundled scenario files missing"
-    for f in files:
+
+def test_bundled_scenarios_parse():
+    assert BUNDLED, "bundled scenario files missing"
+    for f in BUNDLED:
         sc = Scenario.from_dict(json.loads(f.read_text()))
         assert Scenario.from_dict(sc.to_dict()) == sc
+
+
+@pytest.mark.parametrize("path", BUNDLED, ids=lambda p: p.stem)
+def test_bundled_discretized_bounds_dominate_limit_mode(path):
+    # Every discretized bound is at least its quadrature-limit counterpart;
+    # scenarios that ship in limit mode run at the default step instead.
+    sc = replace(Scenario.from_dict(json.loads(path.read_text())), simulate=False)
+    if sc.delta == "limit":
+        sc = replace(sc, delta=0.01)
+    disc_rows = run_scenario(sc)
+    limit_rows = run_scenario(replace(sc, delta="limit"))
+    for disc, limit in zip(disc_rows, limit_rows, strict=True):
+        if disc.stable:
+            assert limit.stable and disc.bound >= limit.bound, (disc, limit)

@@ -272,3 +272,75 @@ class TestTruncationAndTable:
             assert table_val >= exact
             # Within the advertised looseness of the unmerged grid value.
             assert table_val <= grid_val * (1.0 + theta * 2e-5) + 1e-15
+
+
+def cell_by_cell_table(cdf, delta, n_terms, block_log_width, chunk=2_000_000):
+    """Cell-by-cell table build, the reference for StieltjesTable's block-lattice build.
+
+    Evaluates the CDF at every grid cell in chunks, tags each cell with the
+    lattice id of its left edge and sums cell masses over runs of equal id.
+    Returns (log_edges, mass, end_survival).
+    """
+    cdfv = _as_vectorized(cdf)
+    masses, edges = [], []
+    prev_f, last_id = 0.0, -1
+    for k0 in range(1, n_terms + 1, chunk):
+        k1 = min(k0 + chunk - 1, n_terms)
+        k = np.arange(k0, k1 + 1, dtype=float)
+        f = cdfv(k * delta)
+        log_left = np.log1p((k - 1.0) * delta)
+        mass = np.diff(np.concatenate(([prev_f], f)))
+        ids = np.floor(log_left / block_log_width).astype(np.int64)
+        starts = np.concatenate(([0], np.nonzero(np.diff(ids))[0] + 1))
+        block_mass = np.add.reduceat(mass, starts)
+        block_edge = log_left[starts]
+        if last_id >= 0 and ids[0] == last_id:
+            masses[-1][-1] += block_mass[0]
+            block_mass, block_edge = block_mass[1:], block_edge[1:]
+        if block_mass.size:
+            masses.append(block_mass)
+            edges.append(block_edge)
+            last_id = int(ids[-1])
+        prev_f = float(f[-1])
+    return np.concatenate(edges), np.concatenate(masses), 1.0 - prev_f
+
+
+class TestBlockLatticeBuild:
+    @pytest.mark.parametrize(
+        "mean_snr_db, sigma_db, delta, width, n_terms",
+        [
+            (25.0, 8.0, 1e-2, 2e-5, 1),
+            (25.0, 8.0, 1e-2, 2e-5, None),  # 6.3e6 cells, one to many cells per block
+            (30.0, 8.0, 1e-2, 2e-5, None),  # 2.0e7 cells, several reference chunks
+            (25.0, 2.0, 1e-2, 2e-5, None),
+            (10.0, 4.0, 1e-2, 2e-5, None),  # every block a single cell
+            # expm1(j * width) / delta lands on a whole cell at every j that is a
+            # multiple of 1000; there the first guess of a block start is one
+            # cell off, in either direction.
+            (50.0, 8.0, 1.0, math.log(2.0) / 1000, 1_000_000),
+        ],
+    )
+    def test_matches_cell_by_cell_build(self, mean_snr_db, sigma_db, delta, width, n_terms):
+        cdf = lognormal_cdf(lb.ShadowingChannel(mean_snr_db, sigma_db, 5e8))
+        if n_terms is None:
+            cfg = lb.DiscretizationConfig(step_delta=delta)
+            n_terms = int(math.ceil(truncation_point(cdf, 0.0, cfg) / delta))
+        table = StieltjesTable(cdf, delta, n_terms, block_log_width=width)
+        log_edges, mass, end_survival = cell_by_cell_table(cdf, delta, n_terms, width)
+        assert np.array_equal(table.log_edges, log_edges)
+        assert np.array_equal(table.mass, mass)
+        assert table.end_survival == end_survival
+
+    def test_out_of_range_cdf_rejected(self):
+        bad = lambda x: np.full_like(np.asarray(x, dtype=float), 1.5)
+        with pytest.raises(lb.CdfContractError):
+            StieltjesTable(bad, 0.01, 100_000, block_log_width=2e-5)
+
+    def test_non_monotone_across_block_edges_rejected(self):
+        # Blocks above x = 500 span many cells; the CDF drops between two of them.
+        def bad(x):
+            x = np.asarray(x, dtype=float)
+            return np.where(x < 800.0, x / 1000.0, 0.1)
+
+        with pytest.raises(lb.CdfContractError):
+            StieltjesTable(bad, 0.01, 100_000, block_log_width=2e-5)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import linkbound as lb
-from linkbound.service import heterogeneous_log_mgf_bound
+from linkbound.service import _BLOCK_LOG_WIDTH
 
 
 class TestPerSlotBound:
@@ -27,7 +27,7 @@ class TestPerSlotBound:
         assert operating_svc.per_slot_bound(theta) >= exact
 
     def test_dominates_exact_across_regimes(self, operating_channel, operating_svc):
-        # Exercises the quadratic, aggregated-table, and direct routes.
+        # Exercises the quadratic and aggregated-table routes.
         for theta in (1e-11, 1e-9, 3e-9, 1e-8, 5e-8):
             exact = lb.exact_inverse_moment(
                 operating_channel, operating_svc.composite_exponent(theta)
@@ -128,34 +128,37 @@ class TestMultiSlotBound:
         assert operating_svc.mgf_bound(theta, n_slots) >= mean - 3.0 * se
 
 
-class TestHeterogeneousSlowPath:
-    def test_identical_slots_match_iid_power(self, operating_channel):
-        cfg = lb.DiscretizationConfig(step_delta=0.05)
-        cdf = lambda x: lb.snr_cdf(operating_channel, x)
-        theta = 2e-9
-        single = lb.inverse_moment_bound(
-            cdf, theta * operating_channel.bits_per_nat, cfg
-        )
-        log_mixed = heterogeneous_log_mgf_bound(
-            [cdf, cdf, cdf], theta, operating_channel.bits_per_nat, cfg
-        )
-        assert log_mixed == pytest.approx(3.0 * math.log(single), rel=1e-12)
 
-    def test_mixed_slots_multiply(self):
-        chan_a = lb.ShadowingChannel(25.0, 8.0, 500e6, 1.0)
-        chan_b = lb.ShadowingChannel(20.0, 4.0, 500e6, 1.0)
-        cfg = lb.DiscretizationConfig(step_delta=0.05)
-        cdfs = [lambda x: lb.snr_cdf(chan_a, x), lambda x: lb.snr_cdf(chan_b, x)]
-        theta = 2e-9
-        expected = sum(
-            math.log(lb.inverse_moment_bound(c, theta * chan_a.bits_per_nat, cfg))
-            for c in cdfs
-        )
-        got = heterogeneous_log_mgf_bound(cdfs, theta, chan_a.bits_per_nat, cfg)
-        assert got == pytest.approx(expected, rel=1e-12)
+class TestTableRoute:
+    @pytest.mark.parametrize("sigma_db", [2.0, 4.0, 8.0])
+    def test_between_exact_and_unmerged_grid(self, sigma_db):
+        # Above the quadratic band every factor comes from the table: never
+        # below the exact moment, and looser than the grid truncated for its
+        # own exponent by at most the block factor exp(t * width).
+        chan = lb.ShadowingChannel(25.0, sigma_db, 500e6, 1.0)
+        svc = lb.ServiceCharacterization(chan)
+        cdf = lambda x: lb.snr_cdf(chan, x)
+        for target in (5.0, 10.0, 20.0, 50.0, 100.0, 200.0):
+            theta = target / chan.bits_per_nat
+            t = svc.composite_exponent(theta)
+            factor = svc.per_slot_bound(theta)
+            grid = lb.inverse_moment_bound(cdf, t, svc.config)
+            assert lb.exact_inverse_moment(chan, t) <= factor
+            assert factor <= grid * math.exp(t * _BLOCK_LOG_WIDTH)
 
-    def test_domain_error(self, operating_channel):
-        with pytest.raises(ValueError):
-            heterogeneous_log_mgf_bound(
-                [], 0.0, operating_channel.bits_per_nat, lb.DiscretizationConfig()
+    def test_stability_edge_and_tail_follow_sigma(self, gbps_env):
+        # A residual floor on the per-slot factor once pinned the stability
+        # edge of sigma = 2 and 4 dB to the same theta and left the
+        # sigma = 4 dB backlog bound 29% above exact mode at 1e-6.
+        def svc(sigma_db, exact=False):
+            return lb.ServiceCharacterization(
+                lb.ShadowingChannel(25.0, sigma_db, 500e6, 1.0), exact=exact
             )
+
+        edge_2 = lb.stability_region(gbps_env, svc(2.0)).theta_upper
+        edge_4 = lb.stability_region(gbps_env, svc(4.0)).theta_upper
+        assert edge_2 > edge_4
+        query = lb.BoundQuery(epsilon=1e-6, kind="backlog")
+        disc = lb.backlog_bound(gbps_env, svc(4.0), query).value
+        exact = lb.backlog_bound(gbps_env, svc(4.0, exact=True), query).value
+        assert exact <= disc <= 1.01 * exact
