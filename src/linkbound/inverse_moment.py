@@ -7,10 +7,15 @@ grid at any point keeps it an upper bound; extending the truncation or
 shrinking the step only tightens it. The quadrature routine computes the
 exact expectation and serves as the delta -> 0 reference.
 
-Grid evaluation streams in fixed-size chunks so that fine steps never
-materialize the whole grid. The truncation point is chosen in x-space,
-independent of the step, so refining the step compares the same truncated
-quantity and is guaranteed monotone.
+Both discretized engines, the unmerged grid of ``inverse_moment_bound``
+and the block-merged ``StieltjesTable``, compute one staircase sum:
+sum of mass * (1+x_left)^(-theta) over cells, plus the survival at the cut
+times (1+x_cut)^(-theta). Masses are differences of the CDF at cell right
+edges, so no term cancels, whatever the exponent. The grid streams in
+fixed-size chunks so that fine steps never materialize the whole grid.
+The truncation point is chosen in x-space, independent of the step, so
+refining the step compares the same truncated quantity and is guaranteed
+monotone.
 """
 
 from __future__ import annotations
@@ -24,9 +29,13 @@ from scipy import integrate
 from .channel import DB_TO_LN, ShadowingChannel
 
 _CHUNK = 2_000_000
-# Below this composite exponent, differences of (1+x)^(-theta) across one
-# cell lose too many digits; switch to the expm1-based increment form.
-_STABLE_FORM_THETA = 1e-3
+# The truncation search also stops once survival * (1+x)^(-theta) falls
+# below this residual slack.
+_SLACK_TOL = 1e-12
+# Refinement mode stops once the step -> 0 extrapolant moves by less than
+# this relative amount, or after this many halvings of the step.
+_REFINE_RTOL = 2e-5
+_MAX_REFINE_ROUNDS = 24
 # Expanding search for the truncation point starts here and may not pass
 # the ceiling even for pathologically heavy cdfs.
 _SEARCH_X0 = 1e-12
@@ -52,40 +61,29 @@ class DiscretizationConfig:
         step_delta: grid step in linear-SNR units.
         tail_mass_tol: truncate the grid once the survival of X drops below
             this mass; the residual looseness versus an untruncated grid is
-            at most tail_mass_tol times the integrand at the cut.
-        slack_tol: additionally truncate once survival * (1+x)^(-theta)
-            drops below this value, which bounds the residual directly and
-            cuts far earlier for large exponents. The service's table is
-            cut at theta = 0, where the survival alone decides.
+            at most tail_mass_tol times the integrand at the cut. The grid
+            of one exponent also stops once survival * (1+x)^(-theta) drops
+            below the fixed slack 1e-12, which cuts far earlier for large
+            exponents. The service's table is cut at theta = 0, where the
+            survival alone decides.
         max_terms: hard cap on the number of grid terms.
-        refine_to_limit: when set, successively halve the step and return a
-            step -> 0 estimate (Richardson-extrapolated), stopping once the
-            estimate stabilizes to refine_rtol.
-        refine_rtol: relative stabilization tolerance for refinement mode.
-        max_refine_rounds: cap on the number of halvings.
+        refine_to_limit: when set, successively halve the step (at most 24
+            times) and return a step -> 0 estimate (Richardson-extrapolated),
+            stopping once the estimate stabilizes to 2e-5 relative.
     """
 
     step_delta: float = 1e-2
     tail_mass_tol: float = 2e-3
-    slack_tol: float = 1e-12
     max_terms: int = 200_000_000
     refine_to_limit: bool = False
-    refine_rtol: float = 2e-5
-    max_refine_rounds: int = 24
 
     def __post_init__(self) -> None:
         if self.step_delta <= 0:
             raise ValueError("step_delta must be positive")
         if not 0 < self.tail_mass_tol < 1:
             raise ValueError("tail_mass_tol must lie in (0, 1)")
-        if self.slack_tol <= 0:
-            raise ValueError("slack_tol must be positive")
         if self.max_terms < 1:
             raise ValueError("max_terms must be at least 1")
-        if self.refine_rtol <= 0:
-            raise ValueError("refine_rtol must be positive")
-        if self.max_refine_rounds < 1:
-            raise ValueError("max_refine_rounds must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -144,7 +142,7 @@ def truncation_point(cdf, theta: float, config: DiscretizationConfig) -> float:
     """Smallest x at which the grid may stop under the configured tolerances.
 
     Stops where either the survival falls below tail_mass_tol or the
-    residual-slack proxy survival * (1+x)^(-theta) falls below slack_tol.
+    residual-slack proxy survival * (1+x)^(-theta) falls below 1e-12.
     Located by doubling then bisection; deliberately independent of the
     step so that refinements truncate at the same point. The CDF is
     evaluated in two array calls, one over every doubling candidate and
@@ -156,7 +154,7 @@ def truncation_point(cdf, theta: float, config: DiscretizationConfig) -> float:
     def stopped(x: float, surv: float) -> bool:
         if surv <= config.tail_mass_tol:
             return True
-        return surv * math.exp(-theta * math.log1p(x)) <= config.slack_tol
+        return surv * math.exp(-theta * math.log1p(x)) <= _SLACK_TOL
 
     ladder_surv = (1.0 - cdfv(np.asarray(_LADDER))).tolist()
     if stopped(_SEARCH_X0, ladder_surv[0]):
@@ -190,71 +188,55 @@ def _check_chunk(f: np.ndarray, prev_last: float) -> np.ndarray:
     return f
 
 
-def _grid_sum_many(cdfv, thetas: np.ndarray, delta: float, n_terms: np.ndarray) -> np.ndarray:
+def _cells(right: np.ndarray, f: np.ndarray, prev_right: float = 0.0,
+           prev_f: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """(log1p of each cell's left edge, each cell's mass) from checked CDF values.
+
+    Cells are consecutive: each one ends at ``right[i]`` where ``f[i]`` is
+    the CDF, and the first one starts at ``prev_right`` where it is ``prev_f``.
+    """
+    log_left = np.log1p(np.concatenate(([prev_right], right[:-1])))
+    return log_left, np.diff(f, prepend=prev_f)
+
+
+def _staircase_sum(log_left: np.ndarray, mass: np.ndarray, theta: float) -> float:
+    """Sum of mass * (1+x_left)^(-theta) over cells."""
+    # numpy's pairwise sum, not a BLAS dot: single-threaded, so its
+    # cost and its rounding do not depend on the BLAS thread pool.
+    terms = np.exp(-theta * log_left)
+    terms *= mass
+    return float(terms.sum())
+
+
+def _grid_sum_many(cdfv, thetas: np.ndarray, delta: float, trunc_points: np.ndarray,
+                   max_terms: int) -> np.ndarray:
     """Evaluate the truncated grid bound for several exponents in one sweep.
 
     Shares the CDF and log grids across exponents; each exponent stops at
-    its own term count. When one exponent is exactly double another, its
-    staircase comes from squaring the smaller one's instead of a fresh exp
-    pass. Per-exponent chunk partials are re-summed from the tail up so the
-    smallest weights accumulate first.
+    the first cell edge at or past its own truncation point, where the
+    survival past the cut adds its end term. Per-exponent partials are
+    re-summed exactly.
     """
-    n_max = int(n_terms.max())
-    order = np.argsort(thetas, kind="stable")
-    partials = [[] for _ in thetas]
-    leading = np.zeros(len(thetas))
-    prev_log_edge = 0.0
-    prev_f_last = 0.0
+    n_terms = np.minimum(np.maximum(1, np.ceil(trunc_points / delta)), max_terms)
+    n_terms = n_terms.astype(np.int64).tolist()
+    n_max = max(n_terms)
+    partials = [[] for _ in n_terms]
+    prev_right = prev_f = 0.0
     for k0 in range(1, n_max + 1, _CHUNK):
         k1 = min(k0 + _CHUNK - 1, n_max)
-        k = np.arange(k0, k1 + 1, dtype=float)
-        x_right = k * delta
-        f = _check_chunk(cdfv(x_right), prev_f_last)
-        log_edges = np.empty(x_right.size + 1)
-        log_edges[0] = prev_log_edge
-        np.log1p(x_right, out=log_edges[1:])
-        dlog = None
-        chunk_h: list[tuple[float, np.ndarray]] = []
-        for j in order:
-            theta = float(thetas[j])
-            nj = int(n_terms[j])
-            if nj < k0:
+        right = np.arange(k0, k1 + 1, dtype=float) * delta
+        f = _check_chunk(cdfv(right), prev_f)
+        log_left, mass = _cells(right, f, prev_right, prev_f)
+        for theta, n, parts in zip(thetas.tolist(), n_terms, partials):
+            if n < k0:
                 continue
-            m = min(k1, nj) - k0 + 1
-            if theta >= _STABLE_FORM_THETA:
-                h = None
-                for prev_theta, prev_h in chunk_h:
-                    if abs(theta - 2.0 * prev_theta) <= 1e-12 * theta and prev_h.size >= m + 1:
-                        h = prev_h[: m + 1] ** 2
-                        break
-                if h is None:
-                    h = np.exp(-theta * log_edges[: m + 1])
-                if len(chunk_h) < 16:  # cap retained staircases per chunk
-                    chunk_h.append((theta, h))
-                weights = -np.diff(h)
-            else:
-                if dlog is None:
-                    # Stable one-cell increments of log1p along the grid.
-                    dlog = np.log1p(delta / (1.0 + (x_right - delta)))
-                h_left = np.exp(-theta * log_edges[:m])
-                weights = h_left * (-np.expm1(-theta * dlog[:m]))
-            # np.dot sums pairwise; chunk partials are then combined from
-            # the tail end up so the smallest contributions accumulate first.
-            partials[j].append(float(np.dot(weights, f[:m])))
-            if nj <= k1:
-                leading[j] = math.exp(-theta * log_edges[nj - k0 + 1])
-        prev_log_edge = log_edges[-1]
-        prev_f_last = float(f[-1])
-    totals = np.array(
-        [leading[j] + math.fsum(reversed(partials[j])) for j in range(len(thetas))]
-    )
-    return np.clip(totals, 1e-300, 1.0)
-
-
-def _bound_at_step(cdfv, thetas, delta, trunc_points, max_terms) -> np.ndarray:
-    n_terms = np.maximum(1, np.ceil(np.asarray(trunc_points) / delta)).astype(np.int64)
-    n_terms = np.minimum(n_terms, max_terms)
-    return _grid_sum_many(cdfv, np.asarray(thetas, dtype=float), delta, n_terms)
+            m = min(k1, n) - k0 + 1
+            parts.append(_staircase_sum(log_left[:m], mass[:m], theta))
+            if n <= k1:
+                end_survival = 1.0 - float(f[m - 1])
+                parts.append(end_survival * math.exp(-theta * math.log1p(right[m - 1])))
+        prev_right, prev_f = float(right[-1]), float(f[-1])
+    return np.clip([math.fsum(p) for p in partials], 1e-300, 1.0)
 
 
 def inverse_moment_bound_many(cdf, thetas, config: DiscretizationConfig) -> np.ndarray:
@@ -270,7 +252,7 @@ def inverse_moment_bound_many(cdf, thetas, config: DiscretizationConfig) -> np.n
     act = thetas[active]
     trunc = np.array([truncation_point(cdfv, t, config) for t in act])
     if not config.refine_to_limit:
-        out[active] = _bound_at_step(cdfv, act, config.step_delta, trunc, config.max_terms)
+        out[active] = _grid_sum_many(cdfv, act, config.step_delta, trunc, config.max_terms)
         return out
 
     # Refinement mode: halve the step until the first-order extrapolant of
@@ -280,17 +262,17 @@ def inverse_moment_bound_many(cdf, thetas, config: DiscretizationConfig) -> np.n
     # Exponents whose extrapolant has stabilized drop out of finer levels,
     # since the cost per level grows inversely with the step.
     delta = config.step_delta
-    prev = _bound_at_step(cdfv, act, delta, trunc, config.max_terms)
+    prev = _grid_sum_many(cdfv, act, delta, trunc, config.max_terms)
     extrap_prev = np.full(act.size, np.nan)
     result = prev.copy()
     live = np.ones(act.size, dtype=bool)
-    for _ in range(config.max_refine_rounds):
+    for _ in range(_MAX_REFINE_ROUNDS):
         delta *= 0.5
-        cur = _bound_at_step(cdfv, act[live], delta, trunc[live], config.max_terms)
+        cur = _grid_sum_many(cdfv, act[live], delta, trunc[live], config.max_terms)
         extrap = 2.0 * cur - prev[live]
         result[live] = extrap
         rel = np.abs(extrap - extrap_prev[live]) / np.maximum(np.abs(extrap), 1e-300)
-        converged = rel <= config.refine_rtol
+        converged = rel <= _REFINE_RTOL
         extrap_prev[live] = extrap
         prev[live] = cur
         live[live.nonzero()[0][converged]] = False
@@ -303,11 +285,13 @@ def inverse_moment_bound_many(cdf, thetas, config: DiscretizationConfig) -> np.n
 def inverse_moment_bound(cdf, theta: float, config: DiscretizationConfig) -> float:
     """Discretized upper bound on E[(1+X)^(-theta)] from the CDF of X.
 
-    Returns the truncated staircase sum
-    ``(1+delta*N)^(-theta) + sum_k [(1+(k-1)delta)^(-theta) - (1+k delta)^(-theta)] * F(k delta)``
-    with N fixed by the truncation rules in ``config``. The value is an
-    upper bound on the expectation for every truncation, lies in (0, 1],
-    and tightens monotonically as the step shrinks or terms are added.
+    Returns the truncated staircase sum over cells k = 1..N
+    ``sum_k [F(k delta) - F((k-1) delta)] * (1+(k-1) delta)^(-theta)``
+    plus the end term ``[1 - F(N delta)] * (1+N delta)^(-theta)``, with
+    F(0) read as 0 and N fixed by the truncation rules in ``config``. The
+    value is an upper bound on the expectation for every truncation, lies
+    in (0, 1], and tightens monotonically as the step shrinks or terms are
+    added.
 
     Raises ValueError for negative theta and CdfContractError if the CDF
     misbehaves on the grid.
@@ -374,18 +358,13 @@ class StieltjesTable:
         starts = _block_starts(delta, n_terms, self.block_log_width)
         edges = np.append(starts[1:], float(n_terms)) * delta
         f = _check_chunk(_as_vectorized(cdf)(edges), 0.0)
-        self.mass = np.diff(f, prepend=0.0)
-        self.log_edges = np.log1p(starts * delta)
+        self.log_edges, self.mass = _cells(edges, f)
         self.end_survival = 1.0 - float(f[-1])
         self.end_log_edge = math.log1p(n_terms * delta)
 
     def bound(self, theta: float) -> float:
         """Upper bound on E[(1+X)^(-theta)] from the aggregated blocks."""
-        # numpy's pairwise sum, not a BLAS dot: single-threaded, so its
-        # cost and its rounding do not depend on the BLAS thread pool.
-        terms = np.exp(-theta * self.log_edges)
-        terms *= self.mass
-        val = float(terms.sum())
+        val = _staircase_sum(self.log_edges, self.mass, theta)
         val += self.end_survival * math.exp(-theta * self.end_log_edge)
         return min(max(val, 1e-300), 1.0)
 
@@ -393,10 +372,11 @@ class StieltjesTable:
 def _lognormal_exact(channel: ShadowingChannel, theta: float) -> float:
     """Exact inverse moment of the log-normal SNR by Gaussian quadrature.
 
-    Substitutes x = exp(ln10/10 * (mean_db + sigma_db z)) and integrates the
-    standard normal density over |z| <= 10; the integrand is split at the
-    knee where (1+x)^(-theta) transitions, which quad would otherwise miss
-    at large exponents.
+    Substitutes x = exp(ln10/10 * (mean_db + sigma_db z)) and integrates
+    over z within 10 of the integrand's peak, which lies below z = 0 and,
+    at small sigma and large exponents, below z = -10. The integral is
+    split at the peak and at the knee where (1+x)^(-theta) transitions,
+    which quad would otherwise miss at large exponents.
     """
     if channel.sigma_db == 0.0:
         return _point_mass_exact(channel.median_snr, theta)
@@ -409,10 +389,24 @@ def _lognormal_exact(channel: ShadowingChannel, theta: float) -> float:
             2.0 * math.pi
         )
 
-    knee = (math.log(1.0 / theta) - ln_mean) / ln_sigma if theta > 0 else 0.0
-    knee = min(max(knee, -9.99), 9.99)
+    # The log-integrand is concave with slope -z - theta*ln_sigma*x/(1+x),
+    # positive at z = -theta*ln_sigma and negative at 0: bisect its root.
+    # Its curvature is at most -1, so beyond about 10 of the peak the
+    # integrand is below exp(-49) of its peak value.
+    lo, hi = -theta * ln_sigma, 0.0
+    while hi - lo > 0.05:
+        mid = 0.5 * (lo + hi)
+        x = math.exp(ln_mean + ln_sigma * mid)
+        if -mid - theta * ln_sigma * x / (1.0 + x) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    peak = 0.5 * (lo + hi)
+    knee = (math.log(1.0 / theta) - ln_mean) / ln_sigma
+    knee = min(max(knee, peak - 9.99), peak + 9.99)
     value, abserr = integrate.quad(
-        integrand, -10.0, 10.0, points=[knee], limit=200, epsabs=0.0, epsrel=1e-11
+        integrand, peak - 10.0, peak + 10.0, points=sorted({knee, peak}), limit=200,
+        epsabs=0.0, epsrel=1e-11,
     )
     if not math.isfinite(value) or (value > 0 and abserr > 1e-9 * value):
         raise QuadratureError(

@@ -8,6 +8,7 @@ import linkbound as lb
 from linkbound.inverse_moment import (
     _SEARCH_CEIL,
     _SEARCH_X0,
+    _SLACK_TOL,
     StieltjesTable,
     _as_vectorized,
     truncation_point,
@@ -183,6 +184,17 @@ class TestExactInverseMoment:
             b = lb.exact_inverse_moment(Wrapper(operating_channel), theta)
             assert b == pytest.approx(a, rel=1e-6)
 
+    @pytest.mark.parametrize(
+        "exponent, reference",
+        # mpmath.quad at 30 digits over z in [-60, 12], split at every integer.
+        [(20.0, 9.95767086146874e-34), (50.0, 6.27721532181348e-50)],
+    )
+    def test_integrand_peak_below_minus_ten(self, exponent, reference):
+        # At 25 dB and sigma = 2 dB the integrand peaks near or below z = -10,
+        # outside a fixed [-10, 10] range.
+        chan = lb.ShadowingChannel(25.0, 2.0, 500e6, 1.0)
+        assert lb.exact_inverse_moment(chan, exponent) == pytest.approx(reference, rel=1e-6)
+
     def test_generic_pdf_path(self):
         class Expo:
             @staticmethod
@@ -202,7 +214,7 @@ def scalar_truncation_point(cdf, theta, config):
         surv = 1.0 - float(cdfv(np.asarray([x]))[0])
         if surv <= config.tail_mass_tol:
             return True
-        return surv * math.exp(-theta * math.log1p(x)) <= config.slack_tol
+        return surv * math.exp(-theta * math.log1p(x)) <= _SLACK_TOL
 
     x = _SEARCH_X0
     if stopped(x):
@@ -237,26 +249,23 @@ class TestTruncationAndTable:
             st.floats(-12.0, -0.01).map(lambda e: 10.0**e),
             st.floats(-12.0, -1.0).map(lambda e: 1.0 - 10.0**e),
         ),
-        slack_tol=st.floats(-200.0, -1.0).map(lambda e: 10.0**e),
     )
-    @example(mean_snr_db=25.0, sigma_db=0.0, theta=0.0, tail_mass_tol=2e-3, slack_tol=1e-12)
-    @example(mean_snr_db=25.0, sigma_db=8.0, theta=0.0, tail_mass_tol=2e-3, slack_tol=1e-12)
-    @example(mean_snr_db=25.0, sigma_db=8.0, theta=2.0, tail_mass_tol=1.0 - 1e-12,
-             slack_tol=1e-12)
-    @example(mean_snr_db=25.0, sigma_db=8.0, theta=0.0, tail_mass_tol=1e-12, slack_tol=1e-200)
-    @example(mean_snr_db=40.0, sigma_db=12.0, theta=1e-6, tail_mass_tol=1e-12,
-             slack_tol=1e-200)
+    @example(mean_snr_db=25.0, sigma_db=0.0, theta=0.0, tail_mass_tol=2e-3)
+    @example(mean_snr_db=25.0, sigma_db=8.0, theta=0.0, tail_mass_tol=2e-3)
+    @example(mean_snr_db=25.0, sigma_db=8.0, theta=2.0, tail_mass_tol=1.0 - 1e-12)
+    @example(mean_snr_db=25.0, sigma_db=8.0, theta=0.0, tail_mass_tol=1e-12)
+    @example(mean_snr_db=40.0, sigma_db=12.0, theta=1e-6, tail_mass_tol=1e-12)
     def test_truncation_point_matches_scalar_search(
-        self, mean_snr_db, sigma_db, theta, tail_mass_tol, slack_tol
+        self, mean_snr_db, sigma_db, theta, tail_mass_tol
     ):
         cdf = lognormal_cdf(lb.ShadowingChannel(mean_snr_db, sigma_db, 5e8))
-        cfg = lb.DiscretizationConfig(tail_mass_tol=tail_mass_tol, slack_tol=slack_tol)
+        cfg = lb.DiscretizationConfig(tail_mass_tol=tail_mass_tol)
         assert truncation_point(cdf, theta, cfg) == scalar_truncation_point(cdf, theta, cfg)
 
     def test_truncation_point_search_ceiling(self):
         # Survival 1 everywhere: no tolerance is met before the search cap.
         cdf = lambda x: np.zeros_like(np.asarray(x, dtype=float))
-        cfg = lb.DiscretizationConfig(slack_tol=1e-200)
+        cfg = lb.DiscretizationConfig()
         assert truncation_point(cdf, 0.0, cfg) == _SEARCH_CEIL
         assert scalar_truncation_point(cdf, 0.0, cfg) == _SEARCH_CEIL
 
@@ -272,6 +281,19 @@ class TestTruncationAndTable:
             assert table_val >= exact
             # Within the advertised looseness of the unmerged grid value.
             assert table_val <= grid_val * (1.0 + theta * 2e-5) + 1e-15
+
+    def test_single_cell_blocks_match_grid_exactly(self):
+        # At 10 dB and sigma = 4 dB every block of a delta = 0.01 table is one
+        # grid cell, and the survival alone cuts the grid at theta = 0.5 and 2
+        # as at theta = 0: both engines then add the same terms in one sum.
+        chan = lb.ShadowingChannel(10.0, 4.0, 5e8)
+        cdf = lognormal_cdf(chan)
+        cfg = lb.DiscretizationConfig(step_delta=1e-2)
+        n = int(math.ceil(truncation_point(cdf, 0.0, cfg) / cfg.step_delta))
+        table = StieltjesTable(cdf, cfg.step_delta, n, block_log_width=2e-5)
+        assert table.mass.size == n
+        for theta in (0.5, 2.0):
+            assert table.bound(theta) == lb.inverse_moment_bound(cdf, theta, cfg)
 
 
 def cell_by_cell_table(cdf, delta, n_terms, block_log_width, chunk=2_000_000):
