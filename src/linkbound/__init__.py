@@ -11,7 +11,6 @@ from .bounds import (
     UnstableSystemError,
     backlog_bound,
     delay_bound,
-    kernel_bound,
     log_kernel_bound,
     stability_region,
 )
@@ -34,15 +33,12 @@ from .inverse_moment import (
 )
 from .service import ServiceCharacterization
 from .simulator import (
-    PathRecord,
     SimConfig,
     SimOutcome,
     replication_rng,
     run_experiment,
     run_replication,
-    simulate_path,
     wilson_halfwidth,
-    write_raw_samples,
 )
 
 __all__ = [
@@ -52,7 +48,6 @@ __all__ = [
     "CdfContractError",
     "DiscretizationConfig",
     "LinkBudget",
-    "PathRecord",
     "PointMass",
     "QuadratureError",
     "ServiceCharacterization",
@@ -68,17 +63,14 @@ __all__ = [
     "generate_arrivals",
     "inverse_moment_bound",
     "inverse_moment_bound_many",
-    "kernel_bound",
     "log_kernel_bound",
     "log_mgf_bound",
     "replication_rng",
     "run_experiment",
     "run_replication",
     "sample_snr",
-    "simulate_path",
     "snr_cdf",
     "stability_region",
     "system_gain_db",
     "wilson_halfwidth",
-    "write_raw_samples",
 ]

@@ -5,9 +5,10 @@ transforms. For a transform parameter theta the system is stable when
 exp(theta * rate) times the per-slot service factor is below one; inside
 that region the backlog bound minimizes a Chernoff-style objective over
 theta and the delay bound is the smallest slot count whose kernel drops
-below the target violation probability. All kernel arithmetic stays in
-the log domain; the gap 1 - exp(g) is evaluated through expm1 so the pole
-at the stability boundary does not poison nearby values.
+below the target violation probability. Both refine theta through one
+minimizer. All kernel arithmetic stays in the log domain; the gap
+1 - exp(g) is evaluated through expm1 so the pole at the stability
+boundary does not poison nearby values.
 """
 
 from __future__ import annotations
@@ -52,19 +53,15 @@ class StabilityRegion:
     """Interval of transform parameters with arrival/service product below one.
 
     The region is an interval starting at zero (exclusive). When nothing is
-    stable, ``empty`` is set. When the region extends past the search cap,
-    ``unbounded_above`` is set and ``theta_upper`` holds the cap actually
-    scanned.
+    stable, ``is_empty`` is set. When the region extends past the search
+    cap, ``unbounded_above`` is set and ``theta_upper`` holds the cap
+    actually scanned (infinity for a zero-rate flow).
     """
 
     theta_lower: float
     theta_upper: float
-    empty: bool = False
+    is_empty: bool = False
     unbounded_above: bool = False
-
-    @property
-    def is_empty(self) -> bool:
-        return self.empty
 
 
 @dataclass
@@ -90,14 +87,26 @@ def _log1mexp(g):
     return np.log(-np.expm1(g))
 
 
-def _log_gap(env: AffineEnvelope, svc: ServiceCharacterization, theta: float) -> float:
-    """log(1 - exp(theta*rate) * per_slot_bound); raises when unstable at theta."""
-    g = theta * env.rate_bits_per_slot + svc.log_per_slot_bound(theta)
+def _log_kernel(env: AffineEnvelope, theta, log_factor, log_gap, slots_back, slots_fwd=0):
+    """ln of exp(theta*burst) * exp(theta*rate)^slots_fwd * factor^slots_back / gap.
+
+    Takes scalars or grid arrays alike; every kernel value comes from here.
+    """
+    return (
+        theta * env.burst_bits
+        + slots_fwd * theta * env.rate_bits_per_slot
+        + slots_back * log_factor
+        - log_gap
+    )
+
+
+def _stable_at(env: AffineEnvelope, svc: ServiceCharacterization, theta: float):
+    """(log factor, log gap) at theta, or None when theta is not stable."""
+    lf = svc.log_per_slot_bound(theta)
+    g = theta * env.rate_bits_per_slot + lf
     if g >= 0.0:
-        raise UnstableSystemError(
-            f"stability condition violated at theta={theta:.6g} (log product {g:.3g} >= 0)"
-        )
-    return float(_log1mexp(g))
+        return None
+    return lf, float(_log1mexp(g))
 
 
 def log_kernel_bound(
@@ -111,32 +120,13 @@ def log_kernel_bound(
     """
     if s < 0 or t < 0:
         raise ValueError("s and t must be non-negative slot indices")
-    tau_fwd = max(t - s, 0)
-    tau_bwd = max(s - t, 0)
-    lg = _log_gap(env, svc, theta)
-    return (
-        theta * env.burst_bits
-        + tau_fwd * theta * env.rate_bits_per_slot
-        + tau_bwd * svc.log_per_slot_bound(theta)
-        - lg
-    )
+    stable = _stable_at(env, svc, theta)
+    if stable is None:
+        raise UnstableSystemError(f"stability condition violated at theta={theta:.6g}")
+    return _log_kernel(env, theta, *stable, max(s - t, 0), max(t - s, 0))
 
 
-def kernel_bound(
-    env: AffineEnvelope, svc: ServiceCharacterization, theta: float, s: int, t: int
-) -> float:
-    try:
-        return math.exp(log_kernel_bound(env, svc, theta, s, t))
-    except OverflowError:
-        return math.inf
-
-
-def stability_region(
-    env: AffineEnvelope,
-    svc: ServiceCharacterization,
-    theta_floor: float = SCAN_THETA_FLOOR,
-    theta_ceiling: float = SCAN_THETA_CEILING,
-) -> StabilityRegion:
+def stability_region(env: AffineEnvelope, svc: ServiceCharacterization) -> StabilityRegion:
     """Locate {theta > 0 : exp(theta*rate) * per_slot_bound(theta) < 1}.
 
     The log of the product is convex with value zero at theta = 0, so the
@@ -148,13 +138,13 @@ def stability_region(
     without scanning).
     """
     if env.rate_bits_per_slot == 0.0:
-        return StabilityRegion(0.0, math.inf, empty=False, unbounded_above=True)
+        return StabilityRegion(0.0, math.inf, unbounded_above=True)
 
     rate = env.rate_bits_per_slot
-    grid = np.geomspace(theta_floor, theta_ceiling, SCAN_POINTS)
+    grid = np.geomspace(SCAN_THETA_FLOOR, SCAN_THETA_CEILING, SCAN_POINTS)
     g = grid * rate + svc.log_per_slot_bound_many(grid)
     if g[0] >= 0.0:
-        return StabilityRegion(0.0, 0.0, empty=True)
+        return StabilityRegion(0.0, 0.0, is_empty=True)
 
     unstable = np.nonzero(g >= 0.0)[0]
     if unstable.size:
@@ -170,7 +160,7 @@ def stability_region(
                 break
             lo = hi
         else:
-            return StabilityRegion(0.0, lo, empty=False, unbounded_above=True)
+            return StabilityRegion(0.0, lo, unbounded_above=True)
 
     while hi - lo > 1e-6 * hi:
         mid = math.sqrt(lo * hi)
@@ -178,12 +168,13 @@ def stability_region(
             lo = mid
         else:
             hi = mid
-    return StabilityRegion(0.0, lo, empty=False, unbounded_above=False)
+    return StabilityRegion(0.0, lo)
 
 
-def _theta_grid(region: StabilityRegion, theta_floor: float = SCAN_THETA_FLOOR) -> np.ndarray:
-    lo = max(region.theta_lower, theta_floor)
-    hi = region.theta_upper
+def _theta_grid(region: StabilityRegion) -> np.ndarray:
+    """Log-spaced search grid over the region, capped at EXTEND_THETA_CAP."""
+    lo = max(region.theta_lower, SCAN_THETA_FLOOR)
+    hi = min(region.theta_upper, EXTEND_THETA_CAP)
     if hi <= lo:
         return np.asarray([lo])
     span = math.log10(hi / lo)
@@ -229,12 +220,61 @@ def _stable_grid_objective(env, svc, grid):
     return grid[ok], lps[ok], _log1mexp(g[ok])
 
 
-def _bracket(thetas: np.ndarray, idx: int) -> tuple[float, float]:
-    lo = thetas[max(idx - 1, 0)]
-    hi = thetas[min(idx + 1, thetas.size - 1)]
-    if hi <= lo:
+def _minimize(env, svc, grid, objective):
+    """Minimize objective(theta, log factor, log gap) over theta.
+
+    Takes the argmin on the stable grid (thetas, log factors, log gaps),
+    refines it by golden section between the neighbouring grid points,
+    and keeps the grid point if the refinement did not beat it. Returns
+    (theta, value, grid values).
+    """
+    thetas, lps, log_gaps = grid
+    values = objective(thetas, lps, log_gaps)
+    i = int(np.argmin(values))
+
+    def at(theta: float) -> float:
+        stable = _stable_at(env, svc, theta)
+        return math.inf if stable is None else objective(theta, *stable)
+
+    lo, hi = float(thetas[max(i - 1, 0)]), float(thetas[min(i + 1, thetas.size - 1)])
+    if hi <= lo:  # a one-point grid
         lo, hi = lo * 0.999, lo * 1.001
-    return float(lo), float(hi)
+    best_t, best_f = _golden_min(at, lo, hi)
+    if values[i] < best_f:
+        best_t, best_f = float(thetas[i]), float(values[i])
+    return best_t, best_f, values
+
+
+def _grid_slot_count(env, grid, log_eps: float) -> int:
+    """Smallest w whose log kernel is <= log_eps at some grid theta.
+
+    Each grid point's log kernel falls linearly in w with slope log factor
+    < 0, so its threshold is a ceiling; the minimum over the grid is then
+    corrected against the exact predicate in case rounding moved it.
+    """
+    thetas, lps, log_gaps = grid
+
+    def meets(w: int) -> bool:
+        return float(np.min(_log_kernel(env, thetas, lps, log_gaps, w))) <= log_eps
+
+    w = float(np.min(np.ceil((log_eps - thetas * env.burst_bits + log_gaps) / lps)))
+    w = int(min(max(w, 0.0), 2.0**40 + 1))
+    while w > 0 and meets(w - 1):
+        w -= 1
+    while w <= 2**40 and not meets(w):
+        w += 1
+    if w > 2**40:
+        raise RuntimeError("delay search exceeded 2^40 slots; epsilon unreachable")
+    return w
+
+
+def _checked_region(env, svc, query: BoundQuery, kind: str) -> StabilityRegion:
+    if query.kind != kind:
+        raise ValueError(f"query.kind must be '{kind}'")
+    region = stability_region(env, svc)
+    if region.is_empty:
+        raise UnstableSystemError("arrival rate exceeds sustainable service; no bound exists")
+    return region
 
 
 def backlog_bound(
@@ -245,47 +285,25 @@ def backlog_bound(
     Minimizes burst - (log gap + log epsilon) / theta over the stability
     region: a 200-point log-spaced grid guards against local minima, then a
     golden-section pass refines around the grid minimum. The result is
-    clamped below at zero.
+    clamped below at zero. ``kernel_at_optimum`` is infinite when the
+    kernel overflows a float.
     """
-    if query.kind != "backlog":
-        raise ValueError("query.kind must be 'backlog'")
-    region = stability_region(env, svc)
-    if region.is_empty:
-        raise UnstableSystemError("arrival rate exceeds sustainable service; no bound exists")
+    region = _checked_region(env, svc, query, "backlog")
     log_eps = math.log(query.epsilon)
 
-    if region.unbounded_above and env.rate_bits_per_slot == 0.0:
+    if env.rate_bits_per_slot == 0.0:
         # Objective tends to the burst alone as theta grows without bound.
-        return BoundResult(
-            value=max(0.0, env.burst_bits),
-            optimal_theta=math.inf,
-            kernel_at_optimum=math.nan,
-            stability=region,
-            epsilon=query.epsilon,
-            kind="backlog",
-            trace=[],
+        best_t, best_f, kernel, trace = math.inf, env.burst_bits, math.nan, []
+    else:
+        grid = _stable_grid_objective(env, svc, _theta_grid(region))
+        best_t, best_f, values = _minimize(
+            env, svc, grid, lambda theta, lf, lg: env.burst_bits + (-lg - log_eps) / theta
         )
-
-    grid = _theta_grid(region)
-    thetas, _, log_gaps = _stable_grid_objective(env, svc, grid)
-    objective = env.burst_bits + (-log_gaps - log_eps) / thetas
-    trace = list(zip(thetas.tolist(), objective.tolist()))
-    idx = int(np.argmin(objective))
-
-    def obj(theta: float) -> float:
-        g = theta * env.rate_bits_per_slot + svc.log_per_slot_bound(theta)
-        if g >= 0.0:
-            return math.inf
-        return env.burst_bits + (-float(_log1mexp(g)) - log_eps) / theta
-
-    lo, hi = _bracket(thetas, idx)
-    best_t, best_f = _golden_min(obj, lo, hi)
-    if objective[idx] < best_f:
-        best_t, best_f = float(thetas[idx]), float(objective[idx])
-
-    kernel = math.exp(best_t * env.burst_bits - float(_log1mexp(
-        best_t * env.rate_bits_per_slot + svc.log_per_slot_bound(best_t)
-    )))
+        try:
+            kernel = math.exp(_log_kernel(env, best_t, *_stable_at(env, svc, best_t), 0))
+        except OverflowError:
+            kernel = math.inf
+        trace = list(zip(grid[0].tolist(), values.tolist()))
     return BoundResult(
         value=max(0.0, best_f),
         optimal_theta=best_t,
@@ -302,76 +320,31 @@ def delay_bound(
 ) -> BoundResult:
     """Smallest whole number of slots w with kernel(theta, t+w, t) <= epsilon.
 
-    The inner minimum over theta is taken on the shared log-spaced grid
-    while w is located by exponential then binary search; the boundary is
-    then re-checked with golden-section refinement so a within-grid-gap
-    smaller w is not missed. Time is slotted, so w is an integer.
+    On the shared log-spaced theta grid the log kernel falls linearly in
+    w, so the smallest grid w is found in closed form, as a ceiling per
+    grid point checked against the exact predicate. Golden-section
+    refinement of theta then walks w back by up to five slots, so a
+    smaller w between grid points is not missed. Time is slotted, so w is
+    an integer.
     """
-    if query.kind != "delay":
-        raise ValueError("query.kind must be 'delay'")
-    region = stability_region(env, svc)
-    if region.is_empty:
-        raise UnstableSystemError("arrival rate exceeds sustainable service; no bound exists")
+    region = _checked_region(env, svc, query, "delay")
     log_eps = math.log(query.epsilon)
 
-    grid = _theta_grid(region)
-    thetas, lps, log_gaps = _stable_grid_objective(env, svc, grid)
-    theta_burst = thetas * env.burst_bits
+    grid = _stable_grid_objective(env, svc, _theta_grid(region))
 
-    def inner_grid(w: int) -> tuple[float, int]:
-        vals = theta_burst + w * lps - log_gaps
-        i = int(np.argmin(vals))
-        return float(vals[i]), i
+    def refined(w: int):
+        return _minimize(
+            env, svc, grid, lambda theta, lf, lg: _log_kernel(env, theta, lf, lg, w)
+        )
 
-    def inner_refined(w: int) -> tuple[float, float]:
-        _, i = inner_grid(w)
+    w = _grid_slot_count(env, grid, log_eps)
+    # Grid resolution can overshoot by a slot; let refinement walk back.
+    for _ in range(5):
+        if w == 0 or refined(w - 1)[1] > log_eps:
+            break
+        w -= 1
 
-        def obj(theta: float) -> float:
-            g = theta * env.rate_bits_per_slot + svc.log_per_slot_bound(theta)
-            if g >= 0.0:
-                return math.inf
-            return (
-                theta * env.burst_bits
-                + w * svc.log_per_slot_bound(theta)
-                - float(_log1mexp(g))
-            )
-
-        lo, hi = _bracket(thetas, i)
-        best_t, best_f = _golden_min(obj, lo, hi)
-        grid_f, _ = inner_grid(w)
-        if grid_f < best_f:
-            best_t, best_f = float(thetas[i]), grid_f
-        return best_t, best_f
-
-    if inner_grid(0)[0] <= log_eps:
-        w = 0
-    else:
-        hi_w = 1
-        while inner_grid(hi_w)[0] > log_eps:
-            hi_w *= 2
-            if hi_w > 2**40:
-                raise RuntimeError("delay search exceeded 2^40 slots; epsilon unreachable")
-        lo_w = hi_w // 2  # known failing (or 0 handled above)
-        while hi_w - lo_w > 1:
-            mid = (lo_w + hi_w) // 2
-            if inner_grid(mid)[0] <= log_eps:
-                hi_w = mid
-            else:
-                lo_w = mid
-        w = hi_w
-        # Grid resolution can overshoot by a slot; let refinement walk back.
-        for _ in range(5):
-            if w == 0:
-                break
-            _, refined = inner_refined(w - 1)
-            if refined <= log_eps:
-                w -= 1
-            else:
-                break
-
-    best_t, best_f = inner_refined(w)
-    vals = theta_burst + w * lps - log_gaps
-    trace = list(zip(thetas.tolist(), vals.tolist()))
+    best_t, best_f, values = refined(w)
     return BoundResult(
         value=int(w),
         optimal_theta=best_t,
@@ -379,5 +352,5 @@ def delay_bound(
         stability=region,
         epsilon=query.epsilon,
         kind="delay",
-        trace=trace,
+        trace=list(zip(grid[0].tolist(), values.tolist())),
     )

@@ -56,6 +56,11 @@ class Scenario:
     horizon_slots: int = 2000
 
     def validate(self) -> None:
+        delta = () if isinstance(self.delta, str) else (self.delta,)
+        numbers = (self.mean_snr_db, self.sigma_db, self.bandwidth_hz, self.slot_seconds,
+                   self.rate_gbps, self.burst_bits, *delta, *self.epsilons, *self.sweep_grid)
+        if not all(math.isfinite(v) for v in numbers):
+            raise ScenarioError("scenario numbers must be finite")
         if self.sigma_db < 0:
             raise ScenarioError("channel.sigma_db must be non-negative")
         if self.bandwidth_hz <= 0:
@@ -89,6 +94,12 @@ class Scenario:
                 raise ScenarioError("sweep.grid must be non-empty")
             if any(b <= a for a, b in zip(grid, grid[1:])):
                 raise ScenarioError("sweep.grid must be strictly increasing")
+            unswept = replace(self, sweep_axis="none")
+            for value in grid:
+                try:
+                    _point_scenario(unswept, self.sweep_axis, value).validate()
+                except ScenarioError as exc:
+                    raise ScenarioError(f"sweep.grid value {value}: {exc}") from exc
         if self.replications < 1:
             raise ScenarioError("sim.replications must be at least 1")
         if self.horizon_slots < 1:
@@ -116,6 +127,9 @@ class Scenario:
 
     @staticmethod
     def from_dict(doc: dict) -> "Scenario":
+        if not isinstance(doc, dict):
+            raise ScenarioError("a scenario must be a JSON object")
+
         def section(name, required=True):
             sec = doc.get(name)
             if sec is None:
@@ -126,12 +140,18 @@ class Scenario:
                 raise ScenarioError(f"section '{name}' must be an object")
             return sec
 
-        def pull(sec, secname, key, default=None, required=False):
-            if key in sec:
-                return sec[key]
-            if required:
-                raise ScenarioError(f"missing field '{secname}.{key}'")
-            return default
+        def pull(sec, secname, key, cast, default=None, required=False):
+            if key not in sec:
+                if required:
+                    raise ScenarioError(f"missing field '{secname}.{key}'")
+                return default
+            try:
+                return cast(sec[key])
+            except (TypeError, ValueError) as exc:
+                raise ScenarioError(f"invalid field '{secname}.{key}': {exc}") from exc
+
+        def floats(values):
+            return tuple(float(v) for v in values)
 
         chan = section("channel")
         if "link_budget" in chan:
@@ -152,8 +172,8 @@ class Scenario:
             mean_snr = system_gain_db(budget)
             bandwidth = budget.bandwidth_hz
         else:
-            mean_snr = float(pull(chan, "channel", "mean_snr_db", required=True))
-            bandwidth = float(pull(chan, "channel", "bandwidth_hz", required=True))
+            mean_snr = pull(chan, "channel", "mean_snr_db", float, required=True)
+            bandwidth = pull(chan, "channel", "bandwidth_hz", float, required=True)
 
         arr = section("arrival")
         disc = section("discretization", required=False)
@@ -161,26 +181,25 @@ class Scenario:
         sweep = section("sweep", required=False)
         sim = section("sim", required=False)
 
-        delta = disc.get("delta", 1e-2)
-        if not isinstance(delta, str):
-            delta = float(delta)
+        delta = pull(disc, "discretization", "delta",
+                     lambda v: v if isinstance(v, str) else float(v), 1e-2)
 
         scenario = Scenario(
             mean_snr_db=mean_snr,
-            sigma_db=float(pull(chan, "channel", "sigma_db", required=True)),
+            sigma_db=pull(chan, "channel", "sigma_db", float, required=True),
             bandwidth_hz=bandwidth,
-            slot_seconds=float(pull(chan, "channel", "slot_seconds", 1.0)),
-            rate_gbps=float(pull(arr, "arrival", "rate_gbps", required=True)),
-            burst_bits=float(pull(arr, "arrival", "burst_bits", 0.0)),
+            slot_seconds=pull(chan, "channel", "slot_seconds", float, 1.0),
+            rate_gbps=pull(arr, "arrival", "rate_gbps", float, required=True),
+            burst_bits=pull(arr, "arrival", "burst_bits", float, 0.0),
             delta=delta,
-            kind=str(pull(query, "query", "kind", required=True)),
-            epsilons=tuple(float(e) for e in pull(query, "query", "epsilons", [])),
-            sweep_axis=str(pull(sweep, "sweep", "axis", "none")),
-            sweep_grid=tuple(float(v) for v in pull(sweep, "sweep", "grid", [])),
-            simulate=bool(pull(sim, "sim", "enabled", False)),
-            replications=int(pull(sim, "sim", "replications", 10000)),
-            seed=int(pull(sim, "sim", "seed", 0)),
-            horizon_slots=int(pull(sim, "sim", "horizon_slots", 2000)),
+            kind=pull(query, "query", "kind", str, required=True),
+            epsilons=pull(query, "query", "epsilons", floats, ()),
+            sweep_axis=pull(sweep, "sweep", "axis", str, "none"),
+            sweep_grid=pull(sweep, "sweep", "grid", floats, ()),
+            simulate=pull(sim, "sim", "enabled", bool, False),
+            replications=pull(sim, "sim", "replications", int, 10000),
+            seed=pull(sim, "sim", "seed", int, 0),
+            horizon_slots=pull(sim, "sim", "horizon_slots", int, 2000),
         )
         scenario.validate()
         return scenario
@@ -401,7 +420,10 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
             raise ScenarioError(f"bad --epsilon list: {exc}") from exc
         scenario = replace(scenario, epsilons=eps)
     if args.delta is not None:
-        delta = args.delta if args.delta == "limit" else float(args.delta)
+        try:
+            delta = args.delta if args.delta == "limit" else float(args.delta)
+        except ValueError as exc:
+            raise ScenarioError(f"bad --delta: {exc}") from exc
         scenario = replace(scenario, delta=delta)
     if args.simulate:
         scenario = replace(scenario, simulate=True)

@@ -50,42 +50,6 @@ def replication_rng(master_seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
-@dataclass
-class PathRecord:
-    """Full per-slot trajectory of a single replication (for diagnostics)."""
-
-    arrivals: np.ndarray  # a_k, bits, slots 1..T
-    service: np.ndarray  # s_k, bits
-    backlog: np.ndarray  # B_k after slot k
-    cumulative_arrivals: np.ndarray  # A(0, k)
-    departures: np.ndarray  # D(0, k) = A(0, k) - B_k
-
-
-def simulate_path(
-    env: AffineEnvelope,
-    channel: ShadowingChannel,
-    horizon_slots: int,
-    rng: np.random.Generator,
-) -> PathRecord:
-    """Evolve the queue slot by slot from empty and keep the whole path."""
-    if horizon_slots < 1:
-        raise ValueError("horizon_slots must be at least 1")
-    arrivals = generate_arrivals(env, horizon_slots)
-    service = capacity_bits_per_slot(channel, sample_snr(channel, rng, horizon_slots))
-    net = np.cumsum(arrivals - service)
-    # B_k = net_k - min(0, running minimum of net): the max(., 0) recursion
-    # in closed form for an initially empty buffer.
-    backlog = net - np.minimum.accumulate(np.minimum(net, 0.0))
-    cum_arr = np.cumsum(arrivals)
-    return PathRecord(
-        arrivals=arrivals,
-        service=service,
-        backlog=backlog,
-        cumulative_arrivals=cum_arr,
-        departures=cum_arr - backlog,
-    )
-
-
 def _drain_slots(
     channel: ShadowingChannel, backlog_bits: float, rng: np.random.Generator
 ) -> tuple[int, bool]:
@@ -160,13 +124,6 @@ class SimOutcome:
         half = wilson_halfwidth(count, n, z)
         return p_hat, half
 
-    def ccdf(self, thresholds, kind: str = "backlog", z: float = 1.96):
-        """Exceedance probabilities and half-widths over a threshold grid."""
-        rows = [self.exceedance(x, kind=kind, z=z) for x in np.asarray(thresholds)]
-        probs = np.asarray([r[0] for r in rows])
-        halves = np.asarray([r[1] for r in rows])
-        return probs, halves
-
 
 def wilson_halfwidth(successes: int, n: int, z: float = 1.96) -> float:
     """Half-width of the Wilson score interval for a binomial proportion."""
@@ -200,14 +157,3 @@ def run_experiment(
         censored=censored,
         master_seed=config.master_seed,
     )
-
-
-def write_raw_samples(outcome: SimOutcome, path: str) -> None:
-    """Dump one record per replication as delimited text with a header line."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("replication,backlog_bits,delay_slots,censored\n")
-        for i in range(outcome.replications):
-            fh.write(
-                f"{i},{outcome.backlog_samples[i]:.17g},"
-                f"{int(outcome.delay_samples[i])},{int(outcome.censored[i])}\n"
-            )

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 import linkbound as lb
-from linkbound.bounds import log_kernel_bound
+from linkbound.bounds import (
+    _grid_slot_count,
+    _stable_grid_objective,
+    _theta_grid,
+    log_kernel_bound,
+)
 
 
 class TestBoundQuery:
@@ -23,19 +28,19 @@ class TestKernel:
         q = operating_svc.per_slot_bound(theta)
         pa_q = math.exp(theta * gbps_env.rate_bits_per_slot) * q
         expected = 1.0 / (1.0 - pa_q)
-        got = lb.kernel_bound(gbps_env, operating_svc, theta, 7, 7)
+        got = math.exp(log_kernel_bound(gbps_env, operating_svc, theta, 7, 7))
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_diverges_at_stability_boundary(self, gbps_env, operating_svc):
         region = lb.stability_region(gbps_env, operating_svc)
-        mid = lb.kernel_bound(gbps_env, operating_svc, region.theta_upper * 0.5, 0, 0)
-        near = lb.kernel_bound(gbps_env, operating_svc, region.theta_upper * 0.999999, 0, 0)
-        assert near > 100.0 * mid
+        mid = log_kernel_bound(gbps_env, operating_svc, region.theta_upper * 0.5, 0, 0)
+        near = log_kernel_bound(gbps_env, operating_svc, region.theta_upper * 0.999999, 0, 0)
+        assert math.exp(near) > 100.0 * math.exp(mid)
 
     def test_unstable_theta_raises(self, gbps_env, operating_svc):
         region = lb.stability_region(gbps_env, operating_svc)
         with pytest.raises(lb.UnstableSystemError):
-            lb.kernel_bound(gbps_env, operating_svc, region.theta_upper * 1.01, 0, 0)
+            log_kernel_bound(gbps_env, operating_svc, region.theta_upper * 1.01, 0, 0)
 
     def test_dominates_truncated_double_sum(self, gbps_env, operating_svc):
         # Direct evaluation of the geometric kernel sum over the shared slot
@@ -55,7 +60,7 @@ class TestKernel:
 
     def test_negative_indices_rejected(self, gbps_env, operating_svc):
         with pytest.raises(ValueError):
-            lb.kernel_bound(gbps_env, operating_svc, 2e-9, -1, 0)
+            log_kernel_bound(gbps_env, operating_svc, 2e-9, -1, 0)
 
 
 class TestStabilityRegion:
@@ -133,6 +138,16 @@ class TestBacklogBound:
         res = lb.backlog_bound(env, operating_svc, lb.BoundQuery(1e-3, "backlog"))
         assert res.value == pytest.approx(5e6, rel=1e-12)
 
+    def test_huge_burst_kernel_overflows_to_inf(self, gbps_env, operating_svc):
+        # theta * burst is far past exp's range at the optimum; the bound is
+        # still the zero-burst bound shifted by the burst.
+        query = lb.BoundQuery(1e-3, "backlog")
+        res = lb.backlog_bound(lb.AffineEnvelope(1e12, 1e9), operating_svc, query)
+        base = lb.backlog_bound(gbps_env, operating_svc, query)
+        assert math.isfinite(res.value)
+        assert res.value == pytest.approx(1e12 + base.value, rel=1e-12)
+        assert res.kernel_at_optimum == math.inf
+
     def test_unstable_raises(self):
         chan = lb.ShadowingChannel(25.0, 0.0, 500e6, 1.0)
         cap = lb.capacity_bits_per_slot(chan, chan.median_snr)
@@ -202,6 +217,16 @@ class TestDelayBound:
         assert res.value == 1
         assert res.kernel_at_optimum < 1e-6
 
+    @pytest.mark.parametrize("exact", [False, True], ids=["discretized", "limit"])
+    def test_zero_rate(self, operating_channel, operating_svc, exact):
+        # Every theta is stable; the search grid stops at the extension cap.
+        svc = lb.ServiceCharacterization(operating_channel, exact=True) if exact else operating_svc
+        for burst, eps, slots in ((0.0, 1e-1, 1), (0.0, 1e-6, 1), (1e9, 1e-1, 1), (1e9, 1e-6, 3)):
+            res = lb.delay_bound(lb.AffineEnvelope(burst, 0.0), svc, lb.BoundQuery(eps, "delay"))
+            assert res.value == slots
+            assert res.kernel_at_optimum <= eps
+            assert math.isinf(res.stability.theta_upper)
+
     def test_integer_slots(self, gbps_env, operating_svc):
         res = lb.delay_bound(gbps_env, operating_svc, lb.BoundQuery(1e-3, "delay"))
         assert isinstance(res.value, int)
@@ -218,3 +243,57 @@ class TestDelayBound:
     def test_wrong_kind_rejected(self, gbps_env, operating_svc):
         with pytest.raises(ValueError):
             lb.delay_bound(gbps_env, operating_svc, lb.BoundQuery(1e-3, "backlog"))
+
+
+def _searched_slot_count(grid, burst, log_eps):
+    """The exponential-then-binary search that the closed form replaced."""
+    thetas, lps, log_gaps = grid
+    theta_burst = thetas * burst
+
+    def inner_grid(w):
+        return float(np.min(theta_burst + w * lps - log_gaps))
+
+    if inner_grid(0) <= log_eps:
+        return 0
+    hi_w = 1
+    while inner_grid(hi_w) > log_eps:
+        hi_w *= 2
+        if hi_w > 2**40:
+            raise RuntimeError("delay search exceeded 2^40 slots; epsilon unreachable")
+    lo_w = hi_w // 2
+    while hi_w - lo_w > 1:
+        mid = (lo_w + hi_w) // 2
+        if inner_grid(mid) <= log_eps:
+            hi_w = mid
+        else:
+            lo_w = mid
+    return hi_w
+
+
+def _mean_capacity(channel):
+    z, weights = np.polynomial.hermite_e.hermegauss(64)
+    snr = channel.median_snr * 10.0 ** (channel.sigma_db * z / 10.0)
+    return float(np.dot(weights, lb.capacity_bits_per_slot(channel, snr))) / math.sqrt(
+        2.0 * math.pi
+    )
+
+
+@pytest.mark.parametrize("slot_seconds", [1.0, 1e-3])
+@pytest.mark.parametrize("gain, sigma", [(10.0, 2.0), (18.0, 4.0), (25.0, 8.0), (30.0, 6.0)])
+def test_closed_form_slot_count_matches_search(gain, sigma, slot_seconds):
+    # Millisecond slots with a 1e9-bit burst reach delays of hundreds of slots.
+    chan = lb.ShadowingChannel(gain, sigma, 500e6, slot_seconds)
+    svc = lb.ServiceCharacterization(chan, exact=True)
+    counts = []
+    for load in (0.1, 0.5, 0.9):
+        rate = load * _mean_capacity(chan)
+        region = lb.stability_region(lb.AffineEnvelope(0.0, rate), svc)
+        for burst in (0.0, 1e9):
+            env = lb.AffineEnvelope(burst, rate)
+            grid = _stable_grid_objective(env, svc, _theta_grid(region))
+            assert grid[0].size == 200
+            for eps in (1e-1, 1e-3, 1e-6, 1e-9):
+                w = _grid_slot_count(env, grid, math.log(eps))
+                assert w == _searched_slot_count(grid, burst, math.log(eps))
+                counts.append(w)
+    assert len(set(counts)) >= 5

@@ -217,6 +217,46 @@ class TestMain:
         assert main(["--scenario", str(path)]) == 2
         assert "epsilons" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "axis, grid",
+        [("epsilon", [1e-3, 1.5]), ("sigma", [-1.0, 2.0]), ("rate", [-1.0, 1.0])],
+    )
+    def test_bad_sweep_value_exit_code(self, tmp_path, capsys, axis, grid):
+        # Each grid value is validated as its own point before any bound runs.
+        path = self.write_scenario(tmp_path, base_doc(sweep={"axis": axis, "grid": grid}))
+        assert main(["--scenario", path]) == 2
+        assert "error: sweep.grid value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section, field, value",
+        [("arrival", "rate_gbps", "fast"), ("channel", "sigma_db", None),
+         ("query", "epsilons", 0.1), ("discretization", "delta", [0.01])],
+    )
+    def test_malformed_field_exit_code(self, tmp_path, capsys, section, field, value):
+        doc = base_doc()
+        doc[section][field] = value
+        path = self.write_scenario(tmp_path, doc)
+        assert main(["--scenario", path]) == 2
+        assert f"error: invalid field '{section}.{field}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "delta, message",
+        [("abc", "error: bad --delta"), ("nan", "error: scenario numbers must be finite")],
+    )
+    def test_malformed_delta_flag_exit_code(self, tmp_path, capsys, delta, message):
+        path = self.write_scenario(tmp_path, base_doc())
+        assert main(["--scenario", path, "--delta", delta]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_non_finite_and_non_object_scenarios_exit_code(self, tmp_path, capsys):
+        doc = base_doc()
+        doc["channel"]["sigma_db"] = float("nan")
+        assert main(["--scenario", self.write_scenario(tmp_path, doc)]) == 2
+        assert main(["--scenario", self.write_scenario(tmp_path, [base_doc()])]) == 2
+        err = capsys.readouterr().err
+        assert "error: scenario numbers must be finite" in err
+        assert "error: a scenario must be a JSON object" in err
+
     def test_unstable_exit_code(self, tmp_path, capsys):
         doc = base_doc()
         doc["channel"]["sigma_db"] = 0.0

@@ -55,38 +55,73 @@ class TestRunReplication:
             lb.run_replication(gbps_env, operating_channel, 0, lb.replication_rng(0, 0))
 
 
+HORIZONS = (1, 17, 100, 399)
+
+
 @pytest.fixture(scope="module")
-def path(gbps_env, operating_channel):
-    return lb.simulate_path(gbps_env, operating_channel, 400, lb.replication_rng(3, 0))
+def paths(operating_channel):
+    """run_replication at each horizon beside the service redrawn from its stream.
+
+    The rate is near capacity so that some horizons end with a backlog.
+    Slot k's service is the k-th draw of replication_rng(seed, index); the
+    draws after the horizon's are the fresh service that drains the backlog.
+    """
+    env = lb.AffineEnvelope(0.0, 3.9e9)
+    out = []
+    for horizon in HORIZONS:
+        backlog, delay, censored = lb.run_replication(
+            env, operating_channel, horizon, lb.replication_rng(3, 0)
+        )
+        rng = lb.replication_rng(3, 0)
+        draws = lb.sample_snr(operating_channel, rng, horizon + DELAY_SEARCH_CAP)
+        service = lb.capacity_bits_per_slot(operating_channel, draws)
+        arrivals = lb.generate_arrivals(env, horizon)
+        out.append((horizon, backlog, delay, censored, arrivals, service))
+    return out
 
 
 class TestPathInvariants:
 
-    def test_backlog_identity(self, path):
-        # B(k) = A(0,k) - D(0,k) >= 0 at every slot.
-        assert np.all(path.backlog >= 0.0)
-        recon = path.cumulative_arrivals - path.departures
-        assert np.allclose(recon, path.backlog, rtol=0, atol=1e-6)
+    def test_backlog_identity(self, paths):
+        # B(t) = A(0,t) - D(0,t) >= 0, with D(0,t) the bits served by slot t.
+        for horizon, backlog, _, _, arrivals, service in paths:
+            assert backlog >= 0.0
+            served = np.sum(arrivals) - backlog
+            assert 0.0 <= served <= np.sum(service[:horizon]) + 1e-6
+        assert any(backlog > 0.0 for _, backlog, *_ in paths)
 
-    def test_lindley_recursion(self, path):
-        b = 0.0
-        for a, s, expect in zip(path.arrivals, path.service, path.backlog):
-            b = max(b + a - s, 0.0)
-            assert expect == pytest.approx(b, rel=1e-12, abs=1e-6)
+    def test_lindley_recursion(self, paths):
+        for horizon, backlog, _, _, arrivals, service in paths:
+            b = 0.0
+            for a, s in zip(arrivals, service[:horizon]):
+                b = max(b + a - s, 0.0)
+            assert backlog == pytest.approx(b, rel=1e-12, abs=1e-6)
 
-    def test_causality(self, path):
-        assert np.all(path.departures <= path.cumulative_arrivals + 1e-6)
-        assert np.all(np.diff(path.departures) >= -1e-6)
+    def test_causality(self, paths):
+        departures = [np.sum(arrivals) - backlog for _, backlog, _, _, arrivals, _ in paths]
+        cum_arrivals = [np.sum(arrivals) for *_, arrivals, _ in paths]
+        assert np.all(np.asarray(departures) <= np.asarray(cum_arrivals) + 1e-6)
+        assert np.all(np.diff(departures) >= -1e-6)
 
-    def test_work_conserving_min_plus_equality(self, path):
+    def test_work_conserving_min_plus_equality(self, paths):
         # D(0,t) equals the min-plus convolution of arrivals and service for
         # a work-conserving single queue.
-        cum_a = np.concatenate(([0.0], path.cumulative_arrivals))
-        cum_s = np.concatenate(([0.0], np.cumsum(path.service)))
-        for t in (1, 17, 100, 399):
+        for t, backlog, _, _, arrivals, service in paths:
+            cum_a = np.concatenate(([0.0], np.cumsum(arrivals)))
+            cum_s = np.concatenate(([0.0], np.cumsum(service[:t])))
             tau = np.arange(0, t + 1)
             conv = np.min(cum_a[tau] + (cum_s[t] - cum_s[tau]))
-            assert path.departures[t - 1] == pytest.approx(conv, rel=1e-12, abs=1e-6)
+            assert cum_a[t] - backlog == pytest.approx(conv, rel=1e-12, abs=1e-6)
+
+    def test_virtual_delay_is_first_passage(self, paths):
+        # The virtual delay is the first w whose fresh cumulative service,
+        # drawn next on the same stream, reaches the backlog at the horizon.
+        for horizon, backlog, delay, censored, _, service in paths:
+            fresh = np.cumsum(service[horizon:])
+            expected = 0 if backlog <= 0.0 else int(np.argmax(fresh >= backlog)) + 1
+            assert not censored
+            assert delay == expected
+        assert any(delay > 1 for _, _, delay, *_ in paths)
 
 
 class TestRunExperiment:
@@ -141,12 +176,6 @@ def outcome(gbps_env, operating_channel):
 
 class TestSimOutcome:
 
-    def test_ccdf_monotone(self, outcome):
-        thresholds = np.linspace(0.0, float(outcome.backlog_samples.max()) + 1.0, 30)
-        probs, _ = outcome.ccdf(thresholds, kind="backlog")
-        assert np.all(np.diff(probs) <= 0.0)
-        assert np.all((probs >= 0.0) & (probs <= 1.0))
-
     def test_delay_exceedance_counts_censored(self):
         out = lb.SimOutcome(
             backlog_samples=np.array([0.0, 1.0]),
@@ -184,18 +213,3 @@ class TestWilsonInterval:
         with pytest.raises(ValueError):
             lb.wilson_halfwidth(0, 0)
 
-
-def test_write_raw_samples(tmp_path, gbps_env, operating_channel):
-    out = lb.run_experiment(
-        gbps_env, operating_channel, lb.SimConfig(100, 25, master_seed=2)
-    )
-    path = tmp_path / "samples.csv"
-    lb.write_raw_samples(out, str(path))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "replication,backlog_bits,delay_slots,censored"
-    assert len(lines) == 26
-    idx, backlog, delay, censored = lines[13].split(",")
-    assert int(idx) == 12
-    assert float(backlog) == out.backlog_samples[12]
-    assert int(delay) == out.delay_samples[12]
-    assert int(censored) in (0, 1)
