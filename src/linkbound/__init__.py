@@ -3,7 +3,7 @@ log-normal shadowing, plus a Monte Carlo fluid-queue validator."""
 
 __version__ = "0.1.0"
 
-from .arrival import AffineEnvelope, generate_arrivals, log_mgf_bound
+from .arrival import AffineEnvelope, generate_arrivals
 from .bounds import (
     BoundQuery,
     BoundResult,
@@ -25,7 +25,6 @@ from .channel import (
 from .inverse_moment import (
     CdfContractError,
     DiscretizationConfig,
-    PointMass,
     QuadratureError,
     exact_inverse_moment,
     inverse_moment_bound,
@@ -48,7 +47,6 @@ __all__ = [
     "CdfContractError",
     "DiscretizationConfig",
     "LinkBudget",
-    "PointMass",
     "QuadratureError",
     "ServiceCharacterization",
     "ShadowingChannel",
@@ -64,7 +62,6 @@ __all__ = [
     "inverse_moment_bound",
     "inverse_moment_bound_many",
     "log_kernel_bound",
-    "log_mgf_bound",
     "replication_rng",
     "run_experiment",
     "run_replication",

@@ -25,18 +25,6 @@ class AffineEnvelope:
             raise ValueError("rate_bits_per_slot must be non-negative")
 
 
-def log_mgf_bound(env: AffineEnvelope, theta: float, interval_slots: int) -> float:
-    """Upper bound on ln E[exp(theta * A(s, t))] for an interval of given length.
-
-    Linear in the interval length: theta * burst + n * theta * rate.
-    """
-    if theta <= 0:
-        raise ValueError("theta must be positive")
-    if interval_slots < 0:
-        raise ValueError("interval_slots must be non-negative")
-    return theta * env.burst_bits + interval_slots * theta * env.rate_bits_per_slot
-
-
 def generate_arrivals(env: AffineEnvelope, horizon_slots: int) -> np.ndarray:
     """Per-slot arrivals of a constant-rate flow: rate_bits_per_slot every slot.
 

@@ -22,9 +22,7 @@ from .arrival import AffineEnvelope
 from .service import ServiceCharacterization
 
 SCAN_THETA_FLOOR = 1e-14
-SCAN_THETA_CEILING = 1e-4
 EXTEND_THETA_CAP = 1e2
-SCAN_POINTS = 81
 GRID_POINTS = 200
 GRID_LOG_TRIM = 1e-3
 GOLDEN_REL_TOL = 1e-6
@@ -53,9 +51,9 @@ class StabilityRegion:
     """Interval of transform parameters with arrival/service product below one.
 
     The region is an interval starting at zero (exclusive). When nothing is
-    stable, ``is_empty`` is set. When the region extends past the search
-    cap, ``unbounded_above`` is set and ``theta_upper`` holds the cap
-    actually scanned (infinity for a zero-rate flow).
+    stable, ``is_empty`` is set. When the region reaches the search cap,
+    ``unbounded_above`` is set and ``theta_upper`` holds the cap (infinity
+    for a zero-rate flow).
     """
 
     theta_lower: float
@@ -129,42 +127,29 @@ def log_kernel_bound(
 def stability_region(env: AffineEnvelope, svc: ServiceCharacterization) -> StabilityRegion:
     """Locate {theta > 0 : exp(theta*rate) * per_slot_bound(theta) < 1}.
 
-    The log of the product is convex with value zero at theta = 0, so the
-    stable set is an interval anchored at zero. A log-spaced scan brackets
-    the upper crossing, which is then bisected geometrically to relative
-    width 1e-6. If the product is still below one at the ceiling the scan
-    extends upward by decades; a region surviving the extension cap is
-    reported as unbounded (a zero-rate flow is the canonical case, caught
-    without scanning).
+    The per-slot factor is a Laplace transform in every mode, so the log of
+    the product is convex in theta with value zero at theta = 0: the stable
+    set is an interval (0, theta*), and theta* is the unique positive root.
+    One bracket [SCAN_THETA_FLOOR, EXTEND_THETA_CAP] decides it, with no
+    scan: the region is empty when the floor is unstable and unbounded,
+    reported at the cap, when the cap is stable; otherwise the root is
+    bisected geometrically to relative width 1e-6. A zero-rate flow is
+    unbounded without a probe.
     """
     if env.rate_bits_per_slot == 0.0:
         return StabilityRegion(0.0, math.inf, unbounded_above=True)
 
-    rate = env.rate_bits_per_slot
-    grid = np.geomspace(SCAN_THETA_FLOOR, SCAN_THETA_CEILING, SCAN_POINTS)
-    g = grid * rate + svc.log_per_slot_bound_many(grid)
-    if g[0] >= 0.0:
+    def stable(theta: float) -> bool:
+        return env.rate_bits_per_slot * theta + svc.log_per_slot_bound(theta) < 0.0
+
+    lo, hi = SCAN_THETA_FLOOR, EXTEND_THETA_CAP
+    if not stable(lo):
         return StabilityRegion(0.0, 0.0, is_empty=True)
-
-    unstable = np.nonzero(g >= 0.0)[0]
-    if unstable.size:
-        hi_idx = int(unstable[0])
-        lo, hi = float(grid[hi_idx - 1]), float(grid[hi_idx])
-    else:
-        # Stable throughout the scan: push the probe upward by decades.
-        lo = float(grid[-1])
-        hi = lo
-        while hi < EXTEND_THETA_CAP:
-            hi *= 10.0
-            if rate * hi + svc.log_per_slot_bound(hi) >= 0.0:
-                break
-            lo = hi
-        else:
-            return StabilityRegion(0.0, lo, unbounded_above=True)
-
+    if stable(hi):
+        return StabilityRegion(0.0, hi, unbounded_above=True)
     while hi - lo > 1e-6 * hi:
         mid = math.sqrt(lo * hi)
-        if rate * mid + svc.log_per_slot_bound(mid) < 0.0:
+        if stable(mid):
             lo = mid
         else:
             hi = mid

@@ -102,6 +102,8 @@ class Scenario:
                     raise ScenarioError(f"sweep.grid value {value}: {exc}") from exc
         if self.replications < 1:
             raise ScenarioError("sim.replications must be at least 1")
+        if self.seed < 0:
+            raise ScenarioError("sim.seed must be non-negative")
         if self.horizon_slots < 1:
             raise ScenarioError("sim.horizon_slots must be at least 1")
 
@@ -153,6 +155,18 @@ class Scenario:
         def floats(values):
             return tuple(float(v) for v in values)
 
+        def boolean(value):
+            if not isinstance(value, bool):
+                raise TypeError(f"expected true or false, got {value!r}")
+            return value
+
+        def integer(value):
+            if isinstance(value, float) and value.is_integer():
+                return int(value)
+            if isinstance(value, int) and not isinstance(value, bool):
+                return value
+            raise TypeError(f"expected an integer, got {value!r}")
+
         chan = section("channel")
         if "link_budget" in chan:
             lb = chan["link_budget"]
@@ -196,10 +210,10 @@ class Scenario:
             epsilons=pull(query, "query", "epsilons", floats, ()),
             sweep_axis=pull(sweep, "sweep", "axis", str, "none"),
             sweep_grid=pull(sweep, "sweep", "grid", floats, ()),
-            simulate=pull(sim, "sim", "enabled", bool, False),
-            replications=pull(sim, "sim", "replications", int, 10000),
-            seed=pull(sim, "sim", "seed", int, 0),
-            horizon_slots=pull(sim, "sim", "horizon_slots", int, 2000),
+            simulate=pull(sim, "sim", "enabled", boolean, False),
+            replications=pull(sim, "sim", "replications", integer, 10000),
+            seed=pull(sim, "sim", "seed", integer, 0),
+            horizon_slots=pull(sim, "sim", "horizon_slots", integer, 2000),
         )
         scenario.validate()
         return scenario

@@ -43,6 +43,14 @@ _SEARCH_CEIL = 1e12
 # Passes allowed to move a guessed block start onto its exact grid cell;
 # the expm1 guess is off by at most a cell or two.
 _NUDGE_PASSES = 8
+# A table sums exponents with t * end_log_edge <= _SERIES_CUT as the power
+# series of its staircase in t, through the t^_SERIES_TERMS term. Every log
+# edge is at most L = end_log_edge, so each exp(-t l) is missed by at most
+# (t L)^(K+1) / (K+1)! <= 1 / 19! < 1e-17; K = 18 is the smallest even K
+# that meets 1e-17, and with K even the partial sum overestimates
+# exp(-t l), so the series is still an upper bound.
+_SERIES_TERMS = 18
+_SERIES_CUT = 1.0
 
 
 class CdfContractError(ValueError):
@@ -84,17 +92,6 @@ class DiscretizationConfig:
             raise ValueError("tail_mass_tol must lie in (0, 1)")
         if self.max_terms < 1:
             raise ValueError("max_terms must be at least 1")
-
-
-@dataclass(frozen=True)
-class PointMass:
-    """Degenerate distribution concentrated at a single non-negative value."""
-
-    value: float
-
-    def __post_init__(self) -> None:
-        if self.value < 0:
-            raise ValueError("point mass must sit at a non-negative value")
 
 
 def _as_vectorized(cdf):
@@ -350,7 +347,12 @@ class StieltjesTable:
     mass is the difference of the CDF across it. The number of blocks is at
     most 1 + log1p(delta * n_terms) / block_log_width, whatever the step,
     and the build handles at most 1 / block_log_width more ids than that.
-    Each exponent afterwards costs one exp pass over the blocks.
+
+    The build also stores the first 18 moments sum of mass * l^k plus
+    end_survival * end_log_edge^k of the staircase, l the block log edges.
+    An exponent t with t * end_log_edge <= 1 is then summed as the series
+    1 + sum_k (-t)^k moment_k / k!, which equals the staircase to rounding;
+    every larger exponent costs one exp pass over the blocks.
     """
 
     def __init__(self, cdf, delta: float, n_terms: int, block_log_width: float):
@@ -361,11 +363,25 @@ class StieltjesTable:
         self.log_edges, self.mass = _cells(edges, f)
         self.end_survival = 1.0 - float(f[-1])
         self.end_log_edge = math.log1p(n_terms * delta)
+        powers = self.mass.copy()
+        moments = []
+        for k in range(1, _SERIES_TERMS + 1):
+            powers *= self.log_edges
+            moments.append(float(powers.sum()) + self.end_survival * self.end_log_edge**k)
+        self.moments = np.asarray(moments)
+        factorials = np.cumprod(np.arange(1.0, _SERIES_TERMS + 1.0))
+        self._series = (self.moments / factorials).tolist()
 
     def bound(self, theta: float) -> float:
         """Upper bound on E[(1+X)^(-theta)] from the aggregated blocks."""
-        val = _staircase_sum(self.log_edges, self.mass, theta)
-        val += self.end_survival * math.exp(-theta * self.end_log_edge)
+        if theta * self.end_log_edge <= _SERIES_CUT:
+            val = 0.0
+            for coeff in reversed(self._series):
+                val = (val + coeff) * -theta
+            val += 1.0
+        else:
+            val = _staircase_sum(self.log_edges, self.mass, theta)
+            val += self.end_survival * math.exp(-theta * self.end_log_edge)
         return min(max(val, 1e-300), 1.0)
 
 
@@ -451,9 +467,9 @@ def _generic_exact(dist, theta: float) -> float:
 def exact_inverse_moment(dist, theta: float) -> float:
     """E[(1+X)^(-theta)] by adaptive quadrature, the step -> 0 reference.
 
-    ``dist`` may be a ShadowingChannel (integrated in the Gaussian variable),
-    a PointMass, or any object exposing ``pdf`` or ``cdf`` (or a bare CDF
-    callable). Raises QuadratureError when the tolerance budget is missed.
+    ``dist`` may be a ShadowingChannel (integrated in the Gaussian variable)
+    or any object exposing ``pdf`` or ``cdf`` (or a bare CDF callable).
+    Raises QuadratureError when the tolerance budget is missed.
     """
     if theta < 0:
         raise ValueError("theta must be non-negative")
@@ -461,6 +477,4 @@ def exact_inverse_moment(dist, theta: float) -> float:
         return 1.0
     if isinstance(dist, ShadowingChannel):
         return _lognormal_exact(dist, theta)
-    if isinstance(dist, PointMass):
-        return _point_mass_exact(dist.value, theta)
     return _generic_exact(dist, theta)

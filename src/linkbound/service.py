@@ -7,18 +7,17 @@ is bounded from above via the discretized inverse-moment machinery (or
 its exact quadrature limit in step -> 0 mode) and the n-slot bound is
 that factor to the n-th power, carried in the log domain.
 
-The per-slot factor comes from one of three routes:
+The per-slot factor comes from one of two routes, each for every exponent:
 
-  * exact mode: the quadrature inverse moment, for every exponent;
-  * tiny exponents: a second-order bound 1 - t*E[Y] + t^2*E[Y^2]/2 on
-    E[exp(-t Y)], Y = ln(1+SNR) >= 0, valid since exp(-z) <= 1 - z + z^2/2;
-  * every larger exponent: a mass-aggregated table of the discretized
-    grid, built once per service and truncated where the tail mass falls
-    below the configured tolerance. It is an upper bound, looser than the
+  * exact mode: the quadrature inverse moment;
+  * discretized mode: a mass-aggregated table of the discretized grid,
+    built once per service and truncated where the tail mass falls below
+    the configured tolerance. It is an upper bound, looser than the
     unmerged grid by a factor of at most exp(t * _BLOCK_LOG_WIDTH).
 
-Every route returns an upper bound on the exact per-slot factor, which is
-the property all downstream guarantees rest on.
+Both return an upper bound on the exact per-slot factor, which is the
+property all downstream guarantees rest on. Both are Laplace transforms of
+a distribution in t, so the log factor is convex in theta.
 """
 
 from __future__ import annotations
@@ -26,9 +25,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import integrate
 
-from .channel import DB_TO_LN, ShadowingChannel, snr_cdf
+from .channel import ShadowingChannel, snr_cdf
 from .inverse_moment import (
     DiscretizationConfig,
     StieltjesTable,
@@ -36,8 +34,6 @@ from .inverse_moment import (
     truncation_point,
 )
 
-# Composite exponents up to this take the quadratic route.
-_QUADRATIC_MAX_EXPONENT = 0.05
 # Width of the table's blocks in log1p(SNR). Against the unmerged grid the
 # table is looser by a factor of at most exp(t * width) - 1 in relative
 # terms: 1e-4 at t = 5 and 4e-4 at t = 20, near the usual stability edge.
@@ -70,7 +66,6 @@ class ServiceCharacterization:
         self.exact = exact
         self._log_cache: dict[float, float] = {}
         self._table: StieltjesTable | None = None
-        self._log_moments: tuple[float, float] | None = None
 
     @property
     def bits_per_nat(self) -> float:
@@ -84,24 +79,6 @@ class ServiceCharacterization:
 
     def _cdf(self, x):
         return snr_cdf(self.channel, x)
-
-    def _capacity_log_moments(self) -> tuple[float, float]:
-        """First two moments of Y = ln(1 + SNR), by Gaussian quadrature."""
-        if self._log_moments is None:
-            ln_mean = DB_TO_LN * self.channel.mean_snr_db
-            ln_sigma = DB_TO_LN * self.channel.sigma_db
-            norm = 1.0 / math.sqrt(2.0 * math.pi)
-
-            def moment(power: int) -> float:
-                def integrand(z: float) -> float:
-                    y = math.log1p(math.exp(ln_mean + ln_sigma * z))
-                    return norm * math.exp(-0.5 * z * z) * y**power
-
-                val, _ = integrate.quad(integrand, -10.0, 10.0, limit=200)
-                return val
-
-            self._log_moments = (moment(1), moment(2))
-        return self._log_moments
 
     def _ensure_table(self) -> StieltjesTable:
         if self._table is None:
@@ -126,9 +103,6 @@ class ServiceCharacterization:
             return -exponent * math.log1p(self.channel.median_snr)
         if self.exact:
             return math.log(exact_inverse_moment(self.channel, exponent))
-        if exponent <= _QUADRATIC_MAX_EXPONENT:
-            m1, m2 = self._capacity_log_moments()
-            return math.log(1.0 - exponent * m1 + 0.5 * exponent * exponent * m2)
         return math.log(self._ensure_table().bound(exponent))
 
     def log_per_slot_bound(self, theta: float) -> float:

@@ -12,43 +12,6 @@ def test_envelope_validation():
         lb.AffineEnvelope(burst_bits=0.0, rate_bits_per_slot=-1.0)
 
 
-class TestLogMgfBound:
-    def test_empty_interval_no_burst(self):
-        env = lb.AffineEnvelope(0.0, 123.0)
-        assert lb.log_mgf_bound(env, theta=1e-9, interval_slots=0) == 0.0
-
-    def test_direct_product(self):
-        env = lb.AffineEnvelope(0.0, 1e9)
-        assert lb.log_mgf_bound(env, 1e-9, 3) == pytest.approx(3.0, rel=1e-12)
-
-    def test_constant_rate_exactness(self):
-        # A deterministic constant-rate flow has log MGF theta * rate * n,
-        # which the burst-free bound matches exactly.
-        env = lb.AffineEnvelope(0.0, 2.5e8)
-        theta, n = 3e-9, 7
-        assert lb.log_mgf_bound(env, theta, n) == pytest.approx(theta * 2.5e8 * n, rel=1e-12)
-
-    def test_domain_errors(self):
-        env = lb.AffineEnvelope(0.0, 1.0)
-        with pytest.raises(ValueError):
-            lb.log_mgf_bound(env, 0.0, 1)
-        with pytest.raises(ValueError):
-            lb.log_mgf_bound(env, 1.0, -1)
-
-    @given(
-        burst=st.floats(0.0, 1e6),
-        rate=st.floats(0.0, 1e9),
-        theta=st.floats(1e-12, 1e-6),
-        n=st.integers(0, 100),
-        m=st.integers(0, 100),
-    )
-    def test_additive_up_to_one_burst_term(self, burst, rate, theta, n, m):
-        env = lb.AffineEnvelope(burst, rate)
-        lhs = lb.log_mgf_bound(env, theta, n) + lb.log_mgf_bound(env, theta, m)
-        rhs = lb.log_mgf_bound(env, theta, n + m) + theta * burst
-        assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-15)
-
-
 class TestGenerateArrivals:
     def test_zero_horizon(self):
         env = lb.AffineEnvelope(0.0, 1e9)

@@ -77,19 +77,38 @@ class TestStabilityRegion:
         region = lb.stability_region(lb.AffineEnvelope(0.0, cap * 1.01), svc)
         assert region.is_empty
 
-    def test_operating_point_boundary(self, gbps_env, operating_svc):
-        region = lb.stability_region(gbps_env, operating_svc)
-        assert not region.is_empty
-        assert 1e-9 < region.theta_upper < 2e-8
-        ok = region.theta_upper * 0.99
-        bad = region.theta_upper * 1.01
-        assert (
-            ok * gbps_env.rate_bits_per_slot + operating_svc.log_per_slot_bound(ok) < 0
-        )
-        assert (
-            bad * gbps_env.rate_bits_per_slot + operating_svc.log_per_slot_bound(bad)
-            >= 0
-        )
+    def test_operating_point_boundary(self, gbps_env, operating_channel, operating_svc):
+        # The bisection stops at relative width 1e-6 around the unique root.
+        for svc in (operating_svc, lb.ServiceCharacterization(operating_channel, exact=True)):
+            region = lb.stability_region(gbps_env, svc)
+            assert not region.is_empty
+            assert 1e-9 < region.theta_upper < 2e-8
+            ok = region.theta_upper * (1.0 - 2e-6)
+            bad = region.theta_upper * (1.0 + 2e-6)
+            assert ok * gbps_env.rate_bits_per_slot + svc.log_per_slot_bound(ok) < 0
+            assert bad * gbps_env.rate_bits_per_slot + svc.log_per_slot_bound(bad) >= 0
+
+    @pytest.mark.parametrize("slot_seconds", [1.0, 1e-3])
+    @pytest.mark.parametrize("exact", [False, True], ids=["table", "exact"])
+    def test_one_bracket_probe_count(self, monkeypatch, slot_seconds, exact):
+        # Floor, cap and a geometric bisection of 16 decades down to 1e-6
+        # make 28 per-slot evaluations.
+        chan = lb.ShadowingChannel(25.0, 8.0, 500e6, slot_seconds)
+        svc = lb.ServiceCharacterization(chan, exact=exact)
+        if not exact:
+            svc._ensure_table()
+        probes = []
+        real = svc._compute_log
+
+        def counting(theta):
+            probes.append(theta)
+            return real(theta)
+
+        monkeypatch.setattr(svc, "_compute_log", counting)
+        env = lb.AffineEnvelope(0.0, 1e9 * slot_seconds)
+        region = lb.stability_region(env, svc)
+        assert not region.is_empty and not region.unbounded_above
+        assert len(probes) <= 30
 
 
 class TestBacklogBound:

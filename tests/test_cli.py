@@ -230,7 +230,10 @@ class TestMain:
     @pytest.mark.parametrize(
         "section, field, value",
         [("arrival", "rate_gbps", "fast"), ("channel", "sigma_db", None),
-         ("query", "epsilons", 0.1), ("discretization", "delta", [0.01])],
+         ("query", "epsilons", 0.1), ("discretization", "delta", [0.01]),
+         ("sim", "enabled", "false"), ("sim", "enabled", 1),
+         ("sim", "replications", 2.7), ("sim", "seed", True),
+         ("sim", "horizon_slots", 1.5)],
     )
     def test_malformed_field_exit_code(self, tmp_path, capsys, section, field, value):
         doc = base_doc()
@@ -247,6 +250,15 @@ class TestMain:
         path = self.write_scenario(tmp_path, base_doc())
         assert main(["--scenario", path, "--delta", delta]) == 2
         assert message in capsys.readouterr().err
+
+    def test_negative_seed_exit_code(self, tmp_path, capsys):
+        # Rejected before any bound runs, not by the simulator's seeding.
+        path = self.write_scenario(tmp_path, base_doc())
+        assert main(["--scenario", path, "--simulate", "--seed", "-1"]) == 2
+        doc = base_doc()
+        doc["sim"]["seed"] = -1
+        assert main(["--scenario", self.write_scenario(tmp_path, doc)]) == 2
+        assert capsys.readouterr().err.count("error: sim.seed must be non-negative") == 2
 
     def test_non_finite_and_non_object_scenarios_exit_code(self, tmp_path, capsys):
         doc = base_doc()

@@ -11,6 +11,7 @@ from linkbound.inverse_moment import (
     _SLACK_TOL,
     StieltjesTable,
     _as_vectorized,
+    _staircase_sum,
     truncation_point,
 )
 
@@ -153,11 +154,6 @@ class TestExactInverseMoment:
     def test_theta_zero(self, operating_channel):
         assert lb.exact_inverse_moment(operating_channel, 0.0) == 1.0
 
-    def test_point_mass(self):
-        assert lb.exact_inverse_moment(lb.PointMass(4.0), 3.0) == pytest.approx(
-            5.0**-3.0, rel=1e-12
-        )
-
     def test_negative_theta_rejected(self, operating_channel):
         with pytest.raises(ValueError):
             lb.exact_inverse_moment(operating_channel, -0.1)
@@ -294,6 +290,19 @@ class TestTruncationAndTable:
         assert table.mass.size == n
         for theta in (0.5, 2.0):
             assert table.bound(theta) == lb.inverse_moment_bound(cdf, theta, cfg)
+
+    @pytest.mark.parametrize("mean_snr_db, sigma_db", [(25.0, 8.0), (10.0, 4.0)])
+    def test_series_matches_exp_pass(self, mean_snr_db, sigma_db):
+        # Below t * end_log_edge = 1 the table sums its moment series; on
+        # either side of that cut it must give the staircase to rounding.
+        cdf = lognormal_cdf(lb.ShadowingChannel(mean_snr_db, sigma_db, 5e8))
+        cfg = lb.DiscretizationConfig(step_delta=1e-2)
+        n = int(math.ceil(truncation_point(cdf, 0.0, cfg) / cfg.step_delta))
+        table = StieltjesTable(cdf, cfg.step_delta, n, block_log_width=2e-5)
+        for theta in [r / table.end_log_edge for r in (0.5, 0.99, 1.01, 2.0)] + [1e-6]:
+            staircase = _staircase_sum(table.log_edges, table.mass, theta)
+            staircase += table.end_survival * math.exp(-theta * table.end_log_edge)
+            assert table.bound(theta) == pytest.approx(staircase, rel=1e-13, abs=0.0)
 
 
 def cell_by_cell_table(cdf, delta, n_terms, block_log_width, chunk=2_000_000):

@@ -27,7 +27,7 @@ class TestPerSlotBound:
         assert operating_svc.per_slot_bound(theta) >= exact
 
     def test_dominates_exact_across_regimes(self, operating_channel, operating_svc):
-        # Exercises the quadratic and aggregated-table routes.
+        # Exercises the table's series (t * end_log_edge <= 1) and its exp pass.
         for theta in (1e-11, 1e-9, 3e-9, 1e-8, 5e-8):
             exact = lb.exact_inverse_moment(
                 operating_channel, operating_svc.composite_exponent(theta)
@@ -130,15 +130,29 @@ class TestMultiSlotBound:
 
 
 class TestTableRoute:
+    @pytest.mark.parametrize("mean_snr_db, sigma_db", [(25.0, 8.0), (25.0, 2.0),
+                                                       (10.0, 4.0), (30.0, 6.0)])
+    def test_log_factor_convex_in_small_exponents(self, mean_snr_db, sigma_db):
+        # The factor is a Laplace transform, so its log is convex in the
+        # exponent, also across the cut between the table's series and its
+        # exp pass.
+        chan = lb.ShadowingChannel(mean_snr_db, sigma_db, 500e6, 1.0)
+        svc = lb.ServiceCharacterization(chan)
+        lf = np.array([svc.log_per_slot_bound(t / chan.bits_per_nat)
+                       for t in np.linspace(0.01, 0.2, 400)])
+        second = lf[:-2] - 2.0 * lf[1:-1] + lf[2:]
+        assert np.all(second >= -1e-12 * np.abs(lf[1:-1]))
+
     @pytest.mark.parametrize("sigma_db", [2.0, 4.0, 8.0])
     def test_between_exact_and_unmerged_grid(self, sigma_db):
-        # Above the quadratic band every factor comes from the table: never
-        # below the exact moment, and looser than the grid truncated for its
-        # own exponent by at most the block factor exp(t * width).
+        # Every discretized factor comes from the table, by its series or its
+        # exp pass: never below the exact moment, and looser than the grid
+        # truncated for its own exponent by at most the block factor
+        # exp(t * width).
         chan = lb.ShadowingChannel(25.0, sigma_db, 500e6, 1.0)
         svc = lb.ServiceCharacterization(chan)
         cdf = lambda x: lb.snr_cdf(chan, x)
-        for target in (5.0, 10.0, 20.0, 50.0, 100.0, 200.0):
+        for target in (1e-3, 0.01, 0.05, 0.1, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0):
             theta = target / chan.bits_per_nat
             t = svc.composite_exponent(theta)
             factor = svc.per_slot_bound(theta)
