@@ -149,11 +149,17 @@ class Scenario:
                 return default
             try:
                 return cast(sec[key])
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ScenarioError(f"invalid field '{secname}.{key}': {exc}") from exc
 
+        def number(value):
+            # JSON numbers only: float() would also take true and "1.0".
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise TypeError(f"expected a number, got {value!r}")
+            return float(value)
+
         def floats(values):
-            return tuple(float(v) for v in values)
+            return tuple(number(v) for v in values)
 
         def boolean(value):
             if not isinstance(value, bool):
@@ -172,22 +178,22 @@ class Scenario:
             lb = chan["link_budget"]
             try:
                 budget = LinkBudget(
-                    transmit_power_dbm=float(lb["transmit_power_dbm"]),
-                    antenna_gain_tx_db=float(lb["antenna_gain_tx_db"]),
-                    antenna_gain_rx_db=float(lb["antenna_gain_rx_db"]),
-                    noise_density_dbm_per_mhz=float(lb["noise_density_dbm_per_mhz"]),
-                    bandwidth_hz=float(lb["bandwidth_hz"]),
-                    distance_m=float(lb["distance_m"]),
-                    pathloss_intercept_db=float(lb["pathloss_intercept_db"]),
-                    pathloss_exponent=float(lb["pathloss_exponent"]),
+                    transmit_power_dbm=number(lb["transmit_power_dbm"]),
+                    antenna_gain_tx_db=number(lb["antenna_gain_tx_db"]),
+                    antenna_gain_rx_db=number(lb["antenna_gain_rx_db"]),
+                    noise_density_dbm_per_mhz=number(lb["noise_density_dbm_per_mhz"]),
+                    bandwidth_hz=number(lb["bandwidth_hz"]),
+                    distance_m=number(lb["distance_m"]),
+                    pathloss_intercept_db=number(lb["pathloss_intercept_db"]),
+                    pathloss_exponent=number(lb["pathloss_exponent"]),
                 )
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise ScenarioError(f"invalid channel.link_budget: {exc}") from exc
             mean_snr = system_gain_db(budget)
             bandwidth = budget.bandwidth_hz
         else:
-            mean_snr = pull(chan, "channel", "mean_snr_db", float, required=True)
-            bandwidth = pull(chan, "channel", "bandwidth_hz", float, required=True)
+            mean_snr = pull(chan, "channel", "mean_snr_db", number, required=True)
+            bandwidth = pull(chan, "channel", "bandwidth_hz", number, required=True)
 
         arr = section("arrival")
         disc = section("discretization", required=False)
@@ -196,15 +202,15 @@ class Scenario:
         sim = section("sim", required=False)
 
         delta = pull(disc, "discretization", "delta",
-                     lambda v: v if isinstance(v, str) else float(v), 1e-2)
+                     lambda v: v if isinstance(v, str) else number(v), 1e-2)
 
         scenario = Scenario(
             mean_snr_db=mean_snr,
-            sigma_db=pull(chan, "channel", "sigma_db", float, required=True),
+            sigma_db=pull(chan, "channel", "sigma_db", number, required=True),
             bandwidth_hz=bandwidth,
-            slot_seconds=pull(chan, "channel", "slot_seconds", float, 1.0),
-            rate_gbps=pull(arr, "arrival", "rate_gbps", float, required=True),
-            burst_bits=pull(arr, "arrival", "burst_bits", float, 0.0),
+            slot_seconds=pull(chan, "channel", "slot_seconds", number, 1.0),
+            rate_gbps=pull(arr, "arrival", "rate_gbps", number, required=True),
+            burst_bits=pull(arr, "arrival", "burst_bits", number, 0.0),
             delta=delta,
             kind=pull(query, "query", "kind", str, required=True),
             epsilons=pull(query, "query", "epsilons", floats, ()),

@@ -13,6 +13,10 @@ sum of mass * (1+x_left)^(-theta) over cells, plus the survival at the cut
 times (1+x_cut)^(-theta). Masses are differences of the CDF at cell right
 edges, so no term cancels, whatever the exponent. The grid streams in
 fixed-size chunks so that fine steps never materialize the whole grid.
+The table sums exponents up to 64 as a short power series about the left
+edge of each of a few hundred segments, with moments stored at build
+time, and larger exponents by one exp pass over its blocks. Both equal
+the staircase to rounding, and truncating the series only overestimates.
 The truncation point is chosen in x-space, independent of the step, so
 refining the step compares the same truncated quantity and is guaranteed
 monotone.
@@ -43,14 +47,18 @@ _SEARCH_CEIL = 1e12
 # Passes allowed to move a guessed block start onto its exact grid cell;
 # the expm1 guess is off by at most a cell or two.
 _NUDGE_PASSES = 8
-# A table sums exponents with t * end_log_edge <= _SERIES_CUT as the power
-# series of its staircase in t, through the t^_SERIES_TERMS term. Every log
-# edge is at most L = end_log_edge, so each exp(-t l) is missed by at most
-# (t L)^(K+1) / (K+1)! <= 1 / 19! < 1e-17; K = 18 is the smallest even K
-# that meets 1e-17, and with K even the partial sum overestimates
-# exp(-t l), so the series is still an upper bound.
+# A table groups its blocks into segments of this width in log1p(x) and
+# sums every exponent t <= 1 / _SEGMENT_WIDTH as a power series in t about
+# each segment's left edge L, through the t^_SERIES_TERMS term. A block
+# edge l lies less than one width above L, so each exp(-t (l - L)) is
+# missed by at most 1 / 19! < 1e-17 absolute, or e / 19! < 3e-17 relative;
+# with K = 18 even the partial sum overestimates exp(-t (l - L)), so the
+# series is still an upper bound. The width is a power of two, so L and
+# l - L are exact floats.
 _SERIES_TERMS = 18
-_SERIES_CUT = 1.0
+_SEGMENT_WIDTH = 1.0 / 64.0
+# Blocks per chunk of the segment moment pass: a few hundred kB per array.
+_MOMENT_CHUNK = 1 << 15
 
 
 class CdfContractError(ValueError):
@@ -348,10 +356,11 @@ class StieltjesTable:
     most 1 + log1p(delta * n_terms) / block_log_width, whatever the step,
     and the build handles at most 1 / block_log_width more ids than that.
 
-    The build also stores the first 18 moments sum of mass * l^k plus
-    end_survival * end_log_edge^k of the staircase, l the block log edges.
-    An exponent t with t * end_log_edge <= 1 is then summed as the series
-    1 + sum_k (-t)^k moment_k / k!, which equals the staircase to rounding;
+    The build also groups the blocks into segments of width 1/64 in log1p(x)
+    and stores, for each segment s with left edge L_s, the local moments
+    sum of mass * (l - L_s)^k / k! for k = 0..18. An exponent t <= 64 is
+    then summed as sum_s exp(-t L_s) * sum_k (-t)^k moment_{k,s}, which
+    equals the staircase to rounding at the cost of one exp per segment;
     every larger exponent costs one exp pass over the blocks.
     """
 
@@ -359,30 +368,62 @@ class StieltjesTable:
         self.block_log_width = float(block_log_width)
         starts = _block_starts(delta, n_terms, self.block_log_width)
         edges = np.append(starts[1:], float(n_terms)) * delta
+        del starts
         f = _check_chunk(_as_vectorized(cdf)(edges), 0.0)
         self.log_edges, self.mass = _cells(edges, f)
         self.end_survival = 1.0 - float(f[-1])
         self.end_log_edge = math.log1p(n_terms * delta)
-        powers = self.mass.copy()
-        moments = []
-        for k in range(1, _SERIES_TERMS + 1):
-            powers *= self.log_edges
-            moments.append(float(powers.sum()) + self.end_survival * self.end_log_edge**k)
-        self.moments = np.asarray(moments)
-        factorials = np.cumprod(np.arange(1.0, _SERIES_TERMS + 1.0))
-        self._series = (self.moments / factorials).tolist()
+        # Freed first, so that the moment pass adds nothing to peak memory.
+        del edges, f
+        self._seg_left, self._seg_moments = _segment_moments(self.log_edges, self.mass)
 
     def bound(self, theta: float) -> float:
         """Upper bound on E[(1+X)^(-theta)] from the aggregated blocks."""
-        if theta * self.end_log_edge <= _SERIES_CUT:
+        if theta * _SEGMENT_WIDTH <= 1.0:
+            # No BLAS: einsum without optimize runs numpy's own loops, so the
+            # result does not depend on the BLAS thread pool.
+            by_power = np.einsum(
+                "ks,s->k", self._seg_moments, np.exp(-theta * self._seg_left)
+            ).tolist()
             val = 0.0
-            for coeff in reversed(self._series):
-                val = (val + coeff) * -theta
-            val += 1.0
+            for moment in reversed(by_power):
+                val = val * -theta + moment
         else:
             val = _staircase_sum(self.log_edges, self.mass, theta)
-            val += self.end_survival * math.exp(-theta * self.end_log_edge)
+        val += self.end_survival * math.exp(-theta * self.end_log_edge)
         return min(max(val, 1e-300), 1.0)
+
+
+def _segment_moments(log_edges: np.ndarray, mass: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(left edge L_s, moments sum mass * (l - L_s)^k / k! by k and s) of each segment.
+
+    Segment s holds the blocks whose log edge l has floor(l / width) = s,
+    that is s * width <= l; only segments that hold a block are kept.
+    Moments are summed over chunks of whole segments, so the temporaries
+    stay cache-sized.
+    """
+    n = log_edges.size
+    lattice = np.arange(math.floor(log_edges[-1] / _SEGMENT_WIDTH) + 1.0) * _SEGMENT_WIDTH
+    first = np.searchsorted(log_edges, lattice)
+    held = np.diff(first, append=n) > 0
+    first, seg_left = first[held], lattice[held]
+    moments = np.empty((_SERIES_TERMS + 1, first.size))
+    # Each chunk starts at the first block of the segment that holds a
+    # multiple of _MOMENT_CHUNK, so that no segment is split.
+    cuts = np.unique(np.searchsorted(first, np.arange(0, n, _MOMENT_CHUNK), side="right") - 1)
+    block_of = np.append(first, n)
+    for c0, c1 in zip(cuts.tolist(), cuts[1:].tolist() + [first.size]):
+        b0, b1 = int(block_of[c0]), int(block_of[c1])
+        edges = log_edges[b0:b1]
+        offset = edges - np.floor(edges / _SEGMENT_WIDTH) * _SEGMENT_WIDTH
+        local = first[c0:c1] - b0
+        powers = mass[b0:b1].copy()
+        moments[0, c0:c1] = np.add.reduceat(powers, local)
+        for k in range(1, _SERIES_TERMS + 1):
+            powers *= offset
+            moments[k, c0:c1] = np.add.reduceat(powers, local)
+    moments /= np.cumprod(np.arange(_SERIES_TERMS + 1.0).clip(1.0))[:, None]
+    return seg_left, moments
 
 
 def _lognormal_exact(channel: ShadowingChannel, theta: float) -> float:

@@ -233,7 +233,14 @@ class TestMain:
          ("query", "epsilons", 0.1), ("discretization", "delta", [0.01]),
          ("sim", "enabled", "false"), ("sim", "enabled", 1),
          ("sim", "replications", 2.7), ("sim", "seed", True),
-         ("sim", "horizon_slots", 1.5)],
+         ("sim", "horizon_slots", 1.5),
+         ("channel", "sigma_db", True), ("channel", "mean_snr_db", "25"),
+         ("channel", "bandwidth_hz", False), ("channel", "slot_seconds", "1.0"),
+         ("arrival", "rate_gbps", "1.0"), ("arrival", "burst_bits", True),
+         ("discretization", "delta", True), ("query", "epsilons", [True]),
+         ("query", "epsilons", ["0.1"]), ("sweep", "grid", [False]),
+         ("sweep", "grid", ["1.0"]),
+         pytest.param("channel", "sigma_db", 10**400, id="channel-sigma_db-huge_int")],
     )
     def test_malformed_field_exit_code(self, tmp_path, capsys, section, field, value):
         doc = base_doc()
@@ -241,6 +248,25 @@ class TestMain:
         path = self.write_scenario(tmp_path, doc)
         assert main(["--scenario", path]) == 2
         assert f"error: invalid field '{section}.{field}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [True, "100.0"])
+    def test_malformed_link_budget_exit_code(self, tmp_path, capsys, value):
+        doc = base_doc()
+        doc["channel"] = {
+            "link_budget": {
+                "transmit_power_dbm": 0.0,
+                "antenna_gain_tx_db": 20.0,
+                "antenna_gain_rx_db": 20.0,
+                "noise_density_dbm_per_mhz": -114.0,
+                "bandwidth_hz": 5e8,
+                "distance_m": value,
+                "pathloss_intercept_db": 70.0,
+                "pathloss_exponent": 2.45,
+            },
+            "sigma_db": 8.0,
+        }
+        assert main(["--scenario", self.write_scenario(tmp_path, doc)]) == 2
+        assert "error: invalid channel.link_budget" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "delta, message",

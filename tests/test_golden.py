@@ -1,0 +1,51 @@
+"""Byte-identity of the bundled scenarios' CSV tables.
+
+Each bundled scenario runs with simulation off, in its own mode, and the
+two limit-mode scenarios also run at delta = 0.01. The expected tables
+live in tests/data/. A change that moves a digit on purpose regenerates
+them with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and lists every digit that moved.
+"""
+
+import json
+import pathlib
+from dataclasses import replace
+
+import pytest
+
+from linkbound.cli import Scenario, rows_to_csv, run_scenario
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+DATA = ROOT / "tests" / "data"
+
+
+def golden_cases() -> list[tuple[str, Scenario]]:
+    """(file stem, scenario) of every golden table."""
+    cases = []
+    for path in sorted((ROOT / "scenarios").glob("*.json")):
+        scenario = Scenario.from_dict(json.loads(path.read_text()))
+        scenario = replace(scenario, simulate=False)
+        cases.append((path.stem, scenario))
+        if scenario.delta == "limit":
+            cases.append((f"{path.stem}.delta0.01", replace(scenario, delta=0.01)))
+    return cases
+
+
+def table(scenario: Scenario) -> str:
+    return rows_to_csv(run_scenario(scenario), scenario)
+
+
+@pytest.mark.parametrize(
+    "stem, scenario", [pytest.param(*case, id=case[0]) for case in golden_cases()]
+)
+def test_csv_matches_golden(stem, scenario):
+    assert table(scenario) == (DATA / f"{stem}.csv").read_text()
+
+
+if __name__ == "__main__":
+    for stem, scenario in golden_cases():
+        (DATA / f"{stem}.csv").write_text(table(scenario))
+        print(f"wrote {DATA / f'{stem}.csv'}")

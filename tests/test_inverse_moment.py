@@ -5,9 +5,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import linkbound as lb
+from linkbound import inverse_moment
 from linkbound.inverse_moment import (
     _SEARCH_CEIL,
     _SEARCH_X0,
+    _SEGMENT_WIDTH,
     _SLACK_TOL,
     StieltjesTable,
     _as_vectorized,
@@ -281,7 +283,9 @@ class TestTruncationAndTable:
     def test_single_cell_blocks_match_grid_exactly(self):
         # At 10 dB and sigma = 4 dB every block of a delta = 0.01 table is one
         # grid cell, and the survival alone cuts the grid at theta = 0.5 and 2
-        # as at theta = 0: both engines then add the same terms in one sum.
+        # as at theta = 0: the table's staircase then adds the same terms in
+        # one sum as the grid. Its bound sums them segment by segment, to
+        # rounding.
         chan = lb.ShadowingChannel(10.0, 4.0, 5e8)
         cdf = lognormal_cdf(chan)
         cfg = lb.DiscretizationConfig(step_delta=1e-2)
@@ -289,20 +293,46 @@ class TestTruncationAndTable:
         table = StieltjesTable(cdf, cfg.step_delta, n, block_log_width=2e-5)
         assert table.mass.size == n
         for theta in (0.5, 2.0):
-            assert table.bound(theta) == lb.inverse_moment_bound(cdf, theta, cfg)
+            grid = lb.inverse_moment_bound(cdf, theta, cfg)
+            staircase = _staircase_sum(table.log_edges, table.mass, theta)
+            staircase += table.end_survival * math.exp(-theta * table.end_log_edge)
+            assert staircase == grid
+            assert table.bound(theta) == pytest.approx(grid, rel=1e-14, abs=0.0)
 
-    @pytest.mark.parametrize("mean_snr_db, sigma_db", [(25.0, 8.0), (10.0, 4.0)])
-    def test_series_matches_exp_pass(self, mean_snr_db, sigma_db):
-        # Below t * end_log_edge = 1 the table sums its moment series; on
-        # either side of that cut it must give the staircase to rounding.
+    @pytest.mark.parametrize("mean_snr_db, sigma_db", [(25.0, 8.0), (25.0, 2.0),
+                                                       (10.0, 4.0), (30.0, 6.0)])
+    def test_segment_series_matches_exp_pass(self, mean_snr_db, sigma_db):
+        # Up to t = 1 / _SEGMENT_WIDTH the table sums its segment-local
+        # series; on either side of that cut, and on either side of
+        # t * end_log_edge = 1, it must give the staircase to rounding.
         cdf = lognormal_cdf(lb.ShadowingChannel(mean_snr_db, sigma_db, 5e8))
         cfg = lb.DiscretizationConfig(step_delta=1e-2)
         n = int(math.ceil(truncation_point(cdf, 0.0, cfg) / cfg.step_delta))
         table = StieltjesTable(cdf, cfg.step_delta, n, block_log_width=2e-5)
-        for theta in [r / table.end_log_edge for r in (0.5, 0.99, 1.01, 2.0)] + [1e-6]:
+        thetas = [r / _SEGMENT_WIDTH for r in (1e-6, 0.5, 0.99, 1.0, 1.01, 2.0)]
+        thetas += [r / table.end_log_edge for r in (0.5, 2.0)]
+        for theta in thetas:
             staircase = _staircase_sum(table.log_edges, table.mass, theta)
             staircase += table.end_survival * math.exp(-theta * table.end_log_edge)
             assert table.bound(theta) == pytest.approx(staircase, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("kind, bound", [("backlog", lb.backlog_bound),
+                                             ("delay", lb.delay_bound)])
+    def test_cold_bound_exp_passes(self, monkeypatch, gbps_env, operating_channel, kind,
+                                   bound):
+        # Every exponent up to 1 / _SEGMENT_WIDTH takes the segment series, so
+        # a cold bound pays only a few exp passes over the blocks.
+        calls = []
+        real = inverse_moment._staircase_sum
+
+        def counting(log_left, mass, theta):
+            calls.append(theta)
+            return real(log_left, mass, theta)
+
+        monkeypatch.setattr(inverse_moment, "_staircase_sum", counting)
+        svc = lb.ServiceCharacterization(operating_channel)
+        bound(gbps_env, svc, lb.BoundQuery(epsilon=1e-3, kind=kind))
+        assert len(calls) <= 4
 
 
 def cell_by_cell_table(cdf, delta, n_terms, block_log_width, chunk=2_000_000):

@@ -27,7 +27,8 @@ class TestPerSlotBound:
         assert operating_svc.per_slot_bound(theta) >= exact
 
     def test_dominates_exact_across_regimes(self, operating_channel, operating_svc):
-        # Exercises the table's series (t * end_log_edge <= 1) and its exp pass.
+        # Composite exponents 0.007 to 36, all on the table's segment series
+        # (t <= 64); TestTableRoute also reaches its exp pass above.
         for theta in (1e-11, 1e-9, 3e-9, 1e-8, 5e-8):
             exact = lb.exact_inverse_moment(
                 operating_channel, operating_svc.composite_exponent(theta)
@@ -134,8 +135,7 @@ class TestTableRoute:
                                                        (10.0, 4.0), (30.0, 6.0)])
     def test_log_factor_convex_in_small_exponents(self, mean_snr_db, sigma_db):
         # The factor is a Laplace transform, so its log is convex in the
-        # exponent, also across the cut between the table's series and its
-        # exp pass.
+        # exponent, also as the table's segment series sums it.
         chan = lb.ShadowingChannel(mean_snr_db, sigma_db, 500e6, 1.0)
         svc = lb.ServiceCharacterization(chan)
         lf = np.array([svc.log_per_slot_bound(t / chan.bits_per_nat)
