@@ -5,10 +5,11 @@ transforms. For a transform parameter theta the system is stable when
 exp(theta * rate) times the per-slot service factor is below one; inside
 that region the backlog bound minimizes a Chernoff-style objective over
 theta and the delay bound is the smallest slot count whose kernel drops
-below the target violation probability. Both refine theta through one
-minimizer. All kernel arithmetic stays in the log domain; the gap
-1 - exp(g) is evaluated through expm1 so the pole at the stability
-boundary does not poison nearby values.
+below the target violation probability. The log service factor is convex
+in theta, which makes both objectives quasiconvex over the region, so each
+bound is one bounded Brent search in log theta. All kernel arithmetic
+stays in the log domain; the gap 1 - exp(g) is evaluated through expm1 so
+the pole at the stability boundary does not poison nearby values.
 """
 
 from __future__ import annotations
@@ -16,16 +17,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
+from scipy.optimize import minimize_scalar
 
 from .arrival import AffineEnvelope
 from .service import ServiceCharacterization
 
 SCAN_THETA_FLOOR = 1e-14
 EXTEND_THETA_CAP = 1e2
-GRID_POINTS = 200
-GRID_LOG_TRIM = 1e-3
-GOLDEN_REL_TOL = 1e-6
+XATOL = 1e-6
 
 
 class UnstableSystemError(RuntimeError):
@@ -67,8 +66,10 @@ class BoundResult:
     """A computed bound with the optimizing parameter and diagnostics.
 
     ``value`` is bits for backlog, whole slots for delay. ``trace`` lists
-    (theta, objective) pairs from the search grid, certifying the reported
-    optimum within grid resolution.
+    the search's (theta, objective) probes: the backlog bound for backlog,
+    the continuous slot count w*(theta) for delay. The objective is
+    quasiconvex in theta, so the best probe is the optimum to the search
+    tolerance, and the reported optimum is no worse than any probe.
     """
 
     value: float
@@ -80,15 +81,15 @@ class BoundResult:
     trace: list = field(default_factory=list)
 
 
-def _log1mexp(g):
+def _log1mexp(g: float) -> float:
     """log(1 - exp(g)) for g < 0, stable near both ends."""
-    return np.log(-np.expm1(g))
+    return math.log(-math.expm1(g))
 
 
 def _log_kernel(env: AffineEnvelope, theta, log_factor, log_gap, slots_back, slots_fwd=0):
     """ln of exp(theta*burst) * exp(theta*rate)^slots_fwd * factor^slots_back / gap.
 
-    Takes scalars or grid arrays alike; every kernel value comes from here.
+    Every kernel value comes from here.
     """
     return (
         theta * env.burst_bits
@@ -104,7 +105,7 @@ def _stable_at(env: AffineEnvelope, svc: ServiceCharacterization, theta: float):
     g = theta * env.rate_bits_per_slot + lf
     if g >= 0.0:
         return None
-    return lf, float(_log1mexp(g))
+    return lf, _log1mexp(g)
 
 
 def log_kernel_bound(
@@ -156,101 +157,33 @@ def stability_region(env: AffineEnvelope, svc: ServiceCharacterization) -> Stabi
     return StabilityRegion(0.0, lo)
 
 
-def _theta_grid(region: StabilityRegion) -> np.ndarray:
-    """Log-spaced search grid over the region, capped at EXTEND_THETA_CAP."""
-    lo = max(region.theta_lower, SCAN_THETA_FLOOR)
-    hi = min(region.theta_upper, EXTEND_THETA_CAP)
-    if hi <= lo:
-        return np.asarray([lo])
-    span = math.log10(hi / lo)
-    lo_trim = lo * 10.0 ** (GRID_LOG_TRIM * span)
-    hi_trim = hi * 10.0 ** (-GRID_LOG_TRIM * span)
-    return np.geomspace(lo_trim, hi_trim, GRID_POINTS)
+def _minimize(env, svc, region: StabilityRegion, objective):
+    """Minimize objective(theta, log factor, log gap) over the stability region.
 
-
-def _golden_min(fn, theta_lo: float, theta_hi: float):
-    """Golden-section minimum of fn over [theta_lo, theta_hi] in log space."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = math.log(theta_lo), math.log(theta_hi)
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fn(math.exp(c)), fn(math.exp(d))
-    best_t, best_f = (math.exp(c), fc) if fc <= fd else (math.exp(d), fd)
-    while b - a > GOLDEN_REL_TOL:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(math.exp(c))
-            if fc < best_f:
-                best_t, best_f = math.exp(c), fc
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(math.exp(d))
-            if fd < best_f:
-                best_t, best_f = math.exp(d), fd
-    return best_t, best_f
-
-
-def _stable_grid_objective(env, svc, grid):
-    """Grid thetas with their log service factors and stability gaps.
-
-    Returns (thetas, log_factors, log_gaps) restricted to stable points.
+    One bounded Brent search in u = ln theta on [ln SCAN_THETA_FLOOR,
+    ln min(theta*, EXTEND_THETA_CAP)], to XATOL in u (relative in theta).
+    Both objectives are quasiconvex in theta, so the search is unimodal.
+    Returns (theta, value) of the best probe and the (theta, value) probe
+    list.
     """
-    lps = svc.log_per_slot_bound_many(grid)
-    g = grid * env.rate_bits_per_slot + lps
-    ok = g < 0.0
-    if not np.any(ok):
-        raise UnstableSystemError("no stable theta on the optimization grid")
-    return grid[ok], lps[ok], _log1mexp(g[ok])
+    probes = []
 
-
-def _minimize(env, svc, grid, objective):
-    """Minimize objective(theta, log factor, log gap) over theta.
-
-    Takes the argmin on the stable grid (thetas, log factors, log gaps),
-    refines it by golden section between the neighbouring grid points,
-    and keeps the grid point if the refinement did not beat it. Returns
-    (theta, value, grid values).
-    """
-    thetas, lps, log_gaps = grid
-    values = objective(thetas, lps, log_gaps)
-    i = int(np.argmin(values))
-
-    def at(theta: float) -> float:
+    def at(u: float) -> float:
+        theta = math.exp(u)
         stable = _stable_at(env, svc, theta)
-        return math.inf if stable is None else objective(theta, *stable)
+        value = math.inf if stable is None else objective(theta, *stable)
+        probes.append((theta, value))
+        return value
 
-    lo, hi = float(thetas[max(i - 1, 0)]), float(thetas[min(i + 1, thetas.size - 1)])
-    if hi <= lo:  # a one-point grid
-        lo, hi = lo * 0.999, lo * 1.001
-    best_t, best_f = _golden_min(at, lo, hi)
-    if values[i] < best_f:
-        best_t, best_f = float(thetas[i]), float(values[i])
-    return best_t, best_f, values
-
-
-def _grid_slot_count(env, grid, log_eps: float) -> int:
-    """Smallest w whose log kernel is <= log_eps at some grid theta.
-
-    Each grid point's log kernel falls linearly in w with slope log factor
-    < 0, so its threshold is a ceiling; the minimum over the grid is then
-    corrected against the exact predicate in case rounding moved it.
-    """
-    thetas, lps, log_gaps = grid
-
-    def meets(w: int) -> bool:
-        return float(np.min(_log_kernel(env, thetas, lps, log_gaps, w))) <= log_eps
-
-    w = float(np.min(np.ceil((log_eps - thetas * env.burst_bits + log_gaps) / lps)))
-    w = int(min(max(w, 0.0), 2.0**40 + 1))
-    while w > 0 and meets(w - 1):
-        w -= 1
-    while w <= 2**40 and not meets(w):
-        w += 1
-    if w > 2**40:
-        raise RuntimeError("delay search exceeded 2^40 slots; epsilon unreachable")
-    return w
+    hi = min(region.theta_upper, EXTEND_THETA_CAP)
+    minimize_scalar(
+        at,
+        bounds=(math.log(SCAN_THETA_FLOOR), math.log(hi)),
+        method="bounded",
+        options={"xatol": XATOL},
+    )
+    best_t, best_f = min(probes, key=lambda probe: probe[1])
+    return best_t, best_f, probes
 
 
 def _checked_region(env, svc, query: BoundQuery, kind: str) -> StabilityRegion:
@@ -267,11 +200,12 @@ def backlog_bound(
 ) -> BoundResult:
     """Smallest provable backlog threshold exceeded with probability <= epsilon.
 
-    Minimizes burst - (log gap + log epsilon) / theta over the stability
-    region: a 200-point log-spaced grid guards against local minima, then a
-    golden-section pass refines around the grid minimum. The result is
-    clamped below at zero. ``kernel_at_optimum`` is infinite when the
-    kernel overflows a float.
+    Minimizes burst + (-log gap - log epsilon) / theta over the stability
+    region. Its sublevel sets are those of theta*burst - log gap - log
+    epsilon - theta*b, convex in theta because the log factor is, so the
+    objective is quasiconvex and one bounded Brent search finds it. The
+    result is clamped below at zero. ``kernel_at_optimum`` is infinite when
+    the kernel overflows a float.
     """
     region = _checked_region(env, svc, query, "backlog")
     log_eps = math.log(query.epsilon)
@@ -280,15 +214,13 @@ def backlog_bound(
         # Objective tends to the burst alone as theta grows without bound.
         best_t, best_f, kernel, trace = math.inf, env.burst_bits, math.nan, []
     else:
-        grid = _stable_grid_objective(env, svc, _theta_grid(region))
-        best_t, best_f, values = _minimize(
-            env, svc, grid, lambda theta, lf, lg: env.burst_bits + (-lg - log_eps) / theta
+        best_t, best_f, trace = _minimize(
+            env, svc, region, lambda theta, lf, lg: env.burst_bits + (-lg - log_eps) / theta
         )
         try:
             kernel = math.exp(_log_kernel(env, best_t, *_stable_at(env, svc, best_t), 0))
         except OverflowError:
             kernel = math.inf
-        trace = list(zip(grid[0].tolist(), values.tolist()))
     return BoundResult(
         value=max(0.0, best_f),
         optimal_theta=best_t,
@@ -305,37 +237,33 @@ def delay_bound(
 ) -> BoundResult:
     """Smallest whole number of slots w with kernel(theta, t+w, t) <= epsilon.
 
-    On the shared log-spaced theta grid the log kernel falls linearly in
-    w, so the smallest grid w is found in closed form, as a ceiling per
-    grid point checked against the exact predicate. Golden-section
-    refinement of theta then walks w back by up to five slots, so a
-    smaller w between grid points is not missed. Time is slotted, so w is
-    an integer.
+    The log kernel theta*burst + w*lf - log gap falls linearly in w, so at
+    each theta it meets log epsilon from the continuous slot count
+    w*(theta) = (theta*burst - log gap - log epsilon) / (-lf) on. That is
+    a convex positive numerator over a concave positive denominator, hence
+    quasiconvex in theta, and one bounded Brent search minimizes it. Time
+    is slotted, so w = ceil(min w*), stepped up against the kernel at the
+    optimal theta only if rounding requires it.
     """
     region = _checked_region(env, svc, query, "delay")
     log_eps = math.log(query.epsilon)
 
-    grid = _stable_grid_objective(env, svc, _theta_grid(region))
+    def slots(theta: float, lf: float, lg: float) -> float:
+        return math.inf if lf == 0.0 else (theta * env.burst_bits - lg - log_eps) / -lf
 
-    def refined(w: int):
-        return _minimize(
-            env, svc, grid, lambda theta, lf, lg: _log_kernel(env, theta, lf, lg, w)
-        )
-
-    w = _grid_slot_count(env, grid, log_eps)
-    # Grid resolution can overshoot by a slot; let refinement walk back.
-    for _ in range(5):
-        if w == 0 or refined(w - 1)[1] > log_eps:
-            break
-        w -= 1
-
-    best_t, best_f, values = refined(w)
+    best_t, best_w, trace = _minimize(env, svc, region, slots)
+    stable = _stable_at(env, svc, best_t)
+    w = math.ceil(min(best_w, 2.0**40 + 1))
+    while w <= 2**40 and _log_kernel(env, best_t, *stable, w) > log_eps:
+        w += 1
+    if w > 2**40:
+        raise RuntimeError("delay search exceeded 2^40 slots; epsilon unreachable")
     return BoundResult(
-        value=int(w),
+        value=w,
         optimal_theta=best_t,
-        kernel_at_optimum=math.exp(best_f),
+        kernel_at_optimum=math.exp(_log_kernel(env, best_t, *stable, w)),
         stability=region,
         epsilon=query.epsilon,
         kind="delay",
-        trace=list(zip(grid[0].tolist(), values.tolist())),
+        trace=trace,
     )

@@ -401,15 +401,21 @@ def rows_to_json(rows: list[ResultRow], scenario: Scenario) -> str:
         "tool": "linkbound",
         "version": __version__,
         "scenario": scenario_hash(scenario),
-        "rows": [asdict(r) for r in rows],
+        "rows": [
+            {k: _json_value(v) for k, v in asdict(r).items()} for r in rows
+        ],
     }
-    return json.dumps(doc, sort_keys=True, indent=2, default=_json_default) + "\n"
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def _json_default(value):
-    if isinstance(value, float) and math.isinf(value):
-        return "inf"
-    raise TypeError(f"not JSON serializable: {value!r}")
+def _json_value(value):
+    """Non-finite floats as the strings the CSV writer prints ("inf").
+
+    Strict JSON has no Infinity or NaN.
+    """
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(value)
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:

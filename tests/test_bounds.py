@@ -5,11 +5,26 @@ import pytest
 
 import linkbound as lb
 from linkbound.bounds import (
-    _grid_slot_count,
-    _stable_grid_objective,
-    _theta_grid,
+    EXTEND_THETA_CAP,
+    SCAN_THETA_FLOOR,
+    _log_kernel,
+    _stable_at,
     log_kernel_bound,
 )
+
+
+def _counting_service(monkeypatch, channel, exact):
+    """A fresh service and the list of thetas its per-slot misses compute."""
+    svc = lb.ServiceCharacterization(channel, exact=exact)
+    probes = []
+    real = svc._compute_log
+
+    def counting(theta):
+        probes.append(theta)
+        return real(theta)
+
+    monkeypatch.setattr(svc, "_compute_log", counting)
+    return svc, probes
 
 
 class TestBoundQuery:
@@ -94,17 +109,9 @@ class TestStabilityRegion:
         # Floor, cap and a geometric bisection of 16 decades down to 1e-6
         # make 28 per-slot evaluations.
         chan = lb.ShadowingChannel(25.0, 8.0, 500e6, slot_seconds)
-        svc = lb.ServiceCharacterization(chan, exact=exact)
+        svc, probes = _counting_service(monkeypatch, chan, exact)
         if not exact:
             svc._ensure_table()
-        probes = []
-        real = svc._compute_log
-
-        def counting(theta):
-            probes.append(theta)
-            return real(theta)
-
-        monkeypatch.setattr(svc, "_compute_log", counting)
         env = lb.AffineEnvelope(0.0, 1e9 * slot_seconds)
         region = lb.stability_region(env, svc)
         assert not region.is_empty and not region.unbounded_above
@@ -204,19 +211,12 @@ class TestDelayBound:
             assert res.kernel_at_optimum <= eps * (1.0 + 1e-9)
 
     def test_minimality(self, gbps_env, operating_svc):
-        # One slot less must violate the target on the kernel.
+        # One slot less must violate the target at every theta of a dense grid.
         res = lb.delay_bound(gbps_env, operating_svc, lb.BoundQuery(1e-6, "delay"))
         w = res.value
         assert w >= 1
-        lower = min(obj for _, obj in res.trace)  # inner objective at w
-        thetas = np.asarray([t for t, _ in res.trace])
-        lps = np.asarray(
-            [operating_svc.log_per_slot_bound(float(t)) for t in thetas]
-        )
-        # Recompute the inner objective at w-1 on the same grid.
-        gaps = np.asarray([obj - w * l for (t, obj), l in zip(res.trace, lps)])
-        at_w_minus_1 = float(np.min(gaps + (w - 1) * lps))
-        assert at_w_minus_1 > math.log(1e-6)
+        for theta in np.geomspace(SCAN_THETA_FLOOR, res.stability.theta_upper, 2000).tolist():
+            assert log_kernel_bound(gbps_env, operating_svc, theta, w - 1, 0) > math.log(1e-6)
 
     def test_sigma_non_decreasing(self, gbps_env):
         values = []
@@ -238,7 +238,7 @@ class TestDelayBound:
 
     @pytest.mark.parametrize("exact", [False, True], ids=["discretized", "limit"])
     def test_zero_rate(self, operating_channel, operating_svc, exact):
-        # Every theta is stable; the search grid stops at the extension cap.
+        # Every theta is stable; the search stops at the extension cap.
         svc = lb.ServiceCharacterization(operating_channel, exact=True) if exact else operating_svc
         for burst, eps, slots in ((0.0, 1e-1, 1), (0.0, 1e-6, 1), (1e9, 1e-1, 1), (1e9, 1e-6, 3)):
             res = lb.delay_bound(lb.AffineEnvelope(burst, 0.0), svc, lb.BoundQuery(eps, "delay"))
@@ -264,31 +264,6 @@ class TestDelayBound:
             lb.delay_bound(gbps_env, operating_svc, lb.BoundQuery(1e-3, "backlog"))
 
 
-def _searched_slot_count(grid, burst, log_eps):
-    """The exponential-then-binary search that the closed form replaced."""
-    thetas, lps, log_gaps = grid
-    theta_burst = thetas * burst
-
-    def inner_grid(w):
-        return float(np.min(theta_burst + w * lps - log_gaps))
-
-    if inner_grid(0) <= log_eps:
-        return 0
-    hi_w = 1
-    while inner_grid(hi_w) > log_eps:
-        hi_w *= 2
-        if hi_w > 2**40:
-            raise RuntimeError("delay search exceeded 2^40 slots; epsilon unreachable")
-    lo_w = hi_w // 2
-    while hi_w - lo_w > 1:
-        mid = (lo_w + hi_w) // 2
-        if inner_grid(mid) <= log_eps:
-            hi_w = mid
-        else:
-            lo_w = mid
-    return hi_w
-
-
 def _mean_capacity(channel):
     z, weights = np.polynomial.hermite_e.hermegauss(64)
     snr = channel.median_snr * 10.0 ** (channel.sigma_db * z / 10.0)
@@ -298,21 +273,44 @@ def _mean_capacity(channel):
 
 
 @pytest.mark.parametrize("slot_seconds", [1.0, 1e-3])
+@pytest.mark.parametrize("exact", [False, True], ids=["table", "exact"])
+def test_bound_probe_count(monkeypatch, slot_seconds, exact):
+    # With the stability edge known, each cold bound is one Brent search.
+    chan = lb.ShadowingChannel(25.0, 8.0, 500e6, slot_seconds)
+    env = lb.AffineEnvelope(0.0, 1e9 * slot_seconds)
+    for kind, bound in (("backlog", lb.backlog_bound), ("delay", lb.delay_bound)):
+        svc, probes = _counting_service(monkeypatch, chan, exact)
+        lb.stability_region(env, svc)
+        probes.clear()
+        bound(env, svc, lb.BoundQuery(1e-3, kind))
+        assert 0 < len(probes) <= 40, (kind, len(probes))
+
+
+@pytest.mark.parametrize("slot_seconds", [1.0, 1e-3])
 @pytest.mark.parametrize("gain, sigma", [(10.0, 2.0), (18.0, 4.0), (25.0, 8.0), (30.0, 6.0)])
-def test_closed_form_slot_count_matches_search(gain, sigma, slot_seconds):
+def test_bounds_match_dense_grid(gain, sigma, slot_seconds):
     # Millisecond slots with a 1e9-bit burst reach delays of hundreds of slots.
     chan = lb.ShadowingChannel(gain, sigma, 500e6, slot_seconds)
-    svc = lb.ServiceCharacterization(chan, exact=True)
     counts = []
-    for load in (0.1, 0.5, 0.9):
-        rate = load * _mean_capacity(chan)
-        region = lb.stability_region(lb.AffineEnvelope(0.0, rate), svc)
-        for burst in (0.0, 1e9):
-            env = lb.AffineEnvelope(burst, rate)
-            grid = _stable_grid_objective(env, svc, _theta_grid(region))
-            assert grid[0].size == 200
-            for eps in (1e-1, 1e-3, 1e-6, 1e-9):
-                w = _grid_slot_count(env, grid, math.log(eps))
-                assert w == _searched_slot_count(grid, burst, math.log(eps))
-                counts.append(w)
+    for exact in (False, True):
+        svc = lb.ServiceCharacterization(chan, exact=exact)
+        for load in (0.1, 0.5, 0.9):
+            rate = load * _mean_capacity(chan)
+            region = lb.stability_region(lb.AffineEnvelope(0.0, rate), svc)
+            hi = min(region.theta_upper, EXTEND_THETA_CAP)
+            for burst in (0.0, 1e9):
+                env = lb.AffineEnvelope(burst, rate)
+                # Every grid theta is stable: _stable_at returns a pair.
+                grid = [(t, *_stable_at(env, svc, t))
+                        for t in np.geomspace(SCAN_THETA_FLOOR, hi, 2000).tolist()]
+                for eps in (1e-1, 1e-3, 1e-6, 1e-9):
+                    log_eps = math.log(eps)
+                    backlog = lb.backlog_bound(env, svc, lb.BoundQuery(eps, "backlog")).value
+                    grid_min = min(burst + (-lg - log_eps) / t for t, lf, lg in grid)
+                    assert backlog <= grid_min * (1.0 + 1e-9)
+                    w = lb.delay_bound(env, svc, lb.BoundQuery(eps, "delay")).value
+                    grid_w = min(math.ceil((t * burst - lg - log_eps) / -lf) for t, lf, lg in grid)
+                    assert w <= grid_w
+                    assert all(_log_kernel(env, t, lf, lg, w - 1) > log_eps for t, lf, lg in grid)
+                    counts.append(w)
     assert len(set(counts)) >= 5

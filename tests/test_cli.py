@@ -310,6 +310,20 @@ class TestMain:
         doc = json.loads(capsys.readouterr().out)
         assert doc["tool"] == "linkbound"
 
+    def test_json_is_strict_for_zero_rate(self, tmp_path, capsys):
+        # A zero-rate backlog row has an infinite optimal theta and edge.
+        doc = base_doc(arrival={"rate_gbps": 0.0, "burst_bits": 0.0},
+                       discretization={"delta": "limit"})
+        path = self.write_scenario(tmp_path, doc)
+        assert main(["--scenario", path, "--format", "json"]) == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        out = json.loads(capsys.readouterr().out, parse_constant=reject)
+        for row in out["rows"]:
+            assert row["optimal_theta"] == row["theta_upper"] == "inf"
+
 
 BUNDLED = sorted((pathlib.Path(__file__).resolve().parents[1] / "scenarios").glob("*.json"))
 
