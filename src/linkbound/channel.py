@@ -134,14 +134,27 @@ def snr_cdf(channel: ShadowingChannel, x):
     return out
 
 
+def _snr_from_normals(channel: ShadowingChannel, z: np.ndarray) -> np.ndarray:
+    """Overwrite standard normals z with linear SNR in place and return z.
+
+    The SNR is exp(DB_TO_LN * (mean_snr_db - sigma_db * z)). sample_snr
+    and the simulator both draw through this one transform, so a stream
+    redrawn through sample_snr gives the simulator's samples bit for bit.
+    """
+    np.multiply(z, channel.sigma_db, out=z)
+    np.subtract(channel.mean_snr_db, z, out=z)
+    np.multiply(z, DB_TO_LN, out=z)
+    return np.exp(z, out=z)
+
+
 def sample_snr(channel: ShadowingChannel, rng: np.random.Generator, size=None):
     """Draw independent linear-SNR samples, median * 10^(-xi/10), xi ~ N(0, sigma^2).
 
     The generator is the only mutated state; a fixed (seed, call sequence)
     reproduces samples bit-for-bit.
     """
-    xi = rng.standard_normal(size) * channel.sigma_db
-    return channel.median_snr * 10.0 ** (-xi / 10.0)
+    z = np.asarray(rng.standard_normal(size))
+    return _snr_from_normals(channel, z)[()]
 
 
 def capacity_bits_per_slot(channel: ShadowingChannel, gamma):

@@ -5,23 +5,33 @@ backlog by the max(., 0) recursion from an empty buffer, and reads the
 backlog at the horizon. The virtual delay of the data present at the
 horizon is the number of additional slots of fresh service needed to
 drain that backlog, which under FCFS equals the first w with
-D(0, t+w) >= A(0, t). Replications use independent child streams derived
-from (master_seed, replication index), so the order in which they run
-cannot change any sample.
+D(0, t+w) >= A(0, t).
+
+Replications are evaluated in blocks of rows, one row per replication,
+with each array operation applied to the whole block at once. Every row
+still draws from its own child stream derived from (master_seed,
+replication index), in the same order as a lone replication would, and
+the arithmetic on a row does not depend on the rows beside it, so no
+sample depends on the block size or on the order in which replications
+run.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .arrival import AffineEnvelope, generate_arrivals
-from .channel import ShadowingChannel, capacity_bits_per_slot, sample_snr
+from .channel import ShadowingChannel, _snr_from_normals
 
 DELAY_SEARCH_CAP = 10_000
 _DRAIN_CHUNK = 256
+# Slots held by one block buffer (1 MiB of float64); a block has
+# _BLOCK_CELLS // max(horizon, _DRAIN_CHUNK) rows, at least one.
+_BLOCK_CELLS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -37,6 +47,8 @@ class SimConfig:
             raise ValueError("horizon_slots must be at least 1")
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
+        if self.master_seed < 0:
+            raise ValueError("master_seed must be non-negative")
 
 
 def replication_rng(master_seed: int, index: int) -> np.random.Generator:
@@ -50,24 +62,78 @@ def replication_rng(master_seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def _drain_slots(
-    channel: ShadowingChannel, backlog_bits: float, rng: np.random.Generator
-) -> tuple[int, bool]:
-    """Slots of fresh service needed to clear backlog_bits; (slots, censored)."""
-    if backlog_bits <= 0.0:
-        return 0, False
-    drained = 0.0
+def _draw_service(channel: ShadowingChannel, rngs, out: np.ndarray) -> None:
+    """Fill row i of out with service bits from rngs[i], in place.
+
+    The operations and their order are those of
+    capacity_bits_per_slot(channel, sample_snr(channel, rng, n)), so a
+    stream redrawn through those functions gives the same bits.
+    """
+    for row, rng in zip(out, rngs):
+        rng.standard_normal(out=row)
+    _snr_from_normals(channel, out)
+    np.log1p(out, out=out)
+    out *= channel.bits_per_nat
+
+
+def _drain(
+    channel: ShadowingChannel, rngs, backlog: np.ndarray, buf: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Slots of fresh service that clear each backlog: (delays, censored).
+
+    Rows with a positive backlog draw _DRAIN_CHUNK slots at a time from
+    their own generators until the cumulative service reaches the backlog
+    or DELAY_SEARCH_CAP slots have been drawn; buf holds one round.
+    """
+    delay = np.zeros(backlog.size, dtype=np.int64)
+    live = np.flatnonzero(backlog > 0.0)
+    drained = np.zeros(live.size)
     w = 0
-    while w < DELAY_SEARCH_CAP:
-        block = min(_DRAIN_CHUNK, DELAY_SEARCH_CAP - w)
-        service = capacity_bits_per_slot(channel, sample_snr(channel, rng, block))
-        cum = drained + np.cumsum(service)
-        hit = np.nonzero(cum >= backlog_bits)[0]
-        if hit.size:
-            return w + int(hit[0]) + 1, False
-        drained = float(cum[-1])
-        w += block
-    return DELAY_SEARCH_CAP, True
+    while live.size and w < DELAY_SEARCH_CAP:
+        width = min(_DRAIN_CHUNK, DELAY_SEARCH_CAP - w)
+        cum = buf[: live.size * width].reshape(live.size, width)
+        _draw_service(channel, [rngs[i] for i in live], cum)
+        np.cumsum(cum, axis=1, out=cum)
+        cum += drained[:, None]
+        hit = cum >= backlog[live, None]
+        first = hit.argmax(axis=1)
+        done = hit[np.arange(live.size), first]
+        delay[live[done]] = w + first[done] + 1
+        drained = cum[~done, -1]
+        live = live[~done]
+        w += width
+    delay[live] = DELAY_SEARCH_CAP
+    censored = np.zeros(backlog.size, dtype=bool)
+    censored[live] = True
+    return delay, censored
+
+
+def _replicate(
+    env: AffineEnvelope, channel: ShadowingChannel, horizon: int, rngs
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Replicate once per generator in rngs: (backlogs, delays, censored) arrays.
+
+    The generators are taken a block of rows at a time, and one pair of
+    buffers serves every block, so memory does not grow with their number.
+    """
+    if horizon < 1:
+        raise ValueError("horizon_slots must be at least 1")
+    rngs = iter(rngs)
+    rows = max(1, _BLOCK_CELLS // max(horizon, _DRAIN_CHUNK))
+    arrivals = generate_arrivals(env, horizon)
+    net_buf = drain_buf = None
+    blocks = []
+    while block := list(itertools.islice(rngs, rows)):
+        if net_buf is None:
+            net_buf = np.empty(len(block) * horizon)
+            drain_buf = np.empty(len(block) * _DRAIN_CHUNK)
+        net = net_buf[: len(block) * horizon].reshape(len(block), horizon)
+        _draw_service(channel, block, net)
+        np.subtract(arrivals, net, out=net)
+        np.cumsum(net, axis=1, out=net)
+        backlog = net[:, -1] - np.minimum(net.min(axis=1), 0.0)
+        blocks.append((backlog, *_drain(channel, block, backlog, drain_buf)))
+    return tuple(np.concatenate(column) for column in zip(*blocks))
 
 
 def run_replication(
@@ -82,14 +148,8 @@ def run_replication(
     The virtual delay is capped at DELAY_SEARCH_CAP; a censored sample
     counts as exceeding every finite threshold downstream.
     """
-    if horizon_slots < 1:
-        raise ValueError("horizon_slots must be at least 1")
-    arrivals = generate_arrivals(env, horizon_slots)
-    service = capacity_bits_per_slot(channel, sample_snr(channel, rng, horizon_slots))
-    net = np.cumsum(arrivals - service)
-    backlog = float(net[-1] - min(0.0, float(net.min())))
-    delay, censored = _drain_slots(channel, backlog, rng)
-    return backlog, delay, censored
+    backlog, delay, censored = _replicate(env, channel, horizon_slots, (rng,))
+    return float(backlog[0]), int(delay[0]), bool(censored[0])
 
 
 @dataclass
@@ -141,16 +201,8 @@ def run_experiment(
     Every replication seeds itself from (master_seed, index), so the
     outcome is identical for any execution order.
     """
-    n = config.replications
-    backlog = np.empty(n)
-    delay = np.empty(n, dtype=np.int64)
-    censored = np.zeros(n, dtype=bool)
-    for idx in range(n):
-        rng = replication_rng(config.master_seed, idx)
-        b, w, c = run_replication(env, channel, config.horizon_slots, rng)
-        backlog[idx] = b
-        delay[idx] = w
-        censored[idx] = c
+    rngs = (replication_rng(config.master_seed, i) for i in range(config.replications))
+    backlog, delay, censored = _replicate(env, channel, config.horizon_slots, rngs)
     return SimOutcome(
         backlog_samples=backlog,
         delay_samples=delay,

@@ -1,9 +1,11 @@
 """Byte-identity of the bundled scenarios' CSV tables.
 
 Each bundled scenario runs with simulation off, in its own mode, and the
-two limit-mode scenarios also run at delta = 0.01. The expected tables
-live in tests/data/. A change that moves a digit on purpose regenerates
-them with
+two limit-mode scenarios also run at delta = 0.01. The two scenarios that
+enable simulation also run with it on at 2000 replications (the count CI
+uses), which pins the Monte Carlo columns: the violation frequency and
+its Wilson half-width. The expected tables live in tests/data/. A change
+that moves a digit on purpose regenerates them with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -20,6 +22,7 @@ from linkbound.cli import Scenario, rows_to_csv, run_scenario
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DATA = ROOT / "tests" / "data"
+SIM_REPLICATIONS = 2000
 
 
 def golden_cases() -> list[tuple[str, Scenario]]:
@@ -27,6 +30,9 @@ def golden_cases() -> list[tuple[str, Scenario]]:
     cases = []
     for path in sorted((ROOT / "scenarios").glob("*.json")):
         scenario = Scenario.from_dict(json.loads(path.read_text()))
+        if scenario.simulate:
+            simulated = replace(scenario, replications=SIM_REPLICATIONS)
+            cases.append((f"{path.stem}.sim{SIM_REPLICATIONS}", simulated))
         scenario = replace(scenario, simulate=False)
         cases.append((path.stem, scenario))
         if scenario.delta == "limit":

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import linkbound as lb
-from linkbound.simulator import DELAY_SEARCH_CAP
+from linkbound import simulator
+from linkbound.simulator import _BLOCK_CELLS, _DRAIN_CHUNK, DELAY_SEARCH_CAP
 
 
 class TestSimConfig:
@@ -13,6 +15,10 @@ class TestSimConfig:
             lb.SimConfig(horizon_slots=0)
         with pytest.raises(ValueError):
             lb.SimConfig(replications=0)
+
+    def test_negative_seed(self):
+        with pytest.raises(ValueError, match="master_seed"):
+            lb.SimConfig(master_seed=-1)
 
 
 class TestRunReplication:
@@ -165,6 +171,92 @@ class TestRunExperiment:
             assert out.backlog_samples[idx] == b
             assert out.delay_samples[idx] == w
             assert bool(out.censored[idx]) == c
+
+
+def _block_rows(horizon: int) -> int:
+    return max(1, _BLOCK_CELLS // max(horizon, _DRAIN_CHUNK))
+
+
+def _assert_matches_replications(env, channel, cfg, out):
+    for idx in range(cfg.replications):
+        b, w, c = lb.run_replication(
+            env, channel, cfg.horizon_slots, lb.replication_rng(cfg.master_seed, idx)
+        )
+        assert out.backlog_samples[idx] == b
+        assert out.delay_samples[idx] == w
+        assert bool(out.censored[idx]) == c
+
+
+class TestBlockBoundaries:
+    """run_experiment evaluates replications in blocks of rows; every index
+    must still equal its lone replication bit for bit."""
+
+    @pytest.mark.parametrize("rate, mixed", [
+        (3.9e9, ("zero", "one_round")),
+        (4.7e9, ("one_round", "multi_round")),
+    ])
+    def test_blocks_match_replications(self, operating_channel, rate, mixed):
+        env = lb.AffineEnvelope(0.0, rate)
+        cfg = lb.SimConfig(2000, 2 * _block_rows(2000) + 3, master_seed=3)
+        out = lb.run_experiment(env, operating_channel, cfg)
+        _assert_matches_replications(env, operating_channel, cfg, out)
+        delay = out.delay_samples
+        kinds = {
+            "zero": bool(np.any(out.backlog_samples == 0.0)),
+            "one_round": bool(np.any((delay > 0) & (delay <= _DRAIN_CHUNK))),
+            "multi_round": bool(np.any(delay > _DRAIN_CHUNK)),
+        }
+        assert all(kinds[k] for k in mixed), kinds
+        assert not out.censored.any()
+
+    def test_horizon_above_block(self, operating_channel):
+        env = lb.AffineEnvelope(0.0, 3.9e9)
+        cfg = lb.SimConfig(_BLOCK_CELLS + 1, 3, master_seed=5)
+        assert _block_rows(cfg.horizon_slots) == 1
+        out = lb.run_experiment(env, operating_channel, cfg)
+        _assert_matches_replications(env, operating_channel, cfg, out)
+
+    def test_overload_censors_every_replication(self):
+        # sigma = 0 at seven times capacity: each backlog needs 12000 slots
+        # of fresh service, past the search cap.
+        chan = lb.ShadowingChannel(25.0, 0.0, 500e6, 1.0)
+        cap = lb.capacity_bits_per_slot(chan, chan.median_snr)
+        env = lb.AffineEnvelope(0.0, 7.0 * cap)
+        cfg = lb.SimConfig(2000, 2 * _block_rows(2000) + 3, master_seed=2)
+        out = lb.run_experiment(env, chan, cfg)
+        assert out.censored.all()
+        assert np.all(out.delay_samples == DELAY_SEARCH_CAP)
+        _assert_matches_replications(env, chan, cfg, out)
+
+    def test_block_size_invariance(self, operating_channel, monkeypatch):
+        env = lb.AffineEnvelope(0.0, 4.7e9)
+        cfg = lb.SimConfig(300, 40, master_seed=6)
+        reference = lb.run_experiment(env, operating_channel, cfg)
+        for cells in (1, 7 * 300, 1 << 20):
+            monkeypatch.setattr(simulator, "_BLOCK_CELLS", cells)
+            out = lb.run_experiment(env, operating_channel, cfg)
+            assert np.array_equal(out.backlog_samples, reference.backlog_samples)
+            assert np.array_equal(out.delay_samples, reference.delay_samples)
+            assert np.array_equal(out.censored, reference.censored)
+
+
+def _traced_peak(env, channel, cfg) -> int:
+    tracemalloc.start()
+    try:
+        lb.run_experiment(env, channel, cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_experiment_memory_is_one_block(operating_channel):
+    # One block buffer is 1 MiB; holding every replication's path at once
+    # would take 16 MiB for 1000 replications and 64 MiB for 4000.
+    env = lb.AffineEnvelope(0.0, 3.9e9)
+    small = _traced_peak(env, operating_channel, lb.SimConfig(2000, 1000, 1))
+    large = _traced_peak(env, operating_channel, lb.SimConfig(2000, 4000, 1))
+    assert small < 4 * 2**20
+    assert large - small < 2**18
 
 
 @pytest.fixture(scope="module")
