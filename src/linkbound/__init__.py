@@ -25,7 +25,6 @@ from .channel import (
 from .inverse_moment import (
     CdfContractError,
     DiscretizationConfig,
-    QuadratureError,
     exact_inverse_moment,
     inverse_moment_bound,
     inverse_moment_bound_many,
@@ -47,7 +46,6 @@ __all__ = [
     "CdfContractError",
     "DiscretizationConfig",
     "LinkBudget",
-    "QuadratureError",
     "ServiceCharacterization",
     "ShadowingChannel",
     "SimConfig",

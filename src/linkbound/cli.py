@@ -45,7 +45,7 @@ class Scenario:
     slot_seconds: float
     rate_gbps: float
     burst_bits: float
-    delta: float | str  # grid step, or the string "limit" for quadrature mode
+    delta: float | str  # grid step, or the string "limit" for exact mode
     kind: str
     epsilons: tuple
     sweep_axis: str
@@ -88,6 +88,12 @@ class Scenario:
         for eps in self.epsilons:
             if not 0 < eps < 1:
                 raise ScenarioError("epsilons must lie strictly between 0 and 1")
+        if self.replications < 1:
+            raise ScenarioError("sim.replications must be at least 1")
+        if self.seed < 0:
+            raise ScenarioError("sim.seed must be non-negative")
+        if self.horizon_slots < 1:
+            raise ScenarioError("sim.horizon_slots must be at least 1")
         if self.sweep_axis != "none":
             grid = self.sweep_grid
             if not grid:
@@ -100,12 +106,6 @@ class Scenario:
                     _point_scenario(unswept, self.sweep_axis, value).validate()
                 except ScenarioError as exc:
                     raise ScenarioError(f"sweep.grid value {value}: {exc}") from exc
-        if self.replications < 1:
-            raise ScenarioError("sim.replications must be at least 1")
-        if self.seed < 0:
-            raise ScenarioError("sim.seed must be non-negative")
-        if self.horizon_slots < 1:
-            raise ScenarioError("sim.horizon_slots must be at least 1")
 
     def to_dict(self) -> dict:
         return {

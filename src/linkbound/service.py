@@ -4,12 +4,14 @@ One slot of service carries bits_per_nat * ln(1 + SNR) bits, so
 E[exp(-theta * S)] over independent slots factors into per-slot inverse
 moments with composite exponent theta * bits_per_nat. The per-slot factor
 is bounded from above via the discretized inverse-moment machinery (or
-its exact quadrature limit in step -> 0 mode) and the n-slot bound is
-that factor to the n-th power, carried in the log domain.
+its exact step -> 0 limit, by a fixed-step trapezoid rule) and the n-slot
+bound is that factor to the n-th power, carried in the log domain.
 
 The per-slot factor comes from one of two routes, each for every exponent:
 
-  * exact mode: the quadrature inverse moment;
+  * exact mode: the exact inverse moment, by a trapezoid rule of fixed
+    step 0.05 in the Gaussian variable over 12 either side of the
+    log-integrand's peak, summed in the log domain;
   * discretized mode: a mass-aggregated table of the discretized grid,
     built once per service and truncated where the tail mass falls below
     the configured tolerance. It is an upper bound, looser than the
@@ -48,8 +50,8 @@ class ServiceCharacterization:
     Args:
         channel: the slotted channel offering the service.
         config: discretization controls for the per-slot bound.
-        exact: substitute the exact quadrature inverse moment for the
-            discretized bound (the step -> 0 mode).
+        exact: substitute the exact inverse moment, by the fixed-step
+            trapezoid rule, for the discretized bound (the step -> 0 mode).
 
     The memoization cache is keyed on the exact float theta, so a cached
     value always belongs to the theta asked for.

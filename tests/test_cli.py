@@ -286,6 +286,18 @@ class TestMain:
         assert main(["--scenario", self.write_scenario(tmp_path, doc)]) == 2
         assert capsys.readouterr().err.count("error: sim.seed must be non-negative") == 2
 
+    @pytest.mark.parametrize(
+        "field, value", [("seed", -1), ("replications", 0), ("horizon_slots", 0)]
+    )
+    def test_sim_error_names_no_sweep_point(self, tmp_path, capsys, field, value):
+        # A scenario-wide sim field is not blamed on the first grid value.
+        doc = base_doc(sweep={"axis": "rate", "grid": [1.0, 2.0]})
+        doc["sim"][field] = value
+        assert main(["--scenario", self.write_scenario(tmp_path, doc)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: sim.{field} must be" in err
+        assert "sweep.grid value" not in err
+
     def test_non_finite_and_non_object_scenarios_exit_code(self, tmp_path, capsys):
         doc = base_doc()
         doc["channel"]["sigma_db"] = float("nan")
@@ -337,7 +349,7 @@ def test_bundled_scenarios_parse():
 
 @pytest.mark.parametrize("path", BUNDLED, ids=lambda p: p.stem)
 def test_bundled_discretized_bounds_dominate_limit_mode(path):
-    # Every discretized bound is at least its quadrature-limit counterpart;
+    # Every discretized bound is at least its exact-mode counterpart;
     # scenarios that ship in limit mode run at the default step instead.
     sc = replace(Scenario.from_dict(json.loads(path.read_text())), simulate=False)
     if sc.delta == "limit":

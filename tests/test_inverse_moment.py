@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -13,7 +14,9 @@ from linkbound.inverse_moment import (
     _SLACK_TOL,
     StieltjesTable,
     _as_vectorized,
+    _lognormal_log_exact,
     _staircase_sum,
+    _trapezoid_nodes,
     truncation_point,
 )
 
@@ -172,16 +175,6 @@ class TestExactInverseMoment:
             exact = lb.exact_inverse_moment(operating_channel, theta)
             assert abs(exact - mean) < 3.0 * se
 
-    def test_generic_cdf_path_agrees_with_gaussian_path(self, operating_channel):
-        class Wrapper:
-            def __init__(self, chan):
-                self.cdf = lambda x: lb.snr_cdf(chan, x)
-
-        for theta in (0.5, 2.0):
-            a = lb.exact_inverse_moment(operating_channel, theta)
-            b = lb.exact_inverse_moment(Wrapper(operating_channel), theta)
-            assert b == pytest.approx(a, rel=1e-6)
-
     @pytest.mark.parametrize(
         "exponent, reference",
         # mpmath.quad at 30 digits over z in [-60, 12], split at every integer.
@@ -193,15 +186,79 @@ class TestExactInverseMoment:
         chan = lb.ShadowingChannel(25.0, 2.0, 500e6, 1.0)
         assert lb.exact_inverse_moment(chan, exponent) == pytest.approx(reference, rel=1e-6)
 
-    def test_generic_pdf_path(self):
-        class Expo:
-            @staticmethod
-            def pdf(x):
-                return math.exp(-x)
+    def test_rejects_other_distributions(self):
+        with pytest.raises(TypeError):
+            lb.exact_inverse_moment(lambda x: 1.0 - math.exp(-x), 1.0)
 
-        # E[(1+X)^-1] for X ~ Exp(1) is e * E1(1) = 0.59634736...
-        val = lb.exact_inverse_moment(Expo(), 1.0)
-        assert val == pytest.approx(0.5963473623231941, rel=1e-9)
+    @pytest.mark.parametrize(
+        "mean_db, sigma_db, exponent",
+        [(25.0, 0.5, 2.0), (25.0, 0.5, 7.2e10), (12.0, 2.0, 1e-3),
+         # The peak lies near z = -12.2, below a fixed [-10, 10] range.
+         (25.0, 2.0, 50.0), (5.0, 2.0, 300.0),
+         (25.0, 8.0, 0.5), (25.0, 8.0, 20.0), (40.0, 8.0, 7.2e10)],
+    )
+    def test_matches_mpmath(self, mean_db, sigma_db, exponent):
+        reference = mp_log_inverse_moment(mean_db, sigma_db, exponent)
+        chan = lb.ShadowingChannel(mean_db, sigma_db, 500e6, 1.0)
+        assert _lognormal_log_exact(chan, exponent) == pytest.approx(reference, rel=1e-10)
+        assert lb.exact_inverse_moment(chan, exponent) == pytest.approx(
+            max(math.exp(reference), 1e-300), rel=1e-10
+        )
+
+    def test_log_is_not_clamped(self):
+        # At 25 dB and sigma = 0.5 dB this exponent lies near the true
+        # stability edge of a 1 Gbps arrival, where the factor is exp(-2216).
+        chan = lb.ShadowingChannel(25.0, 0.5, 500e6, 1.0)
+        reference = mp_log_inverse_moment(25.0, 0.5, 1600.0)
+        assert reference < -690.0
+        log_value = _lognormal_log_exact(chan, 1600.0)
+        assert math.isfinite(log_value)
+        assert log_value == pytest.approx(reference, rel=1e-10)
+        assert lb.exact_inverse_moment(chan, 1600.0) == 1e-300
+
+    def test_step_and_window_are_certified(self):
+        # Halving the step or widening the window by 4 moves nothing that
+        # the rule reports, from the smallest exponents to the theta cap.
+        step = inverse_moment._TRAPEZOID_STEP
+        half_width = inverse_moment._TRAPEZOID_HALF_WIDTH
+        variants = (_trapezoid_nodes(step / 2, half_width),
+                    _trapezoid_nodes(step, half_width + 4.0))
+        for mean_db in (5.0, 12.0, 25.0, 40.0):
+            for sigma_db in (0.5, 2.0, 4.0, 8.0):
+                chan = lb.ShadowingChannel(mean_db, sigma_db, 500e6, 1.0)
+                for exponent in np.geomspace(1e-3, 1e11, 40):
+                    base = _lognormal_log_exact(chan, exponent)
+                    for nodes in variants:
+                        moved = _lognormal_log_exact(chan, exponent, nodes) - base
+                        assert abs(moved) <= 1e-12 * abs(base), (mean_db, sigma_db, exponent)
+
+
+def mp_log_inverse_moment(mean_db, sigma_db, exponent):
+    """ln E[(1+X)^(-exponent)] of the log-normal SNR by mpmath.quad at 30 digits.
+
+    The Gaussian variable z is integrated within 30 of the log-integrand's
+    peak, found by bisection, with a break at every integer offset.
+    """
+    with mpmath.workdps(30):
+        a = mpmath.log(10) / 10 * mean_db
+        b = mpmath.log(10) / 10 * sigma_db
+        t = mpmath.mpf(exponent)
+
+        def log_integrand(z):
+            return -z * z / 2 - t * mpmath.log1p(mpmath.exp(a + b * z))
+
+        lo, hi = -t * b, mpmath.mpf(0)
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            if -mid - t * b / (1 + mpmath.exp(-(a + b * mid))) > 0:
+                lo = mid
+            else:
+                hi = mid
+        peak = (lo + hi) / 2
+        top = log_integrand(peak)
+        value = mpmath.quad(lambda z: mpmath.exp(log_integrand(z) - top),
+                            [peak + k for k in range(-30, 31)])
+        return float(top + mpmath.log(value) - mpmath.log(2 * mpmath.pi) / 2)
 
 
 def scalar_truncation_point(cdf, theta, config):
