@@ -2,11 +2,17 @@
 
 A scenario is a JSON document selecting a channel, an arrival flow, a
 discretization mode, a bound query, one sweep axis, and optional
-simulation settings. Unit conversions live here and nowhere else:
-arrival rates enter in Gbps and become bits per slot; delay bounds leave
-in seconds. Sweep points are evaluated one after another in sweep-index
-order on the calling thread, output rows follow that order, and a fixed
-scenario plus seed yields a byte-identical table.
+simulation settings. ``_FIELDS`` is its schema: each field's JSON section
+and key, cast, default and range rule are written there once, and
+parsing, serialization and the per-field checks loop over it. An unknown
+section or key is an error, and so is a ``channel.link_budget`` given
+beside ``mean_snr_db`` or ``bandwidth_hz``.
+
+Unit conversions live here and nowhere else: arrival rates enter in Gbps
+and become bits per slot; delay bounds leave in seconds. Sweep points are
+evaluated one after another in sweep-index order on the calling thread,
+output rows follow that order, and a fixed scenario plus seed yields a
+byte-identical table.
 """
 
 from __future__ import annotations
@@ -16,7 +22,8 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass, fields, replace
+from typing import Any, Callable
 
 import numpy as np
 
@@ -28,16 +35,128 @@ from .inverse_moment import DiscretizationConfig
 from .service import ServiceCharacterization
 from .simulator import SimConfig, run_experiment
 
-SWEEP_AXES = ("none", "rate", "gain", "sigma", "epsilon")
-
 
 class ScenarioError(ValueError):
     """Scenario file or flag contents failed validation."""
 
 
+def _number(value) -> float:
+    # JSON numbers only: float() would also take true and "1.0".
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _floats(values) -> tuple:
+    return tuple(_number(v) for v in values)
+
+
+def _boolean(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
+def _integer(value) -> int:
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise TypeError(f"expected an integer, got {value!r}")
+
+
+# Range rules, keyed by the words their error message prints.
+_RULES: dict[str, Callable[[Any], bool]] = {
+    "non-negative": lambda v: v >= 0,
+    "positive": lambda v: v > 0,
+    "at least 1": lambda v: v >= 1,
+    "positive or 'limit'": lambda v: v == "limit" or (not isinstance(v, str) and v > 0),
+}
+
+_REQUIRED = object()
+
+
+@dataclass(frozen=True)
+class _Field:
+    """Where one Scenario attribute lives in a scenario document."""
+
+    attr: str
+    section: str
+    key: str
+    cast: Callable[[Any], Any]
+    default: Any = _REQUIRED
+    rule: str | None = None  # a key of _RULES
+
+    def pull(self, section: dict):
+        if self.key not in section:
+            if self.default is _REQUIRED:
+                raise ScenarioError(f"missing field '{self.section}.{self.key}'")
+            return self.default
+        try:
+            return self.cast(section[self.key])
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ScenarioError(f"invalid field '{self.section}.{self.key}': {exc}") from exc
+
+
+# The scenario schema. A section is required when one of its fields is.
+_FIELDS = (
+    _Field("mean_snr_db", "channel", "mean_snr_db", _number),
+    _Field("sigma_db", "channel", "sigma_db", _number, rule="non-negative"),
+    _Field("bandwidth_hz", "channel", "bandwidth_hz", _number, rule="positive"),
+    _Field("slot_seconds", "channel", "slot_seconds", _number, 1.0, "positive"),
+    _Field("rate_gbps", "arrival", "rate_gbps", _number, rule="non-negative"),
+    _Field("burst_bits", "arrival", "burst_bits", _number, 0.0, "non-negative"),
+    _Field("delta", "discretization", "delta",
+           lambda v: v if isinstance(v, str) else _number(v), 1e-2, "positive or 'limit'"),
+    _Field("kind", "query", "kind", str),
+    _Field("epsilons", "query", "epsilons", _floats, ()),
+    _Field("sweep_axis", "sweep", "axis", str, "none"),
+    _Field("sweep_grid", "sweep", "grid", _floats, ()),
+    _Field("simulate", "sim", "enabled", _boolean, False),
+    _Field("replications", "sim", "replications", _integer, 10000, "at least 1"),
+    _Field("seed", "sim", "seed", _integer, 0, "non-negative"),
+    _Field("horizon_slots", "sim", "horizon_slots", _integer, 2000, "at least 1"),
+)
+
+# Sweep axis -> the Scenario attribute that each grid value replaces.
+_AXIS_FIELDS = {"none": None, "rate": "rate_gbps", "gain": "mean_snr_db",
+                "sigma": "sigma_db", "epsilon": "epsilons"}
+
+
+def _reject_unknown(mapping: dict, known, where: str) -> None:
+    for key in mapping:
+        if key not in known:
+            raise ScenarioError(
+                f"unknown field '{where}.{key}'; expected one of {', '.join(known)}")
+
+
+def _resolve_link_budget(chan: dict) -> dict:
+    """The channel section with its link_budget replaced by the mean SNR and
+    bandwidth that the budget implies."""
+    if "link_budget" not in chan:
+        return chan
+    for key in ("mean_snr_db", "bandwidth_hz"):
+        if key in chan:
+            raise ScenarioError(f"channel.link_budget conflicts with channel.{key}")
+    lb = chan["link_budget"]
+    if not isinstance(lb, dict):
+        raise ScenarioError("invalid channel.link_budget: expected an object")
+    names = [f.name for f in fields(LinkBudget)]
+    _reject_unknown(lb, names, "channel.link_budget")
+    try:
+        budget = LinkBudget(**{name: _number(lb[name]) for name in names})
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ScenarioError(f"invalid channel.link_budget: {exc}") from exc
+    rest = {k: v for k, v in chan.items() if k != "link_budget"}
+    return {**rest, "mean_snr_db": system_gain_db(budget), "bandwidth_hz": budget.bandwidth_hz}
+
+
 @dataclass(frozen=True)
 class Scenario:
-    """One experiment description; see the bundled scenarios/ files."""
+    """One experiment description; see the bundled scenarios/ files.
+
+    ``_FIELDS`` gives each attribute's JSON path, cast, default and range.
+    """
 
     mean_snr_db: float
     sigma_db: float
@@ -50,50 +169,28 @@ class Scenario:
     epsilons: tuple
     sweep_axis: str
     sweep_grid: tuple
-    simulate: bool = False
-    replications: int = 10000
-    seed: int = 0
-    horizon_slots: int = 2000
+    simulate: bool
+    replications: int
+    seed: int
+    horizon_slots: int
 
     def validate(self) -> None:
-        delta = () if isinstance(self.delta, str) else (self.delta,)
-        numbers = (self.mean_snr_db, self.sigma_db, self.bandwidth_hz, self.slot_seconds,
-                   self.rate_gbps, self.burst_bits, *delta, *self.epsilons, *self.sweep_grid)
-        if not all(math.isfinite(v) for v in numbers):
+        values = [getattr(self, f.attr) for f in _FIELDS]
+        flat = [x for v in values for x in (v if isinstance(v, tuple) else (v,))]
+        if any(isinstance(x, float) and not math.isfinite(x) for x in flat):
             raise ScenarioError("scenario numbers must be finite")
-        if self.sigma_db < 0:
-            raise ScenarioError("channel.sigma_db must be non-negative")
-        if self.bandwidth_hz <= 0:
-            raise ScenarioError("channel.bandwidth_hz must be positive")
-        if self.slot_seconds <= 0:
-            raise ScenarioError("channel.slot_seconds must be positive")
-        if self.rate_gbps < 0:
-            raise ScenarioError("arrival.rate_gbps must be non-negative")
-        if self.burst_bits < 0:
-            raise ScenarioError("arrival.burst_bits must be non-negative")
-        if isinstance(self.delta, str):
-            if self.delta != "limit":
-                raise ScenarioError("discretization.delta must be a number or 'limit'")
-        elif self.delta <= 0:
-            raise ScenarioError("discretization.delta must be positive")
+        for f, value in zip(_FIELDS, values):
+            if f.rule is not None and not _RULES[f.rule](value):
+                raise ScenarioError(f"{f.section}.{f.key} must be {f.rule}")
         if self.kind not in ("backlog", "delay"):
             raise ScenarioError("query.kind must be 'backlog' or 'delay'")
-        if self.sweep_axis not in SWEEP_AXES:
-            raise ScenarioError(f"sweep.axis must be one of {SWEEP_AXES}")
-        if self.sweep_axis == "epsilon":
-            if not self.sweep_grid:
-                raise ScenarioError("sweep.grid must be non-empty")
-        elif not self.epsilons:
+        if self.sweep_axis not in _AXIS_FIELDS:
+            raise ScenarioError(f"sweep.axis must be one of {tuple(_AXIS_FIELDS)}")
+        if self.sweep_axis != "epsilon" and not self.epsilons:
             raise ScenarioError("query.epsilons must be non-empty")
         for eps in self.epsilons:
             if not 0 < eps < 1:
                 raise ScenarioError("epsilons must lie strictly between 0 and 1")
-        if self.replications < 1:
-            raise ScenarioError("sim.replications must be at least 1")
-        if self.seed < 0:
-            raise ScenarioError("sim.seed must be non-negative")
-        if self.horizon_slots < 1:
-            raise ScenarioError("sim.horizon_slots must be at least 1")
         if self.sweep_axis != "none":
             grid = self.sweep_grid
             if not grid:
@@ -108,119 +205,39 @@ class Scenario:
                     raise ScenarioError(f"sweep.grid value {value}: {exc}") from exc
 
     def to_dict(self) -> dict:
-        return {
-            "channel": {
-                "mean_snr_db": self.mean_snr_db,
-                "sigma_db": self.sigma_db,
-                "bandwidth_hz": self.bandwidth_hz,
-                "slot_seconds": self.slot_seconds,
-            },
-            "arrival": {"rate_gbps": self.rate_gbps, "burst_bits": self.burst_bits},
-            "discretization": {"delta": self.delta},
-            "query": {"kind": self.kind, "epsilons": list(self.epsilons)},
-            "sweep": {"axis": self.sweep_axis, "grid": list(self.sweep_grid)},
-            "sim": {
-                "enabled": self.simulate,
-                "replications": self.replications,
-                "seed": self.seed,
-                "horizon_slots": self.horizon_slots,
-            },
-        }
+        doc: dict = {}
+        for f in _FIELDS:
+            value = getattr(self, f.attr)
+            doc.setdefault(f.section, {})[f.key] = (
+                list(value) if isinstance(value, tuple) else value)
+        return doc
 
     @staticmethod
     def from_dict(doc: dict) -> "Scenario":
         if not isinstance(doc, dict):
             raise ScenarioError("a scenario must be a JSON object")
-
-        def section(name, required=True):
+        schema: dict[str, list[_Field]] = {}
+        for f in _FIELDS:
+            schema.setdefault(f.section, []).append(f)
+        for name in doc:
+            if name not in schema:
+                raise ScenarioError(
+                    f"unknown section '{name}'; expected one of {', '.join(schema)}")
+        values = {}
+        for name, section_fields in schema.items():
             sec = doc.get(name)
             if sec is None:
-                if required:
+                if any(f.default is _REQUIRED for f in section_fields):
                     raise ScenarioError(f"missing section '{name}'")
-                return {}
+                sec = {}
             if not isinstance(sec, dict):
                 raise ScenarioError(f"section '{name}' must be an object")
-            return sec
-
-        def pull(sec, secname, key, cast, default=None, required=False):
-            if key not in sec:
-                if required:
-                    raise ScenarioError(f"missing field '{secname}.{key}'")
-                return default
-            try:
-                return cast(sec[key])
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ScenarioError(f"invalid field '{secname}.{key}': {exc}") from exc
-
-        def number(value):
-            # JSON numbers only: float() would also take true and "1.0".
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise TypeError(f"expected a number, got {value!r}")
-            return float(value)
-
-        def floats(values):
-            return tuple(number(v) for v in values)
-
-        def boolean(value):
-            if not isinstance(value, bool):
-                raise TypeError(f"expected true or false, got {value!r}")
-            return value
-
-        def integer(value):
-            if isinstance(value, float) and value.is_integer():
-                return int(value)
-            if isinstance(value, int) and not isinstance(value, bool):
-                return value
-            raise TypeError(f"expected an integer, got {value!r}")
-
-        chan = section("channel")
-        if "link_budget" in chan:
-            lb = chan["link_budget"]
-            try:
-                budget = LinkBudget(
-                    transmit_power_dbm=number(lb["transmit_power_dbm"]),
-                    antenna_gain_tx_db=number(lb["antenna_gain_tx_db"]),
-                    antenna_gain_rx_db=number(lb["antenna_gain_rx_db"]),
-                    noise_density_dbm_per_mhz=number(lb["noise_density_dbm_per_mhz"]),
-                    bandwidth_hz=number(lb["bandwidth_hz"]),
-                    distance_m=number(lb["distance_m"]),
-                    pathloss_intercept_db=number(lb["pathloss_intercept_db"]),
-                    pathloss_exponent=number(lb["pathloss_exponent"]),
-                )
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise ScenarioError(f"invalid channel.link_budget: {exc}") from exc
-            mean_snr = system_gain_db(budget)
-            bandwidth = budget.bandwidth_hz
-        else:
-            mean_snr = pull(chan, "channel", "mean_snr_db", number, required=True)
-            bandwidth = pull(chan, "channel", "bandwidth_hz", number, required=True)
-
-        arr = section("arrival")
-        disc = section("discretization", required=False)
-        query = section("query")
-        sweep = section("sweep", required=False)
-        sim = section("sim", required=False)
-
-        delta = pull(disc, "discretization", "delta",
-                     lambda v: v if isinstance(v, str) else number(v), 1e-2)
-
-        scenario = Scenario(
-            mean_snr_db=mean_snr,
-            sigma_db=pull(chan, "channel", "sigma_db", number, required=True),
-            bandwidth_hz=bandwidth,
-            slot_seconds=pull(chan, "channel", "slot_seconds", number, 1.0),
-            rate_gbps=pull(arr, "arrival", "rate_gbps", number, required=True),
-            burst_bits=pull(arr, "arrival", "burst_bits", number, 0.0),
-            delta=delta,
-            kind=pull(query, "query", "kind", str, required=True),
-            epsilons=pull(query, "query", "epsilons", floats, ()),
-            sweep_axis=pull(sweep, "sweep", "axis", str, "none"),
-            sweep_grid=pull(sweep, "sweep", "grid", floats, ()),
-            simulate=pull(sim, "sim", "enabled", boolean, False),
-            replications=pull(sim, "sim", "replications", integer, 10000),
-            seed=pull(sim, "sim", "seed", integer, 0),
-            horizon_slots=pull(sim, "sim", "horizon_slots", integer, 2000),
-        )
+            if name == "channel":
+                sec = _resolve_link_budget(sec)
+            _reject_unknown(sec, [f.key for f in section_fields], name)
+            for f in section_fields:
+                values[f.attr] = f.pull(sec)
+        scenario = Scenario(**values)
         scenario.validate()
         return scenario
 
@@ -246,15 +263,10 @@ class ResultRow:
 
 
 def _point_scenario(base: Scenario, axis: str, value: float) -> Scenario:
-    if axis == "rate":
-        return replace(base, rate_gbps=value)
-    if axis == "gain":
-        return replace(base, mean_snr_db=value)
-    if axis == "sigma":
-        return replace(base, sigma_db=value)
-    if axis == "epsilon":
-        return replace(base, epsilons=(value,))
-    return base
+    attr = _AXIS_FIELDS[axis]
+    if attr is None:
+        return base
+    return replace(base, **{attr: (value,) if attr == "epsilons" else value})
 
 
 def _point_seed(seed: int, index: int) -> int:
@@ -262,82 +274,49 @@ def _point_seed(seed: int, index: int) -> int:
     return int(state[0]) | (int(state[1]) << 32)
 
 
-def _service(point: Scenario) -> ServiceCharacterization:
-    """Service characterization of a point's channel, in its discretization mode."""
-    channel = ShadowingChannel(point.mean_snr_db, point.sigma_db, point.bandwidth_hz,
-                               point.slot_seconds)
-    if point.delta == "limit":
+def _service(channel: ShadowingChannel, delta: float | str) -> ServiceCharacterization:
+    """Service characterization of a channel in a discretization mode."""
+    if delta == "limit":
         return ServiceCharacterization(channel, exact=True)
-    return ServiceCharacterization(
-        channel, DiscretizationConfig(step_delta=float(point.delta))
-    )
+    return ServiceCharacterization(channel, DiscretizationConfig(step_delta=float(delta)))
 
 
 def _evaluate_point(point: Scenario, axis: str, value, index: int,
-                    shared_svc: ServiceCharacterization | None) -> list[ResultRow]:
-    svc = shared_svc if shared_svc is not None else _service(point)
-    channel = svc.channel
-    env = AffineEnvelope(
-        burst_bits=point.burst_bits,
-        rate_bits_per_slot=point.rate_gbps * 1e9 * point.slot_seconds,
-    )
+                    svc: ServiceCharacterization) -> list[ResultRow]:
+    """One row per epsilon of a sweep point.
 
-    rows: list[ResultRow] = []
-    results = {}
-    unstable = False
-    for eps in point.epsilons:
-        query = BoundQuery(epsilon=eps, kind=point.kind)
-        try:
-            if point.kind == "backlog":
-                results[eps] = backlog_bound(env, svc, query)
-            else:
-                results[eps] = delay_bound(env, svc, query)
-        except UnstableSystemError:
-            unstable = True
-            results[eps] = None
+    Stability does not depend on epsilon: either every bound of the point
+    exists or none does, and only a stable point is simulated, once.
+    """
+    env = AffineEnvelope(burst_bits=point.burst_bits,
+                         rate_bits_per_slot=point.rate_gbps * 1e9 * point.slot_seconds)
+    bound = backlog_bound if point.kind == "backlog" else delay_bound
+    try:
+        results = [bound(env, svc, BoundQuery(epsilon=eps, kind=point.kind))
+                   for eps in point.epsilons]
+    except UnstableSystemError:
+        return [ResultRow(axis, value, eps, point.kind, stable=False, bound=None,
+                          optimal_theta=None, theta_lower=None, theta_upper=None)
+                for eps in point.epsilons]
 
     outcome = None
-    if point.simulate and not unstable:
-        outcome = run_experiment(
-            env,
-            channel,
-            SimConfig(
-                horizon_slots=point.horizon_slots,
-                replications=point.replications,
-                master_seed=_point_seed(point.seed, index),
-            ),
-        )
+    if point.simulate:
+        config = SimConfig(horizon_slots=point.horizon_slots, replications=point.replications,
+                           master_seed=_point_seed(point.seed, index))
+        outcome = run_experiment(env, svc.channel, config)
 
-    for eps in point.epsilons:
-        res = results[eps]
-        if res is None:
-            rows.append(
-                ResultRow(axis, value, eps, point.kind, stable=False, bound=None,
-                          optimal_theta=None, theta_lower=None, theta_upper=None)
-            )
-            continue
-        if point.kind == "backlog":
-            out_value = res.value
-            out_threshold = res.value
-        else:
-            out_value = res.value * point.slot_seconds
-            out_threshold = res.value
-        row = ResultRow(
-            sweep_axis=axis,
-            sweep_value=value,
-            epsilon=eps,
-            kind=point.kind,
-            stable=True,
-            bound=out_value,
-            optimal_theta=res.optimal_theta,
-            theta_lower=res.stability.theta_lower,
-            theta_upper=res.stability.theta_upper,
-        )
+    rows: list[ResultRow] = []
+    for eps, res in zip(point.epsilons, results):
+        # res.value is in bits for backlog and in whole slots for delay.
+        violation = halfwidth = None
         if outcome is not None:
-            p_hat, half = outcome.exceedance(out_threshold, kind=point.kind)
-            row.violation = p_hat
-            row.violation_halfwidth = half
-        rows.append(row)
+            violation, halfwidth = outcome.exceedance(res.value, kind=point.kind)
+        rows.append(ResultRow(
+            axis, value, eps, point.kind, stable=True,
+            bound=res.value if point.kind == "backlog" else res.value * point.slot_seconds,
+            optimal_theta=res.optimal_theta, theta_lower=res.stability.theta_lower,
+            theta_upper=res.stability.theta_upper, violation=violation,
+            violation_halfwidth=halfwidth))
     return rows
 
 
@@ -346,33 +325,23 @@ def run_scenario(scenario: Scenario) -> list[ResultRow]:
 
     Sweep points run in sweep-index order on the calling thread; rows come
     back ordered by sweep index then by the scenario's epsilon order.
+    Consecutive points with the same channel and delta share one service
+    characterization, so its memoized per-slot factors are computed once.
     """
     scenario.validate()
     axis = scenario.sweep_axis
-    if axis == "none":
-        values = [None]
-    else:
-        values = list(scenario.sweep_grid)
-    points = [_point_scenario(scenario, axis, v) if v is not None else scenario
-              for v in values]
-
-    # A rate or epsilon sweep keeps the channel fixed: share one service
-    # characterization so its memoized transform grid is computed once.
-    shared_svc = None
-    if axis in ("rate", "epsilon", "none") or len(points) == 1:
-        shared_svc = _service(points[0])
-
+    values = [None] if axis == "none" else list(scenario.sweep_grid)
     rows: list[ResultRow] = []
-    for i, (pt, val) in enumerate(zip(points, values)):
-        rows.extend(_evaluate_point(pt, axis, val, i, shared_svc))
+    key = svc = None
+    for index, value in enumerate(values):
+        point = _point_scenario(scenario, axis, value)
+        channel = ShadowingChannel(point.mean_snr_db, point.sigma_db, point.bandwidth_hz,
+                                   point.slot_seconds)
+        if key != (channel, point.delta):
+            key = (channel, point.delta)
+            svc = _service(*key)
+        rows.extend(_evaluate_point(point, axis, value, index, svc))
     return rows
-
-
-_CSV_COLUMNS = (
-    "sweep_axis", "sweep_value", "epsilon", "kind", "stable", "bound",
-    "optimal_theta", "theta_lower", "theta_upper", "violation",
-    "violation_halfwidth",
-)
 
 
 def _fmt(value) -> str:
@@ -388,11 +357,9 @@ def _fmt(value) -> str:
 
 
 def rows_to_csv(rows: list[ResultRow], scenario: Scenario) -> str:
-    lines = [f"# linkbound {__version__} scenario={scenario_hash(scenario)} schema=1"]
-    lines.append(",".join(_CSV_COLUMNS))
-    for row in rows:
-        record = asdict(row)
-        lines.append(",".join(_fmt(record[c]) for c in _CSV_COLUMNS))
+    lines = [f"# linkbound {__version__} scenario={scenario_hash(scenario)} schema=1",
+             ",".join(f.name for f in fields(ResultRow))]
+    lines.extend(",".join(_fmt(v) for v in astuple(row)) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -425,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
         "buffered wireless link with log-normal shadowing.",
     )
     parser.add_argument("--scenario", required=True, help="path to a scenario JSON file")
-    parser.add_argument("--sweep", choices=SWEEP_AXES, help="override the sweep axis")
+    parser.add_argument("--sweep", choices=_AXIS_FIELDS, help="override the sweep axis")
     parser.add_argument("--epsilon", help="override epsilons, comma-separated")
     parser.add_argument("--delta", help="override grid step (number or 'limit')")
     parser.add_argument("--simulate", action="store_true", help="enable simulation")
@@ -437,26 +404,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(scenario: Scenario, args) -> Scenario:
-    if args.sweep is not None:
-        scenario = replace(scenario, sweep_axis=args.sweep)
+    changes = {"sweep_axis": args.sweep, "simulate": args.simulate or None,
+               "replications": args.replications, "seed": args.seed}
     if args.epsilon is not None:
         try:
-            eps = tuple(float(tok) for tok in args.epsilon.split(",") if tok.strip())
+            changes["epsilons"] = tuple(
+                float(tok) for tok in args.epsilon.split(",") if tok.strip())
         except ValueError as exc:
             raise ScenarioError(f"bad --epsilon list: {exc}") from exc
-        scenario = replace(scenario, epsilons=eps)
     if args.delta is not None:
         try:
-            delta = args.delta if args.delta == "limit" else float(args.delta)
+            changes["delta"] = args.delta if args.delta == "limit" else float(args.delta)
         except ValueError as exc:
             raise ScenarioError(f"bad --delta: {exc}") from exc
-        scenario = replace(scenario, delta=delta)
-    if args.simulate:
-        scenario = replace(scenario, simulate=True)
-    if args.replications is not None:
-        scenario = replace(scenario, replications=args.replications)
-    if args.seed is not None:
-        scenario = replace(scenario, seed=args.seed)
+    scenario = replace(scenario, **{k: v for k, v in changes.items() if v is not None})
     scenario.validate()
     return scenario
 
@@ -466,7 +427,7 @@ def main(argv=None) -> int:
     try:
         with open(args.scenario, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read scenario: {exc}", file=sys.stderr)
         return 2
     except json.JSONDecodeError as exc:
@@ -482,8 +443,12 @@ def main(argv=None) -> int:
     rows = run_scenario(scenario)
     text = (rows_to_csv if args.format == "csv" else rows_to_json)(rows, scenario)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
 

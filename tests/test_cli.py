@@ -35,6 +35,21 @@ def base_doc(**overrides):
     return doc
 
 
+def link_budget(**overrides):
+    budget = {
+        "transmit_power_dbm": 0.0,
+        "antenna_gain_tx_db": 20.0,
+        "antenna_gain_rx_db": 20.0,
+        "noise_density_dbm_per_mhz": -114.0,
+        "bandwidth_hz": 5e8,
+        "distance_m": 100.0,
+        "pathloss_intercept_db": 70.0,
+        "pathloss_exponent": 2.45,
+    }
+    budget.update(overrides)
+    return budget
+
+
 class TestScenarioParsing:
     def test_round_trip(self):
         sc = Scenario.from_dict(base_doc())
@@ -46,23 +61,26 @@ class TestScenarioParsing:
 
     def test_link_budget_channel(self):
         doc = base_doc()
-        doc["channel"] = {
-            "link_budget": {
-                "transmit_power_dbm": 0.0,
-                "antenna_gain_tx_db": 20.0,
-                "antenna_gain_rx_db": 20.0,
-                "noise_density_dbm_per_mhz": -114.0,
-                "bandwidth_hz": 5e8,
-                "distance_m": 100.0,
-                "pathloss_intercept_db": 70.0,
-                "pathloss_exponent": 2.45,
-            },
-            "sigma_db": 8.0,
-            "slot_seconds": 1.0,
-        }
+        doc["channel"] = {"link_budget": link_budget(), "sigma_db": 8.0, "slot_seconds": 1.0}
         sc = Scenario.from_dict(doc)
         assert sc.mean_snr_db == pytest.approx(8.0103, abs=1e-4)
         assert sc.bandwidth_hz == 5e8
+
+    def test_to_dict_shape(self):
+        # scenario_hash, and with it every golden CSV header, hashes this
+        # exact shape; every field here is off its default.
+        doc = {
+            "channel": {"mean_snr_db": 12.5, "sigma_db": 3.0, "bandwidth_hz": 2e8,
+                        "slot_seconds": 0.5},
+            "arrival": {"rate_gbps": 0.25, "burst_bits": 1000.0},
+            "discretization": {"delta": 0.05},
+            "query": {"kind": "delay", "epsilons": [1e-3, 1e-4]},
+            "sweep": {"axis": "rate", "grid": [0.25, 0.5]},
+            "sim": {"enabled": True, "replications": 200, "seed": 9, "horizon_slots": 300},
+        }
+        sc = Scenario.from_dict(doc)
+        assert sc.to_dict() == doc
+        assert scenario_hash(sc) == "22365080de100bc6"
 
     def test_empty_epsilons_rejected(self):
         doc = base_doc(query={"kind": "backlog", "epsilons": []})
@@ -252,21 +270,59 @@ class TestMain:
     @pytest.mark.parametrize("value", [True, "100.0"])
     def test_malformed_link_budget_exit_code(self, tmp_path, capsys, value):
         doc = base_doc()
-        doc["channel"] = {
-            "link_budget": {
-                "transmit_power_dbm": 0.0,
-                "antenna_gain_tx_db": 20.0,
-                "antenna_gain_rx_db": 20.0,
-                "noise_density_dbm_per_mhz": -114.0,
-                "bandwidth_hz": 5e8,
-                "distance_m": value,
-                "pathloss_intercept_db": 70.0,
-                "pathloss_exponent": 2.45,
-            },
-            "sigma_db": 8.0,
-        }
+        doc["channel"] = {"link_budget": link_budget(distance_m=value), "sigma_db": 8.0}
         assert main(["--scenario", self.write_scenario(tmp_path, doc)]) == 2
         assert "error: invalid channel.link_budget" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [("channel", "slot_second"), ("arrival", "burst_bit"),
+         ("discretization", "step_delta"), ("query", "epsilon"), ("sweep", "values"),
+         ("sim", "replication")],
+    )
+    def test_unknown_key_exit_code(self, tmp_path, capsys, section, key):
+        # A misspelled optional key is not read as its field's default.
+        doc = base_doc()
+        doc[section][key] = 1.0
+        assert main(["--scenario", self.write_scenario(tmp_path, doc)]) == 2
+        assert f"error: unknown field '{section}.{key}'" in capsys.readouterr().err
+
+    def test_unknown_section_exit_code(self, tmp_path, capsys):
+        doc = base_doc(discretisation={"delta": 0.5})
+        assert main(["--scenario", self.write_scenario(tmp_path, doc)]) == 2
+        assert "error: unknown section 'discretisation'" in capsys.readouterr().err
+
+    def test_unknown_link_budget_key_exit_code(self, tmp_path, capsys):
+        doc = base_doc()
+        doc["channel"] = {"link_budget": link_budget(distance=50.0), "sigma_db": 8.0}
+        assert main(["--scenario", self.write_scenario(tmp_path, doc)]) == 2
+        assert ("error: unknown field 'channel.link_budget.distance'"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("key, value", [("mean_snr_db", 40.0), ("bandwidth_hz", 1e9)])
+    def test_link_budget_conflict_exit_code(self, tmp_path, capsys, key, value):
+        # The budget used to win silently: mean_snr_db 40 ran at 8.01 dB.
+        doc = base_doc()
+        doc["channel"] = {"link_budget": link_budget(), "sigma_db": 8.0, key: value}
+        assert main(["--scenario", self.write_scenario(tmp_path, doc)]) == 2
+        assert (f"error: channel.link_budget conflicts with channel.{key}"
+                in capsys.readouterr().err)
+
+    def test_non_utf8_scenario_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        doc = base_doc()
+        doc["query"]["kind"] = "d\u00e9lai"
+        path.write_bytes(json.dumps(doc, ensure_ascii=False).encode("latin-1"))
+        assert main(["--scenario", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read scenario:") and err.count("\n") == 1
+
+    def test_unwritable_out_exit_code(self, tmp_path, capsys):
+        path = self.write_scenario(tmp_path, base_doc())
+        out = tmp_path / "missing" / "rows.csv"
+        assert main(["--scenario", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output:") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "delta, message",
