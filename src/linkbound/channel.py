@@ -17,11 +17,6 @@ from scipy import special
 # ln(10)/10 converts a dB quantity into the natural log of its linear value.
 DB_TO_LN = math.log(10.0) / 10.0
 
-# Clamp CDF output away from exact 0/1 so downstream log-domain arithmetic
-# never sees -inf.
-CDF_FLOOR = 1e-300
-CDF_CEIL = 1.0 - 1e-16
-
 
 @dataclass(frozen=True)
 class LinkBudget:
@@ -112,8 +107,9 @@ def snr_cdf(channel: ShadowingChannel, x):
 
     For sigma_db > 0 this is the log-normal CDF written through the
     complementary error function; for sigma_db == 0 it degenerates to a
-    step at the median SNR. Output is clamped to (0, 1) open so that
-    log-domain consumers never divide by an exact tail.
+    step at the median SNR, exactly 0.0 below it and 1.0 from it on. The
+    output is not clamped: far tails return exactly 0.0 or 1.0, and the
+    only floor on a per-slot factor lives in ``inverse_moment``.
 
     Accepts scalars or arrays; raises ValueError on any non-positive x.
     """
@@ -121,14 +117,12 @@ def snr_cdf(channel: ShadowingChannel, x):
     if np.any(arr <= 0.0):
         raise ValueError("snr_cdf is defined for positive SNR only")
     if channel.sigma_db == 0.0:
-        out = np.where(arr >= channel.median_snr, CDF_CEIL, CDF_FLOOR)
+        out = np.where(arr >= channel.median_snr, 1.0, 0.0)
     else:
         ln_mean = DB_TO_LN * channel.mean_snr_db
         ln_sigma = DB_TO_LN * channel.sigma_db
         arg = -(np.log(arr) - ln_mean) / (math.sqrt(2.0) * ln_sigma)
         out = 0.5 * special.erfc(arg)
-        if out.size == 0 or out.min() < CDF_FLOOR or out.max() > CDF_CEIL:
-            out = np.clip(out, CDF_FLOOR, CDF_CEIL)
     if np.ndim(x) == 0:
         return float(out)
     return out

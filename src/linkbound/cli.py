@@ -440,25 +440,27 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    rows = run_scenario(scenario)
-    text = (rows_to_csv if args.format == "csv" else rows_to_json)(rows, scenario)
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"error: cannot write output: {exc}", file=sys.stderr)
-            return 2
-    else:
-        sys.stdout.write(text)
+    # Opened before the run, as a shell redirection would be, so that an
+    # unwritable path fails at once.
+    try:
+        out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 2
+    try:
+        rows = run_scenario(scenario)
+        out.write((rows_to_csv if args.format == "csv" else rows_to_json)(rows, scenario))
+    except (ValueError, OSError) as exc:  # such as a grid step too fine for the table
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    finally:
+        if out is not sys.stdout:
+            out.close()
 
-    unstable = [r for r in rows if not r.stable]
-    for row in unstable:
-        print(
-            f"warning: sweep point {row.sweep_axis}={row.sweep_value} is unstable; "
-            "no bound exists there",
-            file=sys.stderr,
-        )
+    unstable = dict.fromkeys((r.sweep_axis, r.sweep_value) for r in rows if not r.stable)
+    for axis, value in unstable:
+        where = "the scenario" if axis == "none" else f"sweep point {axis}={value}"
+        print(f"warning: {where} is unstable; no bound exists", file=sys.stderr)
     return 1 if unstable else 0
 
 

@@ -36,6 +36,9 @@ import numpy as np
 
 from .channel import DB_TO_LN, ShadowingChannel
 
+# The only floor on a per-slot factor: every inverse moment returned here,
+# by the grid, the table or the exact rule, is clamped to [_FACTOR_FLOOR, 1].
+_FACTOR_FLOOR = 1e-300
 _CHUNK = 2_000_000
 # The truncation search also stops once survival * (1+x)^(-theta) falls
 # below this residual slack.
@@ -48,9 +51,10 @@ _MAX_REFINE_ROUNDS = 24
 # the ceiling even for pathologically heavy cdfs.
 _SEARCH_X0 = 1e-12
 _SEARCH_CEIL = 1e12
-# Passes allowed to move a guessed block start onto its exact grid cell;
-# the expm1 guess is off by at most a cell or two.
-_NUDGE_PASSES = 8
+# Passes allowed to move a guessed block start onto its exact grid cell. The
+# guess is off by about n * 2.2e-16 * log1p(n delta) cells at n cells: at
+# most 50 at 2^53 cells, the most that float cell indices resolve.
+_NUDGE_PASSES = 128
 # A table groups its blocks into segments of this width in log1p(x) and
 # sums every exponent t <= 1 / _SEGMENT_WIDTH as a power series in t about
 # each segment's left edge L, through the t^_SERIES_TERMS term. A block
@@ -86,7 +90,9 @@ class DiscretizationConfig:
             below the fixed slack 1e-12, which cuts far earlier for large
             exponents. The service's table is cut at theta = 0, where the
             survival alone decides.
-        max_terms: hard cap on the number of grid terms.
+        max_terms: hard cap on the number of terms of the reference grid
+            (``inverse_moment_bound``). The service's table does not read
+            it: a table covers every cell up to its cut.
         refine_to_limit: when set, successively halve the step (at most 24
             times) and return a step -> 0 estimate (Richardson-extrapolated),
             stopping once the estimate stabilizes to 2e-5 relative.
@@ -245,7 +251,7 @@ def _grid_sum_many(cdfv, thetas: np.ndarray, delta: float, trunc_points: np.ndar
                 end_survival = 1.0 - float(f[m - 1])
                 parts.append(end_survival * math.exp(-theta * math.log1p(right[m - 1])))
         prev_right, prev_f = float(right[-1]), float(f[-1])
-    return np.clip([math.fsum(p) for p in partials], 1e-300, 1.0)
+    return np.clip([math.fsum(p) for p in partials], _FACTOR_FLOOR, 1.0)
 
 
 def inverse_moment_bound_many(cdf, thetas, config: DiscretizationConfig) -> np.ndarray:
@@ -287,7 +293,7 @@ def inverse_moment_bound_many(cdf, thetas, config: DiscretizationConfig) -> np.n
         live[live.nonzero()[0][converged]] = False
         if not live.any():
             break
-    out[active] = np.clip(result, 1e-300, 1.0)
+    out[active] = np.clip(result, _FACTOR_FLOOR, 1.0)
     return out
 
 
@@ -299,16 +305,12 @@ def inverse_moment_bound(cdf, theta: float, config: DiscretizationConfig) -> flo
     plus the end term ``[1 - F(N delta)] * (1+N delta)^(-theta)``, with
     F(0) read as 0 and N fixed by the truncation rules in ``config``. The
     value is an upper bound on the expectation for every truncation, lies
-    in (0, 1], and tightens monotonically as the step shrinks or terms are
-    added.
+    in [_FACTOR_FLOOR, 1], and tightens monotonically as the step shrinks
+    or terms are added. It is 1.0 at theta = 0.
 
     Raises ValueError for negative theta and CdfContractError if the CDF
     misbehaves on the grid.
     """
-    if theta < 0:
-        raise ValueError("theta must be non-negative")
-    if theta == 0:
-        return 1.0
     return float(inverse_moment_bound_many(cdf, np.asarray([theta]), config)[0])
 
 
@@ -359,6 +361,7 @@ class StieltjesTable:
     mass is the difference of the CDF across it. The number of blocks is at
     most 1 + log1p(delta * n_terms) / block_log_width, whatever the step,
     and the build handles at most 1 / block_log_width more ids than that.
+    More than 2^53 cells raise ValueError.
 
     The build also groups the blocks into segments of width 1/64 in log1p(x)
     and stores, for each segment s with left edge L_s, the local moments
@@ -369,6 +372,9 @@ class StieltjesTable:
     """
 
     def __init__(self, cdf, delta: float, n_terms: int, block_log_width: float):
+        if n_terms > 2**53:
+            raise ValueError(f"grid step {delta:g} is too fine: it needs {n_terms} "
+                             "cells, more than the 2^53 that float indices resolve")
         self.block_log_width = float(block_log_width)
         starts = _block_starts(delta, n_terms, self.block_log_width)
         edges = np.append(starts[1:], float(n_terms)) * delta
@@ -395,7 +401,7 @@ class StieltjesTable:
         else:
             val = _staircase_sum(self.log_edges, self.mass, theta)
         val += self.end_survival * math.exp(-theta * self.end_log_edge)
-        return min(max(val, 1e-300), 1.0)
+        return min(max(val, _FACTOR_FLOOR), 1.0)
 
 
 def _segment_moments(log_edges: np.ndarray, mass: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -476,7 +482,7 @@ def exact_inverse_moment(channel: ShadowingChannel, theta: float) -> float:
     A fixed-step trapezoid rule in the Gaussian variable, summed in the log
     domain (``_lognormal_log_exact``); halving its step or widening its
     window moves the log by less than 1e-12 relative. The value is clamped
-    to [1e-300, 1]. Raises TypeError unless ``channel`` is a
+    to [_FACTOR_FLOOR, 1]. Raises TypeError unless ``channel`` is a
     ShadowingChannel and ValueError for negative theta.
     """
     if not isinstance(channel, ShadowingChannel):
@@ -487,4 +493,4 @@ def exact_inverse_moment(channel: ShadowingChannel, theta: float) -> float:
         return 1.0
     if channel.sigma_db == 0.0:
         return math.exp(-theta * math.log1p(channel.median_snr))
-    return min(max(math.exp(_lognormal_log_exact(channel, theta)), 1e-300), 1.0)
+    return min(max(math.exp(_lognormal_log_exact(channel, theta)), _FACTOR_FLOOR), 1.0)

@@ -19,7 +19,10 @@ The per-slot factor comes from one of two routes, each for every exponent:
 
 Both return an upper bound on the exact per-slot factor, which is the
 property all downstream guarantees rest on. Both are Laplace transforms of
-a distribution in t, so the log factor is convex in theta.
+a distribution in t, so the log factor is convex in theta. A deterministic
+channel (sigma_db == 0) takes neither: its factor is exact, in closed form.
+This module adds no floor, clamp or term cap; the only floor is that of
+``inverse_moment`` (``_FACTOR_FLOOR``), on the table and exact routes.
 """
 
 from __future__ import annotations
@@ -40,8 +43,6 @@ from .inverse_moment import (
 # table is looser by a factor of at most exp(t * width) - 1 in relative
 # terms: 1e-4 at t = 5 and 4e-4 at t = 20, near the usual stability edge.
 _BLOCK_LOG_WIDTH = 2e-5
-
-_LOG_FLOOR = math.log(1e-300)
 
 
 class ServiceCharacterization:
@@ -69,10 +70,6 @@ class ServiceCharacterization:
         self._log_cache: dict[float, float] = {}
         self._table: StieltjesTable | None = None
 
-    @property
-    def bits_per_nat(self) -> float:
-        return self.channel.bits_per_nat
-
     def composite_exponent(self, theta: float) -> float:
         """Dimensionless exponent seen by the inverse moment: theta * slot * W / ln 2."""
         return theta * self.channel.bits_per_nat
@@ -85,15 +82,13 @@ class ServiceCharacterization:
     def _ensure_table(self) -> StieltjesTable:
         if self._table is None:
             # At theta = 0 only the survival decides the cut, which is never
-            # earlier than a per-exponent cut; extra terms only tighten.
+            # earlier than a per-exponent cut. Every cell up to it is taken:
+            # the build's cost follows the log-range, not the cell count.
             tail_x = truncation_point(self._cdf, 0.0, self.config)
-            n = int(
-                min(self.config.max_terms, math.ceil(tail_x / self.config.step_delta))
-            )
             self._table = StieltjesTable(
                 self._cdf,
                 self.config.step_delta,
-                max(n, 1),
+                max(math.ceil(tail_x / self.config.step_delta), 1),
                 block_log_width=_BLOCK_LOG_WIDTH,
             )
         return self._table
@@ -108,12 +103,12 @@ class ServiceCharacterization:
         return math.log(self._ensure_table().bound(exponent))
 
     def log_per_slot_bound(self, theta: float) -> float:
-        """ln of the per-slot transform bound; non-positive, floored at ln(1e-300)."""
+        """ln of the per-slot transform bound; non-positive, and not clamped here."""
         if theta <= 0:
             raise ValueError("theta must be positive")
         cached = self._log_cache.get(theta)
         if cached is None:
-            cached = min(max(self._compute_log(theta), _LOG_FLOOR), 0.0)
+            cached = self._compute_log(theta)
             self._log_cache[theta] = cached
         return cached
 

@@ -92,6 +92,19 @@ class TestStabilityRegion:
         region = lb.stability_region(lb.AffineEnvelope(0.0, cap * 1.01), svc)
         assert region.is_empty
 
+    @pytest.mark.parametrize("exact", [False, True], ids=["table", "exact"])
+    def test_deterministic_link_oracle(self, gbps_env, exact):
+        # A 25 dB link with no shadowing carries 4.15 Gbps in every slot, so
+        # a 1 Gbps flow never queues: the region reaches the search cap and
+        # the backlog bound is ln(1/eps) / 100 bits, with no floor on the
+        # closed-form factor to cut the region short.
+        chan = lb.ShadowingChannel(25.0, 0.0, 500e6, 1.0)
+        svc = lb.ServiceCharacterization(chan, exact=exact)
+        region = lb.stability_region(gbps_env, svc)
+        assert region.unbounded_above and region.theta_upper == EXTEND_THETA_CAP
+        res = lb.backlog_bound(gbps_env, svc, lb.BoundQuery(1e-3, "backlog"))
+        assert 0.0 <= res.value <= 1.0
+
     def test_operating_point_boundary(self, gbps_env, operating_channel, operating_svc):
         # The bisection stops at relative width 1e-6 around the unique root.
         for svc in (operating_svc, lb.ServiceCharacterization(operating_channel, exact=True)):

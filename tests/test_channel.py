@@ -100,6 +100,15 @@ class TestSnrCdf:
         assert lb.snr_cdf(chan, med) > 1.0 - 1e-12
         assert lb.snr_cdf(chan, med * 1.001) > 1.0 - 1e-12
 
+    def test_exact_tails(self, operating_channel):
+        # No clamp: far tails and the sigma = 0 step are exactly 0 and 1.
+        assert lb.snr_cdf(operating_channel, 1e-200) == 0.0
+        assert lb.snr_cdf(operating_channel, 1e200) == 1.0
+        chan = lb.ShadowingChannel(25.0, 0.0, 500e6, 1.0)
+        med = chan.median_snr
+        vals = lb.snr_cdf(chan, np.array([1e-6, med * 0.999, med, med * 1.001, 1e200]))
+        assert vals.tolist() == [0.0, 0.0, 1.0, 1.0, 1.0]
+
     def test_erfc_precision(self):
         # The CDF is built on erfc; require near-machine relative accuracy
         # on the working range of arguments.

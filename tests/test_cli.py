@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 import linkbound as lb
-from linkbound import service
+from linkbound import cli, service
 from linkbound.cli import (
     Scenario,
     ScenarioError,
@@ -15,6 +15,8 @@ from linkbound.cli import (
     run_scenario,
     scenario_hash,
 )
+
+BUNDLED_DIR = pathlib.Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def base_doc(**overrides):
@@ -363,6 +365,63 @@ class TestMain:
         assert "error: scenario numbers must be finite" in err
         assert "error: a scenario must be a JSON object" in err
 
+    def test_out_opened_before_run(self, tmp_path, capsys, monkeypatch):
+        # An unwritable --out fails before any bound is computed.
+        def unreachable(scenario):
+            raise AssertionError("run_scenario was called")
+
+        monkeypatch.setattr(cli, "run_scenario", unreachable)
+        path = self.write_scenario(tmp_path, base_doc())
+        out = tmp_path / "missing" / "rows.csv"
+        assert main(["--scenario", path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot write output:")
+
+    @pytest.mark.parametrize(
+        "axis, grid, warning",
+        [("rate", [1.0, 5.0], "warning: sweep point rate=5.0 is unstable"),
+         ("none", [], "warning: the scenario is unstable")],
+    )
+    def test_one_warning_per_unstable_point(self, tmp_path, capsys, axis, grid, warning):
+        doc = base_doc(sweep={"axis": axis, "grid": grid},
+                       query={"kind": "backlog", "epsilons": [1e-1, 1e-2, 1e-3]})
+        doc["channel"]["sigma_db"] = 0.0
+        doc["arrival"]["rate_gbps"] = 5.0  # beyond the 4.15 Gbps fixed capacity
+        out = tmp_path / "rows.csv"
+        assert main(["--scenario", self.write_scenario(tmp_path, doc), "--out", str(out)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(warning), lines
+
+    def test_deterministic_link_oracle(self, tmp_path, capsys):
+        # At 25 dB with no shadowing the link carries 4.15 Gbps in every
+        # slot: 1 and 3 Gbps never queue, and 5 Gbps is unstable.
+        doc = base_doc(sweep={"axis": "rate", "grid": [1.0, 3.0, 5.0]},
+                       query={"kind": "backlog", "epsilons": [1e-3, 1e-6]})
+        doc["channel"]["sigma_db"] = 0.0
+        doc["sim"].update(enabled=True, replications=2000)
+        path = self.write_scenario(tmp_path, doc)
+        assert main(["--scenario", path, "--format", "json"]) == 1
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        stable = [r for r in rows if r["sweep_value"] < 5.0]
+        assert len(stable) == 4
+        for row in stable:
+            assert row["stable"] and row["theta_upper"] == 100.0
+            assert 0.0 <= row["bound"] <= 1.0
+            assert row["violation"] == 0.0
+        assert [r["stable"] for r in rows if r["sweep_value"] == 5.0] == [False, False]
+
+    def test_fine_step(self, tmp_path, capsys):
+        # With no term cap a step of 1e-9 still reaches the tail cut; 1e-12
+        # needs more cells than float indices resolve, and fails at once.
+        path = str(BUNDLED_DIR / "backlog_vs_rate_fine.json")
+        out = tmp_path / "rows.csv"
+        assert main(["--scenario", path, "--delta", "1e-9", "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()[2:]
+        assert len(rows) == 6 and all(row.split(",")[4] == "1" for row in rows)
+        assert capsys.readouterr().err == ""
+        assert main(["--scenario", path, "--delta", "1e-12", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: grid step 1e-12 is too fine") and err.count("\n") == 1
+
     def test_unstable_exit_code(self, tmp_path, capsys):
         doc = base_doc()
         doc["channel"]["sigma_db"] = 0.0
@@ -393,7 +452,7 @@ class TestMain:
             assert row["optimal_theta"] == row["theta_upper"] == "inf"
 
 
-BUNDLED = sorted((pathlib.Path(__file__).resolve().parents[1] / "scenarios").glob("*.json"))
+BUNDLED = sorted(BUNDLED_DIR.glob("*.json"))
 
 
 def test_bundled_scenarios_parse():

@@ -454,6 +454,22 @@ class TestBlockLatticeBuild:
         with pytest.raises(lb.CdfContractError):
             StieltjesTable(bad, 0.01, 100_000, block_log_width=2e-5)
 
+    @pytest.mark.parametrize("delta", [1e-11, 1e-12])
+    def test_lattice_settles_up_to_2_53_cells(self, operating_channel, delta):
+        # Near 2^53 cells the block starts' expm1 guesses are tens of cells
+        # off; the build still places every one, in order.
+        table = StieltjesTable(lognormal_cdf(operating_channel), delta, 2**53,
+                               block_log_width=2e-5)
+        assert np.all(np.diff(table.log_edges) > 0.0)
+        assert np.all(table.mass >= 0.0)
+
+    def test_beyond_2_53_cells_rejected(self):
+        def unreachable(x):
+            raise AssertionError("the CDF is not evaluated")
+
+        with pytest.raises(ValueError, match="grid step 1e-12 is too fine"):
+            StieltjesTable(unreachable, 1e-12, 2**53 + 1, block_log_width=2e-5)
+
     def test_non_monotone_across_block_edges_rejected(self):
         # Blocks above x = 500 span many cells; the CDF drops between two of them.
         def bad(x):

@@ -19,6 +19,16 @@ class TestPerSlotBound:
         expected = math.exp(-theta * chan.bits_per_nat * math.log1p(chan.median_snr))
         assert svc.per_slot_bound(theta) == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("exact", [False, True], ids=["table", "exact"])
+    def test_sigma_zero_log_not_floored(self, exact):
+        # The closed form holds far below ln(1e-300), in both modes.
+        chan = lb.ShadowingChannel(25.0, 0.0, 500e6, 1.0)
+        svc = lb.ServiceCharacterization(chan, exact=exact)
+        theta = 100.0
+        expected = -svc.composite_exponent(theta) * math.log1p(chan.median_snr)
+        assert expected < math.log(1e-300)
+        assert svc.log_per_slot_bound(theta) == pytest.approx(expected, rel=1e-12)
+
     def test_dominates_exact_inverse_moment(self, operating_channel, operating_svc):
         theta = 1e-9  # composite exponent ~0.72 at this operating point
         exact = lb.exact_inverse_moment(
@@ -131,6 +141,19 @@ class TestMultiSlotBound:
 
 
 class TestTableRoute:
+    def test_fine_step_table_reaches_tail_cut(self, operating_channel):
+        # The table takes every cell up to the tail-mass cut, with no term
+        # cap: 6.3e9 cells at this step.
+        cfg = lb.DiscretizationConfig(step_delta=1e-5)
+        table = lb.ServiceCharacterization(operating_channel, cfg)._ensure_table()
+        assert table.end_survival <= cfg.tail_mass_tol
+
+    def test_too_fine_step_rejected(self, operating_channel):
+        svc = lb.ServiceCharacterization(
+            operating_channel, lb.DiscretizationConfig(step_delta=1e-12))
+        with pytest.raises(ValueError, match="grid step 1e-12 is too fine"):
+            svc.log_per_slot_bound(1e-9)
+
     @pytest.mark.parametrize("mean_snr_db, sigma_db", [(25.0, 8.0), (25.0, 2.0),
                                                        (10.0, 4.0), (30.0, 6.0)])
     def test_log_factor_convex_in_small_exponents(self, mean_snr_db, sigma_db):
