@@ -33,7 +33,7 @@ from .bounds import BoundQuery, UnstableSystemError, backlog_bound, delay_bound
 from .channel import LinkBudget, ShadowingChannel, system_gain_db
 from .inverse_moment import DiscretizationConfig
 from .service import ServiceCharacterization
-from .simulator import SimConfig, run_experiment
+from .simulator import MAX_REPLICATIONS, SimConfig, run_experiment
 
 
 class ScenarioError(ValueError):
@@ -65,11 +65,14 @@ def _integer(value) -> int:
     raise TypeError(f"expected an integer, got {value!r}")
 
 
+_REPLICATIONS_RULE = f"between 1 and {MAX_REPLICATIONS}"
+
 # Range rules, keyed by the words their error message prints.
 _RULES: dict[str, Callable[[Any], bool]] = {
     "non-negative": lambda v: v >= 0,
     "positive": lambda v: v > 0,
     "at least 1": lambda v: v >= 1,
+    _REPLICATIONS_RULE: lambda v: 1 <= v <= MAX_REPLICATIONS,
     "positive or 'limit'": lambda v: v == "limit" or (not isinstance(v, str) and v > 0),
 }
 
@@ -113,7 +116,7 @@ _FIELDS = (
     _Field("sweep_axis", "sweep", "axis", str, "none"),
     _Field("sweep_grid", "sweep", "grid", _floats, ()),
     _Field("simulate", "sim", "enabled", _boolean, False),
-    _Field("replications", "sim", "replications", _integer, 10000, "at least 1"),
+    _Field("replications", "sim", "replications", _integer, 10000, _REPLICATIONS_RULE),
     _Field("seed", "sim", "seed", _integer, 0, "non-negative"),
     _Field("horizon_slots", "sim", "horizon_slots", _integer, 2000, "at least 1"),
 )

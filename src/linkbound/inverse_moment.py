@@ -320,8 +320,8 @@ def _block_starts(delta: float, n_terms: int, width: float) -> np.ndarray:
     Cell m belongs to block floor(log1p(m delta) / width). The first
     ceil(1 / width) cells, which at the usual steps span a lattice step or
     more each, are assigned ids one by one; above them the first cell of
-    lattice id j is guessed as ceil(expm1(j width) / delta) and nudged until
-    it is the smallest m whose float id is at least j.
+    lattice id j is guessed as ceil(expm1(j width) / delta) and nudged a
+    cell per pass until it is the smallest m whose float id is at least j.
     """
     def block_id(m):
         return np.floor(np.log1p(m * delta) / width)
@@ -333,13 +333,18 @@ def _block_starts(delta: float, n_terms: int, width: float) -> np.ndarray:
     if dense.size < n_terms and top > dense_ids[-1]:
         j = np.arange(dense_ids[-1] + 1.0, top + 1.0)
         m = np.minimum(np.ceil(np.expm1(j * width) / delta), n_terms - 1.0)
+        # A start that does not move in a pass has settled for good, so each
+        # pass after the first re-checks only the starts the last one moved.
+        pending = slice(None)
         for _ in range(_NUDGE_PASSES):
-            low = block_id(m) < j
-            high = ~low & (block_id(m - 1.0) >= j)
-            if not (low.any() or high.any()):
+            m_pending, j_pending = m[pending], j[pending]
+            low = block_id(m_pending) < j_pending
+            high = ~low & (block_id(m_pending - 1.0) >= j_pending)
+            moved = np.flatnonzero(low | high)
+            if not moved.size:
                 break
-            m += low
-            m -= high
+            m[pending] = m_pending + low - high
+            pending = moved if isinstance(pending, slice) else pending[moved]
         else:
             raise RuntimeError("block lattice starts did not settle")
         starts.append(m[np.diff(m, prepend=-1.0) != 0])

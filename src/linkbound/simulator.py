@@ -7,31 +7,42 @@ horizon is the number of additional slots of fresh service needed to
 drain that backlog, which under FCFS equals the first w with
 D(0, t+w) >= A(0, t).
 
+Replication i draws from its own stream, numpy's spawn-key child of the
+master seed: Generator(PCG64(SeedSequence(entropy=master_seed,
+spawn_key=(i,)))), bit for bit. The seed words of many indices are
+derived in one array pass over uint32 words; only the spawn word changes
+with i, so the seed's share of numpy's hash is computed once per run.
+
 Replications are evaluated in blocks of rows, one row per replication,
 with each array operation applied to the whole block at once. Every row
-still draws from its own child stream derived from (master_seed,
-replication index), in the same order as a lone replication would, and
-the arithmetic on a row does not depend on the rows beside it, so no
-sample depends on the block size or on the order in which replications
-run.
+draws from its own stream in the same order as a lone replication would,
+and the arithmetic on a row does not depend on the rows beside it, so no
+sample depends on the block size, the seeding chunk or the order in
+which replications run.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .arrival import AffineEnvelope, generate_arrivals
 from .channel import ShadowingChannel, _snr_from_normals
 
 DELAY_SEARCH_CAP = 10_000
+# One spawn word, below 2^32, names each replication.
+MAX_REPLICATIONS = 1 << 32
 _DRAIN_CHUNK = 256
 # Slots held by one block buffer (1 MiB of float64); a block has
 # _BLOCK_CELLS // max(horizon, _DRAIN_CHUNK) rows, at least one.
 _BLOCK_CELLS = 1 << 17
+# Replication indices whose seed words are derived in one array pass.
+_SEED_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -45,8 +56,8 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.horizon_slots < 1:
             raise ValueError("horizon_slots must be at least 1")
-        if self.replications < 1:
-            raise ValueError("replications must be at least 1")
+        if not 1 <= self.replications <= MAX_REPLICATIONS:
+            raise ValueError(f"replications must be between 1 and {MAX_REPLICATIONS}")
         if self.master_seed < 0:
             raise ValueError("master_seed must be non-negative")
 
@@ -54,12 +65,122 @@ class SimConfig:
 def replication_rng(master_seed: int, index: int) -> np.random.Generator:
     """Child generator for one replication, deterministic in (seed, index).
 
-    Uses the documented spawn-key scheme of numpy's SeedSequence with a
-    pinned PCG64 bit generator, so streams are reproducible bit-for-bit
-    and independent of the order in which replications run.
+    Equal bit for bit to numpy's spawn-key scheme with a pinned PCG64 bit
+    generator, Generator(PCG64(SeedSequence(entropy=master_seed,
+    spawn_key=(index,)))), for 0 <= index < MAX_REPLICATIONS, so streams
+    are reproducible and independent of the order in which replications
+    run. The seed words come from the derivation that run_experiment
+    applies to whole chunks of indices, here on one Python int.
     """
-    ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(index,))
-    return np.random.Generator(np.random.PCG64(ss))
+    index = operator.index(index)
+    if not 0 <= index < MAX_REPLICATIONS:
+        raise ValueError(f"replication index must lie in [0, {MAX_REPLICATIONS})")
+    return _generator(_seed_words(*_run_pool(master_seed), index))
+
+
+def _replication_rngs(master_seed: int, start: int, stop: int):
+    """Yield replication_rng(master_seed, i) for i in range(start, stop).
+
+    The seed words of _SEED_CHUNK indices at a time come from one array
+    pass, so memory does not grow with the number of indices.
+    """
+    pool, const = _run_pool(master_seed)
+    for lo in range(start, stop, _SEED_CHUNK):
+        spawn = np.arange(lo, min(lo + _SEED_CHUNK, stop), dtype=np.uint64).astype(np.uint32)
+        for words in _seed_words(pool, const, spawn):
+            yield _generator(words)
+
+
+def _generator(words: np.ndarray) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(_SeedWords(words)))
+
+
+class _SeedWords(ISeedSequence):
+    """The four precomputed uint64 words that seed one PCG64."""
+
+    def __init__(self, words: np.ndarray) -> None:
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("holds the four uint64 words of a PCG64 seed only")
+        return self.words
+
+
+# The constants of numpy's SeedSequence hash (numpy/random/bit_generator.pyx).
+_POOL_SIZE = 4
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _hashmix(value, const: int, mult: int = _MULT_A):
+    """numpy's hashmix of value, a word or a uint32 array: (hash, next constant)."""
+    const_next = const * mult & _MASK32
+    value = (value ^ const) * const_next & _MASK32
+    return value ^ value >> 16, const_next
+
+
+def _mix(x: int, y):
+    """numpy's mix of pool word x with y, a word or a uint32 array."""
+    result = ((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)) & _MASK32
+    return result ^ result >> 16
+
+
+def _run_pool(master_seed: int) -> tuple[list[int], int]:
+    """SeedSequence's pool and hash constant after the run entropy.
+
+    This is mix_entropy up to the spawn word, which comes last. A spawn
+    key pads the entropy words of master_seed (little-endian uint32, one
+    word for 0) with zeros to the pool size.
+    """
+    seed = operator.index(master_seed)
+    if seed < 0:
+        raise ValueError("master_seed must be non-negative")
+    entropy = [seed & _MASK32]
+    while seed := seed >> 32:
+        entropy.append(seed & _MASK32)
+    entropy += [0] * (_POOL_SIZE - len(entropy))
+    const = _INIT_A
+    pool = []
+    for word in entropy[:_POOL_SIZE]:
+        word, const = _hashmix(word, const)
+        pool.append(word)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                word, const = _hashmix(pool[src], const)
+                pool[dst] = _mix(pool[dst], word)
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            hashed, const = _hashmix(word, const)
+            pool[dst] = _mix(pool[dst], hashed)
+    return pool, const
+
+
+def _seed_words(pool: list[int], const: int, spawn) -> np.ndarray:
+    """generate_state(4, np.uint64) of the SeedSequence of each spawn word.
+
+    spawn is one word, a Python int, or a uint32 array of them. It is
+    mixed into the pool from _run_pool, and the pool is hashed out to 8
+    uint32 words, read as 4 little-endian uint64 words: shape (4,) for
+    one word, (spawn.size, 4) for an array.
+    """
+    mixed = []
+    for word in pool:
+        hashed, const = _hashmix(spawn, const)
+        mixed.append(_mix(word, hashed))
+    state = []
+    const = _INIT_B
+    for j in range(2 * _POOL_SIZE):
+        word, const = _hashmix(mixed[j % _POOL_SIZE], const, _MULT_B)
+        state.append(word)
+    state = np.ascontiguousarray(np.array(state, dtype="<u4").T)
+    return state.view("<u8").astype(np.uint64)
 
 
 def _draw_service(channel: ShadowingChannel, rngs, out: np.ndarray) -> None:
@@ -201,7 +322,7 @@ def run_experiment(
     Every replication seeds itself from (master_seed, index), so the
     outcome is identical for any execution order.
     """
-    rngs = (replication_rng(config.master_seed, i) for i in range(config.replications))
+    rngs = _replication_rngs(config.master_seed, 0, config.replications)
     backlog, delay, censored = _replicate(env, channel, config.horizon_slots, rngs)
     return SimOutcome(
         backlog_samples=backlog,

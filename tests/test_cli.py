@@ -356,6 +356,21 @@ class TestMain:
         assert f"error: sim.{field} must be" in err
         assert "sweep.grid value" not in err
 
+    @pytest.mark.parametrize("where", ["flag", "field"])
+    def test_replications_beyond_spawn_word_exit_code(self, tmp_path, capsys, where):
+        # 2^32 + 1 replications would need a second spawn word; rejected
+        # before any bound runs.
+        doc = base_doc()
+        doc["sim"]["enabled"] = True
+        flags = []
+        if where == "flag":
+            flags = ["--replications", str(2**32 + 1)]
+        else:
+            doc["sim"]["replications"] = 2**32 + 1
+        assert main(["--scenario", self.write_scenario(tmp_path, doc), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: sim.replications must be between 1 and 4294967296\n"
+
     def test_non_finite_and_non_object_scenarios_exit_code(self, tmp_path, capsys):
         doc = base_doc()
         doc["channel"]["sigma_db"] = float("nan")

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import linkbound as lb
 from linkbound import simulator
@@ -19,6 +20,73 @@ class TestSimConfig:
     def test_negative_seed(self):
         with pytest.raises(ValueError, match="master_seed"):
             lb.SimConfig(master_seed=-1)
+
+    def test_replications_bounded_by_spawn_word(self):
+        assert lb.SimConfig(replications=2**32).replications == 2**32
+        with pytest.raises(ValueError, match="replications"):
+            lb.SimConfig(replications=2**32 + 1)
+
+
+SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**128 + 3)
+INDICES = (0, 255, 256, 2**31, 2**32 - 1)
+
+
+def _numpy_rng(seed: int, index: int) -> np.random.Generator:
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
+    return np.random.Generator(np.random.PCG64(ss))
+
+
+def _derived_words(seed: int, indices) -> np.ndarray:
+    """Seed words of an index list, by one array pass, or of one int index."""
+    spawn = indices if isinstance(indices, int) else np.array(indices, dtype=np.uint32)
+    return simulator._seed_words(*simulator._run_pool(seed), spawn)
+
+
+class TestSeeding:
+    """The array-pass seed derivation is numpy's SeedSequence, word for word."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_words_match_numpy(self, seed):
+        for words, index in zip(_derived_words(seed, INDICES), INDICES):
+            ss = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
+            assert np.array_equal(words, ss.generate_state(4, np.uint64))
+
+    @given(seed=st.integers(0, 2**200 - 1), index=st.integers(0, 2**32 - 1))
+    def test_words_match_numpy_property(self, seed, index):
+        expected = np.random.SeedSequence(entropy=seed, spawn_key=(index,)).generate_state(
+            4, np.uint64)
+        assert np.array_equal(_derived_words(seed, [index])[0], expected)
+        # replication_rng derives one index's words from a Python int.
+        assert np.array_equal(_derived_words(seed, index), expected)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("index", INDICES)
+    def test_stream_matches_numpy(self, seed, index):
+        draws = lb.replication_rng(seed, index).standard_normal(16)
+        assert np.array_equal(draws, _numpy_rng(seed, index).standard_normal(16))
+
+    def test_index_range(self):
+        for index in (-1, 2**32):
+            with pytest.raises(ValueError, match="index"):
+                lb.replication_rng(0, index)
+        with pytest.raises(ValueError, match="master_seed"):
+            lb.replication_rng(-1, 0)
+
+    def test_seed_chunk_invariance(self, operating_channel, monkeypatch):
+        env = lb.AffineEnvelope(0.0, 4.7e9)
+        cfg = lb.SimConfig(300, 40, master_seed=6)
+        reference = lb.run_experiment(env, operating_channel, cfg)
+        for chunk in (1, 7, 4096):
+            monkeypatch.setattr(simulator, "_SEED_CHUNK", chunk)
+            out = lb.run_experiment(env, operating_channel, cfg)
+            assert np.array_equal(out.backlog_samples, reference.backlog_samples)
+            assert np.array_equal(out.delay_samples, reference.delay_samples)
+            assert np.array_equal(out.censored, reference.censored)
+            # A run that starts and ends inside a chunk yields numpy's streams.
+            rngs = simulator._replication_rngs(2**64 + 5, 3, 20)
+            for index, rng in zip(range(3, 20), rngs, strict=True):
+                expected = _numpy_rng(2**64 + 5, index).standard_normal(4)
+                assert np.array_equal(rng.standard_normal(4), expected)
 
 
 class TestRunReplication:
