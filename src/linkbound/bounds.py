@@ -7,7 +7,9 @@ that region the backlog bound minimizes a Chernoff-style objective over
 theta and the delay bound is the smallest slot count whose kernel drops
 below the target violation probability. The log service factor is convex
 in theta, which makes both objectives quasiconvex over the region, so each
-bound is one bounded Brent search in log theta. All kernel arithmetic
+bound is one bounded Brent search in log theta. That search is an in-repo
+port of scipy's bounded Brent minimizer that probes the same points, so
+importing this module loads none of scipy's optimizers. All kernel arithmetic
 stays in the log domain; the gap 1 - exp(g) is evaluated through expm1 so
 the pole at the stability boundary does not poison nearby values.
 """
@@ -16,8 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-from scipy.optimize import minimize_scalar
 
 from .arrival import AffineEnvelope
 from .service import ServiceCharacterization
@@ -157,14 +157,85 @@ def stability_region(env: AffineEnvelope, svc: ServiceCharacterization) -> Stabi
     return StabilityRegion(0.0, lo)
 
 
+def _sign(x: float) -> int:
+    """np.sign(x) + (x == 0): the step direction, +1 at zero."""
+    return (x > 0) - (x < 0) + (x == 0)
+
+
+def _brent_bounded(func, a: float, b: float, xatol: float) -> None:
+    """Brent's bounded minimization of func over [a, b], to xatol in x.
+
+    A step-for-step port of scipy's ``_minimize_scalar_bounded``
+    (Brent, Algorithms for Minimization without Derivatives, 1973, ch. 5)
+    in plain float arithmetic: the same golden ratio, tolerances,
+    parabola acceptance test, sign rule and 500-call stop, so it calls
+    func at exactly the points scipy's ``minimize_scalar(method="bounded")``
+    does, in the same order. The caller reads the result off its own
+    probes.
+    """
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    sqrt_eps = math.sqrt(2.2e-16)
+    xf = nfc = fulc = a + golden_mean * (b - a)
+    fx = ffulc = fnfc = func(xf)
+    num = 1
+    rat = e = 0.0
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while num < 500 and abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # try a parabola through the three best points
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                golden = False
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 * _sign(xm - xf)
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = golden_mean * e
+        x = xf + _sign(rat) * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+
+
 def _minimize(env, svc, region: StabilityRegion, objective):
     """Minimize objective(theta, log factor, log gap) over the stability region.
 
-    One bounded Brent search in u = ln theta on [ln SCAN_THETA_FLOOR,
-    ln min(theta*, EXTEND_THETA_CAP)], to XATOL in u (relative in theta).
-    Both objectives are quasiconvex in theta, so the search is unimodal.
-    Returns (theta, value) of the best probe and the (theta, value) probe
-    list.
+    One bounded Brent search (``_brent_bounded``) in u = ln theta on
+    [ln SCAN_THETA_FLOOR, ln min(theta*, EXTEND_THETA_CAP)], to XATOL in u
+    (relative in theta). Both objectives are quasiconvex in theta, so the
+    search is unimodal. Returns (theta, value) of the best probe and the
+    (theta, value) probe list.
     """
     probes = []
 
@@ -176,12 +247,7 @@ def _minimize(env, svc, region: StabilityRegion, objective):
         return value
 
     hi = min(region.theta_upper, EXTEND_THETA_CAP)
-    minimize_scalar(
-        at,
-        bounds=(math.log(SCAN_THETA_FLOOR), math.log(hi)),
-        method="bounded",
-        options={"xatol": XATOL},
-    )
+    _brent_bounded(at, math.log(SCAN_THETA_FLOOR), math.log(hi), XATOL)
     best_t, best_f = min(probes, key=lambda probe: probe[1])
     return best_t, best_f, probes
 

@@ -194,6 +194,8 @@ class Scenario:
         for eps in self.epsilons:
             if not 0 < eps < 1:
                 raise ScenarioError("epsilons must lie strictly between 0 and 1")
+        if len(set(self.epsilons)) < len(self.epsilons):
+            raise ScenarioError("query.epsilons must not repeat a value")
         if self.sweep_axis != "none":
             grid = self.sweep_grid
             if not grid:

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import linkbound as lb
 from linkbound.bounds import (
     EXTEND_THETA_CAP,
     SCAN_THETA_FLOOR,
+    XATOL,
+    _brent_bounded,
     _log_kernel,
     _stable_at,
     log_kernel_bound,
@@ -327,3 +330,39 @@ def test_bounds_match_dense_grid(gain, sigma, slot_seconds):
                     assert all(_log_kernel(env, t, lf, lg, w - 1) > log_eps for t, lf, lg in grid)
                     counts.append(w)
     assert len(set(counts)) >= 5
+
+
+def _objective(family, lo, hi, at, scale):
+    """A test objective on [lo, hi]; ``at`` in [0, 1] places its feature."""
+    c = lo + at * (hi - lo)
+    if family == "convex":
+        return lambda x: scale * (x - c) ** 2
+    if family == "inf-above-cut":  # like the unstable range past theta*
+        return lambda x: math.inf if x > c else -scale * x
+    if family == "steps":  # plateaus of equal values
+        return lambda x: float(math.floor(scale * (x - c) ** 2))
+    edge = lo if at < 0.5 else hi  # "endpoint-kink": minimum at a bound
+    return lambda x: scale * abs(x - edge)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    family=st.sampled_from(("convex", "inf-above-cut", "steps", "endpoint-kink")),
+    lo=st.floats(-40.0, 10.0),
+    width=st.one_of(st.just(0.0), st.floats(0.0, 1e-5), st.floats(0.0, 50.0)),
+    at=st.floats(0.0, 1.0),
+    scale=st.floats(1e-3, 1e3),
+    xatol=st.sampled_from((XATOL, 1e-9, 1e-3, 0.5, 0.0)),  # 0 can reach the 500-call stop
+)
+def test_search_matches_scipy_bounded(family, lo, width, at, scale, xatol):
+    # The port probes exactly the points scipy's bounded Brent probes.
+    from scipy.optimize import minimize_scalar
+
+    hi = lo + width
+    f = _objective(family, lo, hi, at, scale)
+    ours, theirs = [], []
+    _brent_bounded(lambda x: ours.append(x) or f(x), lo, hi, xatol)
+    with np.errstate(invalid="ignore"):  # scipy's numpy scalars warn on inf - inf
+        minimize_scalar(lambda x: theirs.append(x) or f(x), bounds=(lo, hi),
+                        method="bounded", options={"xatol": xatol})
+    assert ours == theirs

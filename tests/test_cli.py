@@ -1,5 +1,9 @@
+import importlib.util
 import json
+import os
 import pathlib
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
@@ -16,7 +20,8 @@ from linkbound.cli import (
     scenario_hash,
 )
 
-BUNDLED_DIR = pathlib.Path(__file__).resolve().parents[1] / "scenarios"
+REPO = pathlib.Path(__file__).resolve().parents[1]
+BUNDLED_DIR = REPO / "scenarios"
 
 
 def base_doc(**overrides):
@@ -335,6 +340,15 @@ class TestMain:
         assert main(["--scenario", path, "--delta", delta]) == 2
         assert message in capsys.readouterr().err
 
+    def test_repeated_epsilon_exit_code(self, tmp_path, capsys):
+        # Rejected, not answered with the same row twice; 1e-3 and 0.001 are one value.
+        path = self.write_scenario(tmp_path, base_doc())
+        assert main(["--scenario", path, "--epsilon", "1e-3,0.001"]) == 2
+        doc = base_doc(query={"kind": "backlog", "epsilons": [1e-1, 1e-2, 1e-1]})
+        assert main(["--scenario", self.write_scenario(tmp_path, doc)]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["error: query.epsilons must not repeat a value"] * 2
+
     def test_negative_seed_exit_code(self, tmp_path, capsys):
         # Rejected before any bound runs, not by the simulator's seeding.
         path = self.write_scenario(tmp_path, base_doc())
@@ -477,11 +491,9 @@ def test_bundled_scenarios_parse():
         assert Scenario.from_dict(sc.to_dict()) == sc
 
 
-@pytest.mark.parametrize("path", BUNDLED, ids=lambda p: p.stem)
-def test_bundled_discretized_bounds_dominate_limit_mode(path):
-    # Every discretized bound is at least its exact-mode counterpart;
-    # scenarios that ship in limit mode run at the default step instead.
-    sc = replace(Scenario.from_dict(json.loads(path.read_text())), simulate=False)
+def _assert_discretized_dominates_limit(doc):
+    """Every stable discretized bound is at least its exact-mode counterpart."""
+    sc = replace(Scenario.from_dict(doc), simulate=False)
     if sc.delta == "limit":
         sc = replace(sc, delta=0.01)
     disc_rows = run_scenario(sc)
@@ -489,3 +501,29 @@ def test_bundled_discretized_bounds_dominate_limit_mode(path):
     for disc, limit in zip(disc_rows, limit_rows, strict=True):
         if disc.stable:
             assert limit.stable and disc.bound >= limit.bound, (disc, limit)
+
+
+@pytest.mark.parametrize("path", BUNDLED, ids=lambda p: p.stem)
+def test_bundled_discretized_bounds_dominate_limit_mode(path):
+    # Scenarios that ship in limit mode run at the default step instead.
+    _assert_discretized_dominates_limit(json.loads(path.read_text()))
+
+
+def test_bench_templates_discretized_bounds_dominate_limit_mode():
+    # The first cycle of the benchmark plan holds one request of each bound
+    # template; the benchmark itself checks dominance on two requests only.
+    spec = importlib.util.spec_from_file_location("workloads", REPO / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for doc in workloads.plan_for("bounds-discretized", 1)[:len(workloads.BOUND_TEMPLATES)]:
+        _assert_discretized_dominates_limit(doc)
+
+
+def test_import_loads_no_scipy_optimize():
+    # A fresh interpreter: the CLI's import path is numpy and scipy.special.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(pathlib.Path(lb.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
+    code = "import sys, linkbound.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
