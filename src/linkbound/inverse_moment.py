@@ -17,11 +17,15 @@ and the block-merged ``StieltjesTable``, compute one staircase sum:
 sum of mass * (1+x_left)^(-theta) over cells, plus the survival at the cut
 times (1+x_cut)^(-theta). Masses are differences of the CDF at cell right
 edges, so no term cancels, whatever the exponent. The grid streams in
-fixed-size chunks so that fine steps never materialize the whole grid.
-The table sums exponents up to 64 as a short power series about the left
-edge of each of a few hundred segments, with moments stored at build
-time, and larger exponents by one exp pass over its blocks. Both equal
-the staircase to rounding, and truncating the series only overestimates.
+fixed-size chunks so that fine steps never materialize the whole grid;
+the table is built in chunks of 2^15 cells or lattice ids, so that no
+temporary of its build outgrows a chunk. The table sums exponents up to
+64 as a short power series about the left edge of each of a few hundred
+segments, with moments stored at build time. A larger exponent takes an
+exp pass over the shortest prefix of the blocks past which the rest of
+the mass, charged at the prefix's cut, can no longer move the sum. Both
+equal the staircase to rounding, and truncating the series or charging
+the rest at the cut only overestimates.
 The truncation point is chosen in x-space, independent of the step, so
 refining the step compares the same truncated quantity and is guaranteed
 monotone.
@@ -65,8 +69,13 @@ _NUDGE_PASSES = 128
 # l - L are exact floats.
 _SERIES_TERMS = 18
 _SEGMENT_WIDTH = 1.0 / 64.0
-# Blocks per chunk of the segment moment pass: a few hundred kB per array.
-_MOMENT_CHUNK = 1 << 15
+# Cells or lattice ids per chunk of the table build, and blocks per chunk
+# of its segment moment pass: 256 kB per float array.
+_TABLE_CHUNK = 1 << 15
+# Above the series, an exponent sums a growing prefix of the blocks and
+# stops once the mass past the prefix, charged at its cut, is at most this
+# share of the prefix sum: 2^-6 of half an ulp.
+_PREFIX_RTOL = 2.0**-60
 # The exact mode's trapezoid rule: nodes at this step in the Gaussian
 # variable, within this half-width of the log-integrand's peak.
 _TRAPEZOID_STEP = 0.05
@@ -314,41 +323,75 @@ def inverse_moment_bound(cdf, theta: float, config: DiscretizationConfig) -> flo
     return float(inverse_moment_bound_many(cdf, np.asarray([theta]), config)[0])
 
 
-def _block_starts(delta: float, n_terms: int, width: float) -> np.ndarray:
-    """Index m of the first cell [m delta, (m+1) delta] of every block, increasing.
+def _block_id(m, delta: float, width: float):
+    """Lattice id floor(log1p(m delta) / width) of the block holding cell m."""
+    return np.floor(np.log1p(m * delta) / width)
 
-    Cell m belongs to block floor(log1p(m delta) / width). The first
-    ceil(1 / width) cells, which at the usual steps span a lattice step or
-    more each, are assigned ids one by one; above them the first cell of
-    lattice id j is guessed as ceil(expm1(j width) / delta) and nudged a
-    cell per pass until it is the smallest m whose float id is at least j.
+
+def _block_starts(delta: float, n_terms: int, width: float):
+    """Yield (x, log1p(x)) for the left edge x = m delta of every block, in chunks.
+
+    Cell m, [m delta, (m+1) delta], belongs to block _block_id(m), and a
+    block starts at its first cell. The first ceil(1 / width) cells, which
+    at the usual steps span a lattice step or more each, are assigned ids
+    one by one; above them the first cell of lattice id j is guessed as
+    ceil(expm1(j width) / delta) and nudged a cell per pass until it is the
+    smallest m whose float id is at least j. Either way a chunk covers at
+    most _TABLE_CHUNK cells or ids, and each start lands where a build of
+    all of them at once puts it. Starts increase strictly, across chunks
+    too.
     """
-    def block_id(m):
-        return np.floor(np.log1p(m * delta) / width)
-
-    dense = np.arange(min(n_terms, math.ceil(1.0 / width)), dtype=float)
-    dense_ids = block_id(dense)
-    starts = [dense[np.diff(dense_ids, prepend=-1.0) != 0]]
-    top = block_id(float(n_terms - 1))
-    if dense.size < n_terms and top > dense_ids[-1]:
-        j = np.arange(dense_ids[-1] + 1.0, top + 1.0)
+    n_dense = min(n_terms, math.ceil(1.0 / width))
+    last_id = -1.0
+    for m0 in range(0, n_dense, _TABLE_CHUNK):
+        x = np.arange(m0, min(m0 + _TABLE_CHUNK, n_dense), dtype=float) * delta
+        log_x = np.log1p(x)
+        ids = np.floor(log_x / width)
+        new = np.diff(ids, prepend=last_id) != 0
+        last_id = float(ids[-1])
+        yield x[new], log_x[new]
+    top = float(_block_id(float(n_terms - 1), delta, width))
+    if n_dense == n_terms or top <= last_id:
+        return
+    last_m = -1.0
+    for j0 in np.arange(last_id + 1.0, top + 1.0, _TABLE_CHUNK).tolist():
+        j = j0 + np.arange(min(_TABLE_CHUNK, top + 1.0 - j0))
         m = np.minimum(np.ceil(np.expm1(j * width) / delta), n_terms - 1.0)
+        x = m * delta
+        log_x = np.log1p(x)
         # A start that does not move in a pass has settled for good, so each
         # pass after the first re-checks only the starts the last one moved.
         pending = slice(None)
         for _ in range(_NUDGE_PASSES):
             m_pending, j_pending = m[pending], j[pending]
-            low = block_id(m_pending) < j_pending
-            high = ~low & (block_id(m_pending - 1.0) >= j_pending)
+            low = np.floor(log_x[pending] / width) < j_pending
+            high = ~low & (_block_id(m_pending - 1.0, delta, width) >= j_pending)
             moved = np.flatnonzero(low | high)
             if not moved.size:
                 break
             m[pending] = m_pending + low - high
             pending = moved if isinstance(pending, slice) else pending[moved]
+            x[pending] = m[pending] * delta
+            log_x[pending] = np.log1p(x[pending])
         else:
             raise RuntimeError("block lattice starts did not settle")
-        starts.append(m[np.diff(m, prepend=-1.0) != 0])
-    return np.concatenate(starts)
+        new = np.diff(m, prepend=last_m) != 0
+        last_m = float(m[-1])
+        yield x[new], log_x[new]
+
+
+def _close_masses(cdfv, right: np.ndarray, prev_f: float, out: np.ndarray) -> float:
+    """Write to ``out`` the masses of consecutive cells that end at ``right``.
+
+    The first cell starts where the CDF is ``prev_f``. Returns the checked
+    CDF at the last right edge, or ``prev_f`` if there is none.
+    """
+    if not right.size:
+        return prev_f
+    f = _check_chunk(cdfv(right), prev_f)
+    out[0] = f[0] - prev_f
+    np.subtract(f[1:], f[:-1], out=out[1:])
+    return float(f[-1])
 
 
 class StieltjesTable:
@@ -363,33 +406,55 @@ class StieltjesTable:
 
     The build locates the first grid cell of each block on the lattice and
     evaluates the CDF once, at the block edges and the grid end; a block's
-    mass is the difference of the CDF across it. The number of blocks is at
-    most 1 + log1p(delta * n_terms) / block_log_width, whatever the step,
-    and the build handles at most 1 / block_log_width more ids than that.
-    More than 2^53 cells raise ValueError.
+    mass is the difference of the CDF across it. It runs in chunks of
+    _TABLE_CHUNK (2^15) cells or lattice ids: each chunk places its block
+    starts, takes their log1p once as the stored log edges, evaluates and
+    checks the CDF there and writes the masses it closes into the two
+    preallocated output arrays, so no temporary outgrows a chunk. The
+    number of blocks is at most 1 + log1p(delta * n_terms) /
+    block_log_width, whatever the step, and the build handles at most
+    1 / block_log_width more ids than that. More than 2^53 cells raise
+    ValueError.
 
     The build also groups the blocks into segments of width 1/64 in log1p(x)
     and stores, for each segment s with left edge L_s, the local moments
     sum of mass * (l - L_s)^k / k! for k = 0..18. An exponent t <= 64 is
     then summed as sum_s exp(-t L_s) * sum_k (-t)^k moment_{k,s}, which
-    equals the staircase to rounding at the cost of one exp per segment;
-    every larger exponent costs one exp pass over the blocks.
+    equals the staircase to rounding at the cost of one exp per segment.
+    A larger exponent takes an exp pass over a growing prefix of the
+    blocks: the leftmost subtrees of numpy's pairwise sum over all of
+    them, 64 to 128 blocks first and about twice as many each step. It
+    charges all the mass past the prefix, the end survival included, at
+    the prefix's cut and stops once that charge is at most 2^-60 of the
+    prefix sum, at the usual exponents within the first prefix. The result
+    is still an upper bound, and it is the float the full pass gives.
     """
 
     def __init__(self, cdf, delta: float, n_terms: int, block_log_width: float):
         if n_terms > 2**53:
             raise ValueError(f"grid step {delta:g} is too fine: it needs {n_terms} "
                              "cells, more than the 2^53 that float indices resolve")
-        self.block_log_width = float(block_log_width)
-        starts = _block_starts(delta, n_terms, self.block_log_width)
-        edges = np.append(starts[1:], float(n_terms)) * delta
-        del starts
-        f = _check_chunk(_as_vectorized(cdf)(edges), 0.0)
-        self.log_edges, self.mass = _cells(edges, f)
-        self.end_survival = 1.0 - float(f[-1])
+        self.block_log_width = width = float(block_log_width)
+        cdfv = _as_vectorized(cdf)
+        # Each of the first ceil(1 / width) cells starts at most one block,
+        # and so does each lattice id above the last of theirs.
+        n_dense = min(n_terms, math.ceil(1.0 / width))
+        dense_top = float(_block_id(float(n_dense - 1), delta, width))
+        top = float(_block_id(float(n_terms - 1), delta, width))
+        capacity = int(min(n_dense, dense_top + 1.0) + max(top - dense_top, 0.0))
+        log_edges, mass = np.empty(capacity), np.empty(capacity)
+        n, prev_f = 0, 0.0
+        for x, log_x in _block_starts(delta, n_terms, width):
+            log_edges[n:n + x.size] = log_x
+            # A block's first cell ends the block before it, so the CDF there
+            # closes that block's mass; the block at x = 0 closes none.
+            right = x if n else x[1:]
+            n += x.size
+            prev_f = _close_masses(cdfv, right, prev_f, mass[n - 1 - right.size:n - 1])
+        f_end = _close_masses(cdfv, np.asarray([n_terms * delta]), prev_f, mass[n - 1:n])
+        self.log_edges, self.mass = log_edges[:n], mass[:n]
+        self.end_survival = 1.0 - f_end
         self.end_log_edge = math.log1p(n_terms * delta)
-        # Freed first, so that the moment pass adds nothing to peak memory.
-        del edges, f
         self._seg_left, self._seg_moments = _segment_moments(self.log_edges, self.mass)
 
     def bound(self, theta: float) -> float:
@@ -403,10 +468,48 @@ class StieltjesTable:
             val = 0.0
             for moment in reversed(by_power):
                 val = val * -theta + moment
+            val += self.end_survival * math.exp(-theta * self.end_log_edge)
         else:
-            val = _staircase_sum(self.log_edges, self.mass, theta)
-        val += self.end_survival * math.exp(-theta * self.end_log_edge)
+            val = self._exp_pass(theta)
         return min(max(val, _FACTOR_FLOOR), 1.0)
+
+    def _exp_pass(self, theta: float) -> float:
+        """Staircase sum plus end term, from the shortest prefix of blocks that meets it.
+
+        The prefixes are the leftmost subtrees of numpy's pairwise sum over
+        all blocks, so each prefix sum is a partial result of the full pass,
+        and the next one adds its right sibling's sum. The mass past a
+        prefix, end survival included, lies at or above the prefix's cut;
+        once that mass charged at the cut is at most _PREFIX_RTOL of the
+        prefix sum, less than half an ulp of it, every later addition of
+        the full pass rounds back to the prefix sum, and so does the bound.
+        """
+        n = self.mass.size
+        val, k = 0.0, 0
+        for cut in _pairwise_prefixes(n):
+            val += _staircase_sum(self.log_edges[k:cut], self.mass[k:cut], theta)
+            k = cut
+            if k == n:
+                break
+            survival = float(self.mass[k:].sum()) + self.end_survival
+            charge = survival * math.exp(-theta * float(self.log_edges[k]))
+            if charge <= _PREFIX_RTOL * val:
+                return val + charge
+        return val + self.end_survival * math.exp(-theta * self.end_log_edge)
+
+
+def _pairwise_prefixes(n: int) -> list[int]:
+    """Sizes of the leftmost subtrees of numpy's pairwise sum of n floats, n last.
+
+    numpy sums a contiguous array of more than 128 floats as the sum of
+    its first half, rounded down to a multiple of 8, plus the sum of the
+    rest, recursively; up to 128 it adds them in one unrolled loop.
+    """
+    sizes = [n]
+    while sizes[-1] > 128:
+        half = sizes[-1] // 2
+        sizes.append(half - half % 8)
+    return sizes[::-1]
 
 
 def _segment_moments(log_edges: np.ndarray, mass: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -424,8 +527,8 @@ def _segment_moments(log_edges: np.ndarray, mass: np.ndarray) -> tuple[np.ndarra
     first, seg_left = first[held], lattice[held]
     moments = np.empty((_SERIES_TERMS + 1, first.size))
     # Each chunk starts at the first block of the segment that holds a
-    # multiple of _MOMENT_CHUNK, so that no segment is split.
-    cuts = np.unique(np.searchsorted(first, np.arange(0, n, _MOMENT_CHUNK), side="right") - 1)
+    # multiple of _TABLE_CHUNK, so that no segment is split.
+    cuts = np.unique(np.searchsorted(first, np.arange(0, n, _TABLE_CHUNK), side="right") - 1)
     block_of = np.append(first, n)
     for c0, c1 in zip(cuts.tolist(), cuts[1:].tolist() + [first.size]):
         b0, b1 = int(block_of[c0]), int(block_of[c1])

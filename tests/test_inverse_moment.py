@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 import linkbound as lb
 from linkbound import inverse_moment
 from linkbound.inverse_moment import (
+    _FACTOR_FLOOR,
     _SEARCH_CEIL,
     _SEARCH_X0,
     _SEGMENT_WIDTH,
@@ -373,23 +375,54 @@ class TestTruncationAndTable:
             staircase += table.end_survival * math.exp(-theta * table.end_log_edge)
             assert table.bound(theta) == pytest.approx(staircase, rel=1e-13, abs=0.0)
 
+    @settings(max_examples=25, deadline=None)
+    @given(
+        mean_snr_db=st.floats(5.0, 40.0),
+        sigma_db=st.floats(0.5, 10.0),
+        thetas=st.lists(
+            st.floats(math.log10(64.0), 11.0).map(lambda e: 10.0**e).filter(lambda t: t > 64.0),
+            min_size=1, max_size=4,
+        ),
+    )
+    @example(mean_snr_db=25.0, sigma_db=8.0, thetas=[721.0, 7.2e10])
+    @example(mean_snr_db=5.0, sigma_db=0.5, thetas=[64.000001, 1e11])
+    @example(mean_snr_db=40.0, sigma_db=10.0, thetas=[64.000001, 1e3])
+    def test_short_exp_pass_meets_full_pass(self, mean_snr_db, sigma_db, thetas):
+        # Above 1 / _SEGMENT_WIDTH the bound sums a prefix of the blocks and
+        # charges the rest of the mass at the prefix's cut: never below the
+        # full exp pass, and above it by rounding at most.
+        cdf = lognormal_cdf(lb.ShadowingChannel(mean_snr_db, sigma_db, 5e8))
+        cfg = lb.DiscretizationConfig(step_delta=1e-2)
+        n = int(math.ceil(truncation_point(cdf, 0.0, cfg) / cfg.step_delta))
+        table = StieltjesTable(cdf, cfg.step_delta, n, block_log_width=2e-5)
+        for theta in thetas:
+            full = _staircase_sum(table.log_edges, table.mass, theta)
+            full += table.end_survival * math.exp(-theta * table.end_log_edge)
+            full = min(max(full, _FACTOR_FLOOR), 1.0)
+            assert full <= table.bound(theta) <= full * (1.0 + 2.0**-50)
+
     @pytest.mark.parametrize("kind, bound", [("backlog", lb.backlog_bound),
                                              ("delay", lb.delay_bound)])
     def test_cold_bound_exp_passes(self, monkeypatch, gbps_env, operating_channel, kind,
                                    bound):
         # Every exponent up to 1 / _SEGMENT_WIDTH takes the segment series, so
-        # a cold bound pays only a few exp passes over the blocks.
+        # a cold bound pays only a few exp passes. At 25/8 dB those are the
+        # stability search's probes t = 721 and 7.2e10, and each sums a
+        # short prefix of the 292k blocks, not all of them.
         calls = []
         real = inverse_moment._staircase_sum
 
         def counting(log_left, mass, theta):
-            calls.append(theta)
+            calls.append((theta, mass.size))
             return real(log_left, mass, theta)
 
         monkeypatch.setattr(inverse_moment, "_staircase_sum", counting)
         svc = lb.ServiceCharacterization(operating_channel)
         bound(gbps_env, svc, lb.BoundQuery(epsilon=1e-3, kind=kind))
         assert len(calls) <= 4
+        thetas = {round(theta) for theta, _ in calls}
+        assert {721, 72_134_752_044} <= thetas
+        assert max(size for _, size in calls) <= 512
 
 
 def cell_by_cell_table(cdf, delta, n_terms, block_log_width, chunk=2_000_000):
@@ -453,6 +486,24 @@ class TestBlockLatticeBuild:
         bad = lambda x: np.full_like(np.asarray(x, dtype=float), 1.5)
         with pytest.raises(lb.CdfContractError):
             StieltjesTable(bad, 0.01, 100_000, block_log_width=2e-5)
+
+    def test_build_peak_stays_near_the_table(self, operating_channel):
+        # The build writes into its output arrays chunk by chunk: at 25/8 dB
+        # (292k blocks) its peak traced allocation exceeds what the table
+        # keeps by less than 4 MiB.
+        cdf = lognormal_cdf(operating_channel)
+        n = int(math.ceil(truncation_point(cdf, 0.0, lb.DiscretizationConfig()) / 1e-2))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            table = StieltjesTable(cdf, 1e-2, n, block_log_width=2e-5)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        kept = sum(a.nbytes for a in (table.log_edges, table.mass, table._seg_left,
+                                      table._seg_moments))
+        assert table.mass.size > 290_000
+        assert peak < kept + 4 * 2**20
 
     @pytest.mark.parametrize("delta", [1e-11, 1e-12])
     def test_lattice_settles_up_to_2_53_cells(self, operating_channel, delta):

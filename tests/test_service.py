@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -147,6 +148,16 @@ class TestTableRoute:
         cfg = lb.DiscretizationConfig(step_delta=1e-5)
         table = lb.ServiceCharacterization(operating_channel, cfg)._ensure_table()
         assert table.end_survival <= cfg.tail_mass_tol
+
+    def test_table_does_not_keep_its_service_alive(self, operating_channel):
+        # The table refers to no service, so a dropped service is freed at
+        # once, without waiting for the cycle collector.
+        svc = lb.ServiceCharacterization(operating_channel)
+        table = svc._ensure_table()
+        ref = weakref.ref(svc)
+        del svc
+        assert ref() is None
+        assert table.mass.size > 0
 
     def test_too_fine_step_rejected(self, operating_channel):
         svc = lb.ServiceCharacterization(
