@@ -253,6 +253,26 @@ class TestMain:
         assert "error: sweep.grid value" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "axis, grid, message",
+        [("rate", [-1.0, 1.0],
+          "sweep.grid value -1.0: arrival.rate_gbps must be non-negative"),
+         ("sigma", [-1.0, 2.0],
+          "sweep.grid value -1.0: channel.sigma_db must be non-negative"),
+         ("epsilon", [1e-3, 1.5],
+          "sweep.grid value 1.5: epsilons must lie strictly between 0 and 1"),
+         ("epsilon", [0.0, 0.1],
+          "sweep.grid value 0.0: epsilons must lie strictly between 0 and 1"),
+         ("gain", [20.0, float("nan")], "scenario numbers must be finite")],
+        ids=["rate", "sigma", "epsilon-above", "epsilon-zero", "gain-nan"],
+    )
+    def test_sweep_value_error_message(self, tmp_path, capsys, axis, grid, message):
+        # The whole line: the grid value, then the swept field's own rule. A
+        # non-finite value fails the scenario-wide check and names no value.
+        path = self.write_scenario(tmp_path, base_doc(sweep={"axis": axis, "grid": grid}))
+        assert main(["--scenario", path]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
         "section, field, value",
         [("arrival", "rate_gbps", "fast"), ("channel", "sigma_db", None),
          ("query", "epsilons", 0.1), ("discretization", "delta", [0.01]),
