@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 # ln(10)/10 converts a dB quantity into the natural log of its linear value.
 DB_TO_LN = math.log(10.0) / 10.0
@@ -111,14 +110,21 @@ def snr_cdf(channel: ShadowingChannel, x):
     output is not clamped: far tails return exactly 0.0 or 1.0, and the
     only floor on a per-slot factor lives in ``inverse_moment``.
 
-    Accepts scalars or arrays; raises ValueError on any non-positive x.
+    scipy.special, for erfc, is imported on the first call with
+    sigma_db > 0, so that exact mode and the simulator, which never
+    evaluate the CDF, load no scipy module.
+
+    Accepts scalars or arrays; raises ValueError on any x that is not
+    positive, NaN included.
     """
     arr = np.asarray(x, dtype=float)
-    if np.any(arr <= 0.0):
+    if not np.all(arr > 0.0):
         raise ValueError("snr_cdf is defined for positive SNR only")
     if channel.sigma_db == 0.0:
         out = np.where(arr >= channel.median_snr, 1.0, 0.0)
     else:
+        from scipy import special
+
         ln_mean = DB_TO_LN * channel.mean_snr_db
         ln_sigma = DB_TO_LN * channel.sigma_db
         arg = -(np.log(arr) - ln_mean) / (math.sqrt(2.0) * ln_sigma)

@@ -100,6 +100,12 @@ class _Field:
         except (TypeError, ValueError, OverflowError) as exc:
             raise ScenarioError(f"invalid field '{self.section}.{self.key}': {exc}") from exc
 
+    def problem(self, value) -> str | None:
+        """The error message if ``value`` breaks this field's range rule, else None."""
+        if self.rule is None or _RULES[self.rule](value):
+            return None
+        return f"{self.section}.{self.key} must be {self.rule}"
+
 
 # The scenario schema. A section is required when one of its fields is.
 _FIELDS = (
@@ -120,6 +126,19 @@ _FIELDS = (
     _Field("seed", "sim", "seed", _integer, 0, "non-negative"),
     _Field("horizon_slots", "sim", "horizon_slots", _integer, 2000, "at least 1"),
 )
+
+# Section -> its fields, in schema order; and attribute -> its field.
+_SECTIONS: dict[str, list[_Field]] = {}
+for _f in _FIELDS:
+    _SECTIONS.setdefault(_f.section, []).append(_f)
+del _f
+_FIELD_OF = {f.attr: f for f in _FIELDS}
+
+
+def _epsilon_problem(eps: float) -> str | None:
+    """The error message if one epsilon lies outside (0, 1), else None."""
+    return None if 0 < eps < 1 else "epsilons must lie strictly between 0 and 1"
+
 
 # Sweep axis -> the Scenario attribute that each grid value replaces.
 _AXIS_FIELDS = {"none": None, "rate": "rate_gbps", "gain": "mean_snr_db",
@@ -178,13 +197,22 @@ class Scenario:
     horizon_slots: int
 
     def validate(self) -> None:
+        """Raise ScenarioError with the first rule that the scenario breaks.
+
+        Every number must be finite, the grid values included, and every
+        field must meet its range rule. A sweep grid value replaces one
+        field, so it is checked against that field's rule alone (an
+        epsilon against 0 < epsilon < 1), and its error reads
+        ``sweep.grid value {value}: {rule's message}``.
+        """
         values = [getattr(self, f.attr) for f in _FIELDS]
         flat = [x for v in values for x in (v if isinstance(v, tuple) else (v,))]
         if any(isinstance(x, float) and not math.isfinite(x) for x in flat):
             raise ScenarioError("scenario numbers must be finite")
         for f, value in zip(_FIELDS, values):
-            if f.rule is not None and not _RULES[f.rule](value):
-                raise ScenarioError(f"{f.section}.{f.key} must be {f.rule}")
+            message = f.problem(value)
+            if message is not None:
+                raise ScenarioError(message)
         if self.kind not in ("backlog", "delay"):
             raise ScenarioError("query.kind must be 'backlog' or 'delay'")
         if self.sweep_axis not in _AXIS_FIELDS:
@@ -192,8 +220,9 @@ class Scenario:
         if self.sweep_axis != "epsilon" and not self.epsilons:
             raise ScenarioError("query.epsilons must be non-empty")
         for eps in self.epsilons:
-            if not 0 < eps < 1:
-                raise ScenarioError("epsilons must lie strictly between 0 and 1")
+            message = _epsilon_problem(eps)
+            if message is not None:
+                raise ScenarioError(message)
         if len(set(self.epsilons)) < len(self.epsilons):
             raise ScenarioError("query.epsilons must not repeat a value")
         if self.sweep_axis != "none":
@@ -202,12 +231,14 @@ class Scenario:
                 raise ScenarioError("sweep.grid must be non-empty")
             if any(b <= a for a, b in zip(grid, grid[1:])):
                 raise ScenarioError("sweep.grid must be strictly increasing")
-            unswept = replace(self, sweep_axis="none")
+            # A grid value replaces one field of a point that is otherwise
+            # this scenario, so only that field's own rule can fail there.
+            attr = _AXIS_FIELDS[self.sweep_axis]
+            problem = _epsilon_problem if attr == "epsilons" else _FIELD_OF[attr].problem
             for value in grid:
-                try:
-                    _point_scenario(unswept, self.sweep_axis, value).validate()
-                except ScenarioError as exc:
-                    raise ScenarioError(f"sweep.grid value {value}: {exc}") from exc
+                message = problem(value)
+                if message is not None:
+                    raise ScenarioError(f"sweep.grid value {value}: {message}")
 
     def to_dict(self) -> dict:
         doc: dict = {}
@@ -221,15 +252,12 @@ class Scenario:
     def from_dict(doc: dict) -> "Scenario":
         if not isinstance(doc, dict):
             raise ScenarioError("a scenario must be a JSON object")
-        schema: dict[str, list[_Field]] = {}
-        for f in _FIELDS:
-            schema.setdefault(f.section, []).append(f)
         for name in doc:
-            if name not in schema:
+            if name not in _SECTIONS:
                 raise ScenarioError(
-                    f"unknown section '{name}'; expected one of {', '.join(schema)}")
+                    f"unknown section '{name}'; expected one of {', '.join(_SECTIONS)}")
         values = {}
-        for name, section_fields in schema.items():
+        for name, section_fields in _SECTIONS.items():
             sec = doc.get(name)
             if sec is None:
                 if any(f.default is _REQUIRED for f in section_fields):

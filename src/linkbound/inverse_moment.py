@@ -79,7 +79,7 @@ _TRAPEZOID_HALF_WIDTH = 12.0
 
 
 class CdfContractError(ValueError):
-    """The supplied CDF violated monotonicity or range on the evaluation grid."""
+    """The supplied CDF returned a non-finite value or broke monotonicity or range."""
 
 
 @dataclass(frozen=True)
@@ -161,16 +161,24 @@ def truncation_point(cdf, theta: float, config: DiscretizationConfig) -> float:
     step so that refinements truncate at the same point. The CDF is
     evaluated in two array calls, one over every doubling candidate and
     one over every midpoint the bisection can reach; the branches taken
-    are those of a point-by-point search.
+    are those of a point-by-point search. A NaN or infinite CDF value at
+    any of these points raises CdfContractError.
     """
     cdfv = _as_vectorized(cdf)
+
+    def survival(x: np.ndarray) -> list[float]:
+        f = cdfv(x)
+        # A NaN would read as "not stopped" at every point of the search.
+        if not np.all(np.isfinite(f)):
+            raise CdfContractError("cdf returned a non-finite value in the truncation search")
+        return (1.0 - f).tolist()
 
     def stopped(x: float, surv: float) -> bool:
         if surv <= config.tail_mass_tol:
             return True
         return surv * math.exp(-theta * math.log1p(x)) <= _SLACK_TOL
 
-    ladder_surv = (1.0 - cdfv(np.asarray(_LADDER))).tolist()
+    ladder_surv = survival(np.asarray(_LADDER))
     if stopped(_SEARCH_X0, ladder_surv[0]):
         return _SEARCH_X0
     j = 0
@@ -180,7 +188,7 @@ def truncation_point(cdf, theta: float, config: DiscretizationConfig) -> float:
     if x >= _SEARCH_CEIL:
         return _SEARCH_CEIL
     grid = _bisection_grid(x, 2.0 * x)
-    pts, surv = grid.tolist(), (1.0 - cdfv(grid)).tolist()
+    pts, surv = grid.tolist(), survival(grid)
     i_lo, i_hi = 0, len(pts) - 1
     while pts[i_hi] - pts[i_lo] > 1e-3 * pts[i_hi]:
         i_mid = (i_lo + i_hi) // 2
@@ -193,6 +201,9 @@ def truncation_point(cdf, theta: float, config: DiscretizationConfig) -> float:
 
 def _check_chunk(f: np.ndarray, prev_last: float) -> np.ndarray:
     lo, hi = f.min(), f.max()
+    # min and max propagate NaN, which every comparison below would pass.
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise CdfContractError("cdf returned a non-finite value on the evaluation grid")
     if lo < -1e-9 or hi > 1.0 + 1e-9:
         raise CdfContractError("cdf values outside [0, 1] on the evaluation grid")
     if lo < 0.0 or hi > 1.0:

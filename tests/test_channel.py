@@ -93,6 +93,16 @@ class TestSnrCdf:
         with pytest.raises(ValueError):
             lb.snr_cdf(operating_channel, np.array([1.0, -2.0]))
 
+    @pytest.mark.parametrize("sigma_db", [0.0, 8.0])
+    def test_nan_rejected(self, sigma_db):
+        # Every comparison with NaN is False, so "any x <= 0" let NaN through
+        # and the CDF returned NaN.
+        chan = lb.ShadowingChannel(25.0, sigma_db, 5e8)
+        with pytest.raises(ValueError, match="positive SNR only"):
+            lb.snr_cdf(chan, float("nan"))
+        with pytest.raises(ValueError, match="positive SNR only"):
+            lb.snr_cdf(chan, np.array([1.0, np.nan]))
+
     def test_sigma_zero_step(self):
         chan = lb.ShadowingChannel(25.0, 0.0, 500e6, 1.0)
         med = chan.median_snr

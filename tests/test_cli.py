@@ -539,11 +539,34 @@ def test_bench_templates_discretized_bounds_dominate_limit_mode():
         _assert_discretized_dominates_limit(doc)
 
 
+_SCIPY_PROBE = """\
+import sys
+import linkbound as lb
+import linkbound.cli
+
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+
+print(scipy_modules())
+env = lb.AffineEnvelope(burst_bits=0.0, rate_bits_per_slot=1e9)
+channel = lb.ShadowingChannel(25.0, 8.0, 5e8)
+exact = lb.ServiceCharacterization(channel, exact=True)
+lb.backlog_bound(env, exact, lb.BoundQuery(epsilon=1e-3, kind="backlog"))
+lb.delay_bound(env, exact, lb.BoundQuery(epsilon=1e-3, kind="delay"))
+lb.run_experiment(env, channel, lb.SimConfig(horizon_slots=100, replications=200))
+print(scipy_modules())
+grid = lb.ServiceCharacterization(channel, lb.DiscretizationConfig(step_delta=0.01))
+lb.backlog_bound(env, grid, lb.BoundQuery(epsilon=1e-3, kind="backlog"))
+print("scipy.special" in sys.modules, "scipy.optimize" in sys.modules)
+"""
+
+
 def test_import_loads_no_scipy_optimize():
-    # A fresh interpreter: the CLI's import path is numpy and scipy.special.
+    # A fresh interpreter: importing the CLI, exact-mode bounds and the
+    # simulator load no scipy module; the first CDF evaluation, here a
+    # delta = 0.01 bound, loads scipy.special and still not scipy.optimize.
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(pathlib.Path(lb.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
-    code = "import sys, linkbound.cli; print('scipy.optimize' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    out = subprocess.run([sys.executable, "-c", _SCIPY_PROBE], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out.strip() == "False"
+    assert out.splitlines() == ["[]", "[]", "True False"]

@@ -343,6 +343,17 @@ class TestTruncationAndTable:
         assert truncation_point(cdf, 0.0, cfg) == _SEARCH_CEIL
         assert scalar_truncation_point(cdf, 0.0, cfg) == _SEARCH_CEIL
 
+    def test_truncation_point_rejects_nan_cdf(self, operating_channel):
+        # A NaN survival used to read as "not stopped", so the search walked
+        # to the 1e12 ceiling and the grid then asked for 1e14 cells.
+        cdf = lognormal_cdf(operating_channel)
+        nan_above_5 = lambda x: np.where(x > 5.0, np.nan, cdf(x))
+        cfg = lb.DiscretizationConfig()
+        with pytest.raises(lb.CdfContractError, match="non-finite"):
+            truncation_point(nan_above_5, 1.0, cfg)
+        with pytest.raises(lb.CdfContractError, match="non-finite"):
+            lb.inverse_moment_bound(nan_above_5, 1.0, cfg)
+
     def test_table_upper_bounds_grid_value(self, operating_channel):
         cdf = lognormal_cdf(operating_channel)
         cfg = lb.DiscretizationConfig(step_delta=1e-2)
@@ -502,6 +513,14 @@ class TestBlockLatticeBuild:
         bad = lambda x: np.full_like(np.asarray(x, dtype=float), 1.5)
         with pytest.raises(lb.CdfContractError):
             StieltjesTable(bad, 0.01, 100_000, block_log_width=2e-5)
+
+    def test_nan_cdf_rejected(self, operating_channel):
+        # Every comparison with NaN is False, so the range and monotonicity
+        # checks of the build passed a NaN on to the masses.
+        cdf = lognormal_cdf(operating_channel)
+        nan_above_5 = lambda x: np.where(x > 5.0, np.nan, cdf(x))
+        with pytest.raises(lb.CdfContractError, match="non-finite"):
+            StieltjesTable(nan_above_5, 0.01, 100_000, block_log_width=2e-5)
 
     def test_build_peak_stays_near_the_table(self, operating_channel):
         # The build writes into its output arrays chunk by chunk: at 25/8 dB
