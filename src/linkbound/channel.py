@@ -127,8 +127,14 @@ def snr_cdf(channel: ShadowingChannel, x):
 
         ln_mean = DB_TO_LN * channel.mean_snr_db
         ln_sigma = DB_TO_LN * channel.sigma_db
-        arg = -(np.log(arr) - ln_mean) / (math.sqrt(2.0) * ln_sigma)
-        out = 0.5 * special.erfc(arg)
+        # 0.5 * erfc(-(ln x - ln_mean) / (sqrt(2) ln_sigma)), step by step in
+        # one buffer.
+        out = np.log(arr, out=np.empty(arr.shape))
+        out -= ln_mean
+        np.negative(out, out=out)
+        out /= math.sqrt(2.0) * ln_sigma
+        special.erfc(out, out=out)
+        out *= 0.5
     if np.ndim(x) == 0:
         return float(out)
     return out

@@ -18,8 +18,14 @@ sum of mass * (1+x_left)^(-theta) over cells, plus the survival at the cut
 times (1+x_cut)^(-theta). Masses are differences of the CDF at cell right
 edges, so no term cancels, whatever the exponent. The grid streams in
 fixed-size chunks so that fine steps never materialize the whole grid;
-the table is built in chunks of 2^15 cells or lattice ids, so that no
-temporary of its build outgrows a chunk. The table sums exponents up to
+the table is built in chunks of 2^15 cells, lattice ids or blocks, so
+that no temporary of its build outgrows a chunk. The table's block
+lattice, the first cell of each block, is a function of the step and the
+block width alone: it is placed once per (step, width) in the process and
+every table takes a prefix of it as its log edges, so a sweep places it
+once and a single table in a fresh process gains nothing. A table's own
+work is the CDF at the block edges, the masses and the segment moments.
+The table sums exponents up to
 64 as a short power series about the left edge of each of a few hundred
 segments, with moments stored at build time. A larger exponent takes an
 exp pass over the shortest prefix of the blocks past which the rest of
@@ -33,7 +39,9 @@ monotone.
 
 from __future__ import annotations
 
+import bisect
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +63,11 @@ _SEARCH_CEIL = 1e12
 # guess is off by about n * 2.2e-16 * log1p(n delta) cells at n cells: at
 # most 50 at 2^53 cells, the most that float cell indices resolve.
 _NUDGE_PASSES = 128
+# Up to this many cells a block start x = m delta is recovered from its log
+# edge l as rint(expm1(l) / delta) * delta: expm1(l) / delta is off by at
+# most m * (l + 2) * 2.2e-16 < 0.2 cells there (l <= 710), whatever the
+# step. A lattice of more cells keeps x beside its log edges.
+_RECOVER_LIMIT = 2**40
 # A table groups its blocks into segments of this width in log1p(x) and
 # sums every exponent t <= 1 / _SEGMENT_WIDTH as a power series in t about
 # each segment's left edge L, through the t^_SERIES_TERMS term. A block
@@ -290,7 +303,8 @@ def _block_id(m, delta: float, width: float):
     return np.floor(np.log1p(m * delta) / width)
 
 
-def _block_starts(delta: float, n_terms: int, width: float):
+def _block_starts(delta: float, n_terms: int, width: float, first: int = 0,
+                  last_id: float = -1.0):
     """Yield (x, log1p(x)) for the left edge x = m delta of every block, in chunks.
 
     Cell m, [m delta, (m+1) delta], belongs to block _block_id(m), and a
@@ -302,10 +316,14 @@ def _block_starts(delta: float, n_terms: int, width: float):
     most _TABLE_CHUNK cells or ids, and each start lands where a build of
     all of them at once puts it. Starts increase strictly, across chunks
     too.
+
+    Only the starts at cells ``first`` and above are yielded, given the id
+    ``last_id`` of cell first - 1: a cell starts a block when its id
+    exceeds that of the cell before, so these starts do not depend on the
+    cells below ``first``.
     """
     n_dense = min(n_terms, math.ceil(1.0 / width))
-    last_id = -1.0
-    for m0 in range(0, n_dense, _TABLE_CHUNK):
+    for m0 in range(first, n_dense, _TABLE_CHUNK):
         x = np.arange(m0, min(m0 + _TABLE_CHUNK, n_dense), dtype=float) * delta
         log_x = np.log1p(x)
         ids = np.floor(log_x / width)
@@ -342,6 +360,96 @@ def _block_starts(delta: float, n_terms: int, width: float):
         yield x[new], log_x[new]
 
 
+@dataclass(frozen=True)
+class _Lattice:
+    """Every block start of the first ``n_terms`` cells of one (delta, width), read-only.
+
+    ``log_edges`` holds log1p(x) of each start; ``x`` holds the starts
+    themselves only above _RECOVER_LIMIT cells, and is None below it.
+    Starts increase strictly with the lattice id, so the starts of the first
+    n <= n_terms cells are exactly a prefix of these.
+    """
+
+    delta: float
+    width: float
+    n_terms: int
+    log_edges: np.ndarray
+    x: np.ndarray | None
+
+    def starts(self, i0: int, i1: int) -> np.ndarray:
+        """x = m delta of starts i0 to i1 - 1, exactly."""
+        if self.x is not None:
+            return self.x[i0:i1]
+        x = np.expm1(self.log_edges[i0:i1])
+        x /= self.delta
+        np.rint(x, out=x)
+        x *= self.delta
+        return x
+
+    def prefix(self, n_terms: int) -> int:
+        """Number of starts in the first ``n_terms`` cells: those with x <= (n_terms - 1) delta."""
+        last = (n_terms - 1.0) * self.delta
+        return bisect.bisect_right(range(self.log_edges.size), last,
+                                   key=lambda i: float(self.starts(i, i + 1)[0]))
+
+
+def _place_lattice(delta: float, n_terms: int, width: float,
+                   base: _Lattice | None = None) -> _Lattice:
+    """Place the block starts of the first ``n_terms`` cells into one read-only lattice.
+
+    ``base``, a lattice of the same (delta, width) and fewer cells, is
+    extended: its starts are copied and only the cells above it placed.
+    """
+    # Each of the first ceil(1 / width) cells starts at most one block, and
+    # so does each lattice id above the last of theirs.
+    n_dense = min(n_terms, math.ceil(1.0 / width))
+    dense_top = float(_block_id(float(n_dense - 1), delta, width))
+    top = float(_block_id(float(n_terms - 1), delta, width))
+    capacity = int(min(n_dense, dense_top + 1.0) + max(top - dense_top, 0.0))
+    log_edges = np.empty(capacity)
+    kept_x = np.empty(capacity) if n_terms > _RECOVER_LIMIT else None
+    first, last_id, n = 0, -1.0, 0
+    if base is not None:
+        # The cells from base's last start up to its end share that start's id.
+        first, n = base.n_terms, base.log_edges.size
+        last_id = float(np.floor(base.log_edges[-1] / width))
+        log_edges[:n] = base.log_edges
+        if kept_x is not None:
+            kept_x[:n] = base.starts(0, n)
+    for x, log_x in _block_starts(delta, n_terms, width, first, last_id):
+        log_edges[n:n + x.size] = log_x
+        if kept_x is not None:
+            kept_x[n:n + x.size] = x
+        n += x.size
+    log_edges = log_edges[:n]
+    log_edges.flags.writeable = False
+    if kept_x is not None:
+        kept_x = kept_x[:n]
+        kept_x.flags.writeable = False
+    return _Lattice(delta, width, n_terms, log_edges, kept_x)
+
+
+# The lattice of the last (delta, width) a table asked for, extended to the
+# most cells any table of that pair has asked for. It is swapped whole, so a
+# reader that takes it once sees a key and arrays that belong together. The
+# lock makes concurrent tables, the points of a sweep, wait for one
+# placement instead of each placing their own.
+_lattice: _Lattice | None = None
+_lattice_lock = threading.Lock()
+
+
+def _shared_lattice(delta: float, n_terms: int, width: float) -> _Lattice:
+    """The shared lattice of (delta, width), extended if it holds fewer than ``n_terms`` cells."""
+    global _lattice
+    with _lattice_lock:
+        lattice = _lattice
+        same = lattice is not None and lattice.delta == delta and lattice.width == width
+        if not same or lattice.n_terms < n_terms:
+            lattice = _lattice = _place_lattice(delta, n_terms, width,
+                                                lattice if same else None)
+        return lattice
+
+
 def _close_masses(cdfv, right: np.ndarray, prev_f: float, out: np.ndarray) -> float:
     """Write to ``out`` the masses of consecutive cells that end at ``right``.
 
@@ -366,15 +474,22 @@ class StieltjesTable:
     bound on the expectation and exceeds the unmerged grid value by at most
     a factor exp(theta * block_log_width) - 1.
 
-    The build locates the first grid cell of each block on the lattice and
-    evaluates the CDF once, at the block edges and the grid end; a block's
-    mass is the difference of the CDF across it. It runs in chunks of
-    _TABLE_CHUNK (2^15) cells or lattice ids: each chunk places its block
-    starts, takes their log1p once as the stored log edges, evaluates and
-    checks the CDF there and writes the masses it closes into the two
-    preallocated output arrays, so no temporary outgrows a chunk. The
-    number of blocks is at most 1 + log1p(delta * n_terms) /
-    block_log_width, whatever the step, and the build handles at most
+    The first grid cell of each block, the block lattice, depends on delta
+    and block_log_width alone, not on the CDF. It is placed once per
+    (delta, block_log_width) in the process, in chunks of _TABLE_CHUNK
+    (2^15) cells or lattice ids, and shared: the first table of a pair
+    places it, a table of more cells extends it, placing only the cells
+    above it, and every table takes the prefix of the starts with
+    x <= (n_terms - 1) delta. ``log_edges`` is a read-only view of that
+    prefix, so a sweep places the lattice once and keeps its log edges
+    once; a single table in a fresh process gains nothing. The build then
+    evaluates the CDF once at the block edges and the grid end, in chunks
+    of 2^15 blocks: each start x = m delta is read back exactly from its
+    log edge as rint(expm1(l) / delta) * delta, or from the lattice, which
+    keeps x above 2^40 cells; the CDF there is checked, and the masses it
+    closes, differences of the CDF across each block, go into one
+    preallocated array. The number of blocks is at most 1 + log1p(delta * n_terms) /
+    block_log_width, whatever the step, and the placement handles at most
     1 / block_log_width more ids than that. More than 2^53 cells raise
     ValueError.
 
@@ -398,23 +513,17 @@ class StieltjesTable:
                              "cells, more than the 2^53 that float indices resolve")
         self.block_log_width = width = float(block_log_width)
         cdfv = _as_vectorized(cdf)
-        # Each of the first ceil(1 / width) cells starts at most one block,
-        # and so does each lattice id above the last of theirs.
-        n_dense = min(n_terms, math.ceil(1.0 / width))
-        dense_top = float(_block_id(float(n_dense - 1), delta, width))
-        top = float(_block_id(float(n_terms - 1), delta, width))
-        capacity = int(min(n_dense, dense_top + 1.0) + max(top - dense_top, 0.0))
-        log_edges, mass = np.empty(capacity), np.empty(capacity)
-        n, prev_f = 0, 0.0
-        for x, log_x in _block_starts(delta, n_terms, width):
-            log_edges[n:n + x.size] = log_x
-            # A block's first cell ends the block before it, so the CDF there
-            # closes that block's mass; the block at x = 0 closes none.
-            right = x if n else x[1:]
-            n += x.size
-            prev_f = _close_masses(cdfv, right, prev_f, mass[n - 1 - right.size:n - 1])
-        f_end = _close_masses(cdfv, np.asarray([n_terms * delta]), prev_f, mass[n - 1:n])
-        self.log_edges, self.mass = log_edges[:n], mass[:n]
+        lattice = _shared_lattice(delta, n_terms, width)
+        n = lattice.prefix(n_terms)
+        self.log_edges, self.mass = lattice.log_edges[:n], np.empty(n)
+        # A block's first cell ends the block before it, so the CDF there
+        # closes that block's mass; the block at x = 0 closes none.
+        prev_f = 0.0
+        for i0 in range(1, n, _TABLE_CHUNK):
+            i1 = min(i0 + _TABLE_CHUNK, n)
+            prev_f = _close_masses(cdfv, lattice.starts(i0, i1), prev_f,
+                                   self.mass[i0 - 1:i1 - 1])
+        f_end = _close_masses(cdfv, np.asarray([n_terms * delta]), prev_f, self.mass[n - 1:n])
         self.end_survival = 1.0 - f_end
         self.end_log_edge = math.log1p(n_terms * delta)
         self._seg_left, self._seg_moments = _segment_moments(self.log_edges, self.mass)
@@ -479,8 +588,8 @@ def _segment_moments(log_edges: np.ndarray, mass: np.ndarray) -> tuple[np.ndarra
 
     Segment s holds the blocks whose log edge l has floor(l / width) = s,
     that is s * width <= l; only segments that hold a block are kept.
-    Moments are summed over chunks of whole segments, so the temporaries
-    stay cache-sized.
+    Moments are summed over chunks of whole segments, in two buffers sized
+    to the longest chunk, so the temporaries stay cache-sized.
     """
     n = log_edges.size
     lattice = np.arange(math.floor(log_edges[-1] / _SEGMENT_WIDTH) + 1.0) * _SEGMENT_WIDTH
@@ -492,12 +601,19 @@ def _segment_moments(log_edges: np.ndarray, mass: np.ndarray) -> tuple[np.ndarra
     # multiple of _TABLE_CHUNK, so that no segment is split.
     cuts = np.unique(np.searchsorted(first, np.arange(0, n, _TABLE_CHUNK), side="right") - 1)
     block_of = np.append(first, n)
+    longest = int(np.diff(block_of[np.append(cuts, first.size)]).max())
+    offset_buf, power_buf = np.empty(longest), np.empty(longest)
     for c0, c1 in zip(cuts.tolist(), cuts[1:].tolist() + [first.size]):
         b0, b1 = int(block_of[c0]), int(block_of[c1])
         edges = log_edges[b0:b1]
-        offset = edges - np.floor(edges / _SEGMENT_WIDTH) * _SEGMENT_WIDTH
+        # offset = edges - floor(edges / width) * width
+        offset = np.divide(edges, _SEGMENT_WIDTH, out=offset_buf[:b1 - b0])
+        np.floor(offset, out=offset)
+        offset *= _SEGMENT_WIDTH
+        np.subtract(edges, offset, out=offset)
         local = first[c0:c1] - b0
-        powers = mass[b0:b1].copy()
+        powers = power_buf[:b1 - b0]
+        powers[:] = mass[b0:b1]
         moments[0, c0:c1] = np.add.reduceat(powers, local)
         for k in range(1, _SERIES_TERMS + 1):
             powers *= offset

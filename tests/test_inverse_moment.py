@@ -1,5 +1,9 @@
+import hashlib
 import math
+import sys
 import tracemalloc
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
 import numpy as np
@@ -564,3 +568,122 @@ class TestBlockLatticeBuild:
 
         with pytest.raises(lb.CdfContractError):
             StieltjesTable(bad, 0.01, 100_000, block_log_width=2e-5)
+
+
+def table_digest(cdf, delta, n_terms, width=2e-5) -> str:
+    """SHA-256 of every array and scalar of a new StieltjesTable, shapes included."""
+    table = StieltjesTable(cdf, delta, n_terms, block_log_width=width)
+    digest = hashlib.sha256()
+    for a in (table.log_edges, table.mass, table._seg_left, table._seg_moments,
+              np.asarray([table.end_survival, table.end_log_edge])):
+        digest.update(repr(a.shape).encode())
+        digest.update(np.ascontiguousarray(a).tobytes())
+    return digest.hexdigest()
+
+
+def _lattice_cases():
+    """(id, channel, two steps, block width, cell counts in ascending order)."""
+    cases = []
+    for name, (mean_snr_db, sigma_db), steps, width, extra in (
+        ("25/8 dB", (25.0, 8.0), (1e-2, 2e-2), 2e-5, [820_000, 15_000_000, 2**40, 2**53]),
+        # The case of test_matches_cell_by_cell_build whose first guesses of
+        # a block start are a cell off.
+        ("50/8 dB adversarial", (50.0, 8.0), (1.0, 2.0), math.log(2.0) / 1000, [1_000_000]),
+    ):
+        dense = math.ceil(1.0 / width)
+        ns = [1, dense - 1, dense, dense + 1, 100_000] + extra
+        cases.append(pytest.param(lb.ShadowingChannel(mean_snr_db, sigma_db, 5e8), steps,
+                                  width, ns, id=name))
+    return cases
+
+
+class TestSharedLattice:
+    """Every table slices one block lattice per (delta, width); none places its own."""
+
+    @pytest.fixture(autouse=True)
+    def cleared_lattice(self, monkeypatch):
+        monkeypatch.setattr(inverse_moment, "_lattice", None)
+
+    @pytest.mark.parametrize("channel, steps, width, ns", _lattice_cases())
+    def test_prefix_matches_a_cleared_lattice(self, monkeypatch, channel, steps, width, ns):
+        # Up to 2^40 cells the build recovers each start's x from its log
+        # edge; above it the lattice keeps x. After the 2^53-cell table the
+        # descending order reads every smaller table's x from the kept ones.
+        cdf = lognormal_cdf(channel)
+        reference = {}
+        for delta in steps:
+            for n in ns:
+                monkeypatch.setattr(inverse_moment, "_lattice", None)
+                reference[delta, n] = table_digest(cdf, delta, n, width)
+        orders = {
+            "ascending": [(steps[0], n) for n in ns],
+            "descending": [(steps[0], n) for n in reversed(ns)],
+            "alternating steps": [(delta, n) for n in ns for delta in steps],
+        }
+        for order, builds in orders.items():
+            monkeypatch.setattr(inverse_moment, "_lattice", None)
+            for delta, n in builds:
+                assert table_digest(cdf, delta, n, width) == reference[delta, n], (order, delta, n)
+
+    @pytest.mark.parametrize("delta, n_terms", [(1e-2, 2**40), (1e-2, 2**53), (1e-11, 2**53)])
+    def test_starts_are_the_placed_cells(self, delta, n_terms):
+        # Up to 2^40 cells x is recovered from the log edge, exactly; at
+        # 2^53 cells that recovery is up to 32 cells off, so the lattice
+        # keeps x there.
+        lattice = inverse_moment._place_lattice(delta, n_terms, 2e-5)
+        placed = np.concatenate([x for x, _ in inverse_moment._block_starts(delta, n_terms, 2e-5)])
+        assert np.array_equal(lattice.starts(0, placed.size), placed)
+        assert lattice.prefix(n_terms) == placed.size
+
+    def test_second_table_allocates_no_log_edges(self, operating_channel):
+        # At 25/8 dB the log edges take 2.3 MB; a table at the same step and
+        # no more cells slices them and allocates only its masses and moments.
+        cdf = lognormal_cdf(operating_channel)
+        n = int(math.ceil(truncation_point(cdf, 0.0, lb.DiscretizationConfig()) / 1e-2))
+        first = StieltjesTable(cdf, 1e-2, n, block_log_width=2e-5)
+        for n_second in (n, n - 1000):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                second = StieltjesTable(cdf, 1e-2, n_second, block_log_width=2e-5)
+                retained, peak = tracemalloc.get_traced_memory()
+                large = [t.size for t in tracemalloc.take_snapshot().traces
+                         if t.size >= second.mass.nbytes]
+            finally:
+                tracemalloc.stop()
+            own = sum(a.nbytes for a in (second.mass, second._seg_left, second._seg_moments))
+            assert np.shares_memory(first.log_edges, second.log_edges)
+            assert large == [second.mass.nbytes]
+            assert retained - before < own + 64 * 2**10
+            assert peak - before < own + second.log_edges.nbytes // 2
+
+    def test_concurrent_tables_match_a_cleared_lattice(self, monkeypatch, operating_channel):
+        # The points of a sweep build their tables on pool threads, so the
+        # lattice is placed, grown, swapped and sliced concurrently.
+        cdf = lognormal_cdf(operating_channel)
+        jobs = [(delta, n) for delta in (1e-2, 2e-2) for n in (50_001, 400_000, 820_000)]
+        reference = {}
+        for delta, n in jobs:
+            monkeypatch.setattr(inverse_moment, "_lattice", None)
+            reference[delta, n] = table_digest(cdf, delta, n)
+        monkeypatch.setattr(inverse_moment, "_lattice", None)
+        order = [jobs[i] for i in np.random.default_rng(3).permutation(len(jobs) * 3) % len(jobs)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(table_digest, cdf, *job) for job in order]
+                digests = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert digests == [reference[job] for job in order]
+
+    def test_switching_step_releases_the_lattice(self, operating_channel):
+        cdf = lognormal_cdf(operating_channel)
+        table = StieltjesTable(cdf, 1e-2, 100_000, block_log_width=2e-5)
+        lattice = weakref.ref(inverse_moment._lattice)
+        edges = weakref.ref(table.log_edges.base)
+        del table
+        StieltjesTable(cdf, 2e-2, 100_000, block_log_width=2e-5)
+        assert lattice() is None
+        assert edges() is None
