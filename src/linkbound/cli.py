@@ -12,7 +12,8 @@ Unit conversions live here and nowhere else: arrival rates enter in Gbps
 and become bits per slot; delay bounds leave in seconds. Sweep points are
 evaluated one after another in sweep-index order on the calling thread,
 output rows follow that order, and a fixed scenario plus seed yields a
-byte-identical table.
+byte-identical table; the simulator spreads a point's replication blocks
+over one worker thread per CPU without changing any sample.
 """
 
 from __future__ import annotations

@@ -18,14 +18,20 @@ with each array operation applied to the whole block at once. Every row
 draws from its own stream in the same order as a lone replication would,
 and the arithmetic on a row does not depend on the rows beside it, so no
 sample depends on the block size, the seeding chunk or the order in
-which replications run.
+which replications run. Blocks are therefore spread over one worker thread
+per available CPU, and their results are joined in block order; numpy
+releases the GIL inside the normal draws and the exp and log1p passes,
+which are most of a block.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import operator
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +49,16 @@ _DRAIN_CHUNK = 256
 _BLOCK_CELLS = 1 << 17
 # Replication indices whose seed words are derived in one array pass.
 _SEED_CHUNK = 1024
+# Block workers: one per CPU this process may run on.
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+# The process-wide block pool, started on first use; keyed by worker count,
+# so a pool always has _WORKERS threads.
+_pools: dict = {}
+_pools_lock = threading.Lock()
+# A forked child inherits the pools but not their threads.
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_pools.clear)
 
 
 @dataclass(frozen=True)
@@ -234,27 +250,73 @@ def _replicate(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Replicate once per generator in rngs: (backlogs, delays, censored) arrays.
 
-    The generators are taken a block of rows at a time, and one pair of
-    buffers serves every block, so memory does not grow with their number.
+    The generators are taken a block of rows at a time, and each worker
+    that runs blocks holds one pair of buffers, so memory does not grow
+    with their number.
     """
     if horizon < 1:
         raise ValueError("horizon_slots must be at least 1")
     rngs = iter(rngs)
     rows = max(1, _BLOCK_CELLS // max(horizon, _DRAIN_CHUNK))
     arrivals = generate_arrivals(env, horizon)
-    net_buf = drain_buf = None
-    blocks = []
-    while block := list(itertools.islice(rngs, rows)):
-        if net_buf is None:
-            net_buf = np.empty(len(block) * horizon)
-            drain_buf = np.empty(len(block) * _DRAIN_CHUNK)
-        net = net_buf[: len(block) * horizon].reshape(len(block), horizon)
+    local = threading.local()
+
+    def replicate_block(block):
+        bufs = getattr(local, "bufs", None)
+        if bufs is None or bufs[0].size < len(block) * horizon:
+            bufs = local.bufs = (np.empty(len(block) * horizon),
+                                 np.empty(len(block) * _DRAIN_CHUNK))
+        net = bufs[0][: len(block) * horizon].reshape(len(block), horizon)
         _draw_service(channel, block, net)
         np.subtract(arrivals, net, out=net)
         np.cumsum(net, axis=1, out=net)
         backlog = net[:, -1] - np.minimum(net.min(axis=1), 0.0)
-        blocks.append((backlog, *_drain(channel, block, backlog, drain_buf)))
-    return tuple(np.concatenate(column) for column in zip(*blocks))
+        return (backlog, *_drain(channel, block, backlog, bufs[1]))
+
+    blocks = iter(lambda: list(itertools.islice(rngs, rows)), [])
+    results = _map_in_order(replicate_block, blocks)
+    return tuple(np.concatenate(column) for column in zip(*results))
+
+
+def _map_in_order(fn, items) -> list:
+    """[fn(item) for item in items], run on the block pool.
+
+    At most _WORKERS + 1 items are in flight at a time, and results are
+    returned in item order. A lone item, or every item when there is one
+    worker, runs on the calling thread. An exception from fn reaches the
+    caller.
+    """
+    workers = _WORKERS
+    head = list(itertools.islice(items, 2))
+    if len(head) < 2 or workers == 1:
+        return [fn(item) for item in itertools.chain(head, items)]
+    pool = _pool(workers)
+    pending = collections.deque()
+    results = []
+    try:
+        for item in itertools.chain(head, items):
+            if len(pending) > workers:
+                results.append(pending.popleft().result())
+            pending.append(pool.submit(fn, item))
+        while pending:
+            results.append(pending.popleft().result())
+    finally:
+        # After an error, no item of this call outlives it: the items not
+        # started are dropped, and the caller waits out the ones running.
+        for future in pending:
+            if not future.cancel():
+                future.exception()
+    return results
+
+
+def _pool(workers: int):
+    """The process-wide ThreadPoolExecutor of workers threads."""
+    with _pools_lock:
+        if workers not in _pools:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pools[workers] = ThreadPoolExecutor(workers, thread_name_prefix="linkbound-sim")
+        return _pools[workers]
 
 
 def run_replication(

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -79,9 +81,7 @@ class TestSeeding:
         for chunk in (1, 7, 4096):
             monkeypatch.setattr(simulator, "_SEED_CHUNK", chunk)
             out = lb.run_experiment(env, operating_channel, cfg)
-            assert np.array_equal(out.backlog_samples, reference.backlog_samples)
-            assert np.array_equal(out.delay_samples, reference.delay_samples)
-            assert np.array_equal(out.censored, reference.censored)
+            _assert_same_outcome(out, reference)
             # A run that starts and ends inside a chunk yields numpy's streams.
             rngs = simulator._replication_rngs(2**64 + 5, 3, 20)
             for index, rng in zip(range(3, 20), rngs, strict=True):
@@ -255,6 +255,12 @@ def _assert_matches_replications(env, channel, cfg, out):
         assert bool(out.censored[idx]) == c
 
 
+def _assert_same_outcome(out, reference):
+    assert np.array_equal(out.backlog_samples, reference.backlog_samples)
+    assert np.array_equal(out.delay_samples, reference.delay_samples)
+    assert np.array_equal(out.censored, reference.censored)
+
+
 class TestBlockBoundaries:
     """run_experiment evaluates replications in blocks of rows; every index
     must still equal its lone replication bit for bit."""
@@ -303,9 +309,78 @@ class TestBlockBoundaries:
         for cells in (1, 7 * 300, 1 << 20):
             monkeypatch.setattr(simulator, "_BLOCK_CELLS", cells)
             out = lb.run_experiment(env, operating_channel, cfg)
-            assert np.array_equal(out.backlog_samples, reference.backlog_samples)
-            assert np.array_equal(out.delay_samples, reference.delay_samples)
-            assert np.array_equal(out.censored, reference.censored)
+            _assert_same_outcome(out, reference)
+
+
+class TestBlockWorkers:
+    """Blocks run on a pool of _WORKERS threads; no sample may depend on the
+    worker count, on other callers or on a failed run before it."""
+
+    # 5 rows a block at 300 slots: 12 blocks, more than workers + 1 for
+    # every worker count below.
+    CELLS = 5 * 300
+    CFG = lb.SimConfig(300, 60, master_seed=9)
+    ENV = lb.AffineEnvelope(0.0, 4.7e9)
+
+    @pytest.fixture
+    def serial(self, operating_channel, monkeypatch):
+        monkeypatch.setattr(simulator, "_BLOCK_CELLS", self.CELLS)
+        monkeypatch.setattr(simulator, "_WORKERS", 1)
+        reference = lb.run_experiment(self.ENV, operating_channel, self.CFG)
+        _assert_matches_replications(self.ENV, operating_channel, self.CFG, reference)
+        return reference
+
+    def test_worker_count_invariance(self, operating_channel, monkeypatch, serial):
+        assert self.CFG.replications // (self.CELLS // 300) > 3 + 1
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(simulator, "_WORKERS", workers)
+            out = lb.run_experiment(self.ENV, operating_channel, self.CFG)
+            _assert_same_outcome(out, serial)
+
+    def test_concurrent_callers(self, operating_channel, monkeypatch, serial):
+        # Three workers, more than this suite assumes cores, and a short
+        # switch interval: a buffer or generator shared between blocks or
+        # callers would change some sample.
+        other_cfg = lb.SimConfig(300, 45, master_seed=10)
+        other_serial = lb.run_experiment(self.ENV, operating_channel, other_cfg)
+        monkeypatch.setattr(simulator, "_WORKERS", 3)
+        start = threading.Barrier(2, timeout=60)
+        outs = {}
+
+        def call(cfg):
+            start.wait()
+            outs[cfg] = lb.run_experiment(self.ENV, operating_channel, cfg)
+
+        threads = [threading.Thread(target=call, args=(cfg,)) for cfg in (self.CFG, other_cfg)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        _assert_same_outcome(outs[self.CFG], serial)
+        _assert_same_outcome(outs[other_cfg], other_serial)
+
+    def test_block_error_reaches_caller(self, operating_channel, monkeypatch, serial):
+        monkeypatch.setattr(simulator, "_WORKERS", 2)
+        drain = simulator._drain
+        calls = iter(range(1000))
+
+        def failing_drain(*args):
+            if next(calls) == 3:
+                raise RuntimeError("block failed")
+            return drain(*args)
+
+        monkeypatch.setattr(simulator, "_drain", failing_drain)
+        with pytest.raises(RuntimeError, match="block failed"):
+            lb.run_experiment(self.ENV, operating_channel, self.CFG)
+        monkeypatch.setattr(simulator, "_drain", drain)
+        out = lb.run_experiment(self.ENV, operating_channel, self.CFG)
+        _assert_same_outcome(out, serial)
 
 
 def _traced_peak(env, channel, cfg) -> int:
@@ -317,9 +392,12 @@ def _traced_peak(env, channel, cfg) -> int:
         tracemalloc.stop()
 
 
-def test_experiment_memory_is_one_block(operating_channel):
-    # One block buffer is 1 MiB; holding every replication's path at once
-    # would take 16 MiB for 1000 replications and 64 MiB for 4000.
+def test_experiment_memory_is_one_block(operating_channel, monkeypatch):
+    # One block buffer per worker, 1 MiB each; holding every replication's
+    # path at once would take 16 MiB for 1000 replications and 64 MiB for
+    # 4000. Two workers, whatever the host's CPU count, so the bound below
+    # holds on any host.
+    monkeypatch.setattr(simulator, "_WORKERS", 2)
     env = lb.AffineEnvelope(0.0, 3.9e9)
     small = _traced_peak(env, operating_channel, lb.SimConfig(2000, 1000, 1))
     large = _traced_peak(env, operating_channel, lb.SimConfig(2000, 4000, 1))
