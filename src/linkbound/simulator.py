@@ -19,9 +19,10 @@ draws from its own stream in the same order as a lone replication would,
 and the arithmetic on a row does not depend on the rows beside it, so no
 sample depends on the block size, the seeding chunk or the order in
 which replications run. Blocks are therefore spread over one worker thread
-per available CPU, and their results are joined in block order; numpy
+per available CPU, each writing its own rows of the outputs; numpy
 releases the GIL inside the normal draws and the exp and log1p passes,
-which are most of a block.
+which are most of a block. The workers split one block's worth of slots
+between them, so memory does not grow with the number of CPUs.
 """
 
 from __future__ import annotations
@@ -44,21 +45,28 @@ DELAY_SEARCH_CAP = 10_000
 # One spawn word, below 2^32, names each replication.
 MAX_REPLICATIONS = 1 << 32
 _DRAIN_CHUNK = 256
-# Slots held by one block buffer (1 MiB of float64); a block has
-# _BLOCK_CELLS // max(horizon, _DRAIN_CHUNK) rows, at least one.
-_BLOCK_CELLS = 1 << 17
+# Slots held by the block buffers of one call (2 MiB of float64): the
+# _BLOCK_CELLS // max(horizon, _DRAIN_CHUNK) rows, at least one, are split
+# evenly between the workers, and each worker's block has its share.
+_BLOCK_CELLS = 1 << 18
 # Replication indices whose seed words are derived in one array pass.
 _SEED_CHUNK = 1024
 # Block workers: one per CPU this process may run on.
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-# The process-wide block pool, started on first use; keyed by worker count,
-# so a pool always has _WORKERS threads.
-_pools: dict = {}
-_pools_lock = threading.Lock()
-# A forked child inherits the pools but not their threads.
+# The process-wide pool of _WORKERS block threads, started on first use.
+_executor = None
+_executor_lock = threading.Lock()
+
+
+def _forget_executor() -> None:
+    global _executor
+    _executor = None
+
+
+# A forked child inherits the pool but not its threads.
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_pools.clear)
+    os.register_at_fork(after_in_child=_forget_executor)
 
 
 @dataclass(frozen=True)
@@ -246,77 +254,92 @@ def _drain(
 
 
 def _replicate(
-    env: AffineEnvelope, channel: ShadowingChannel, horizon: int, rngs
+    env: AffineEnvelope, channel: ShadowingChannel, horizon: int, rngs, count: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Replicate once per generator in rngs: (backlogs, delays, censored) arrays.
+    """Replicate once for each of the count generators in rngs:
+    (backlogs, delays, censored) arrays.
 
-    The generators are taken a block of rows at a time, and each worker
-    that runs blocks holds one pair of buffers, so memory does not grow
-    with their number.
+    The generators are taken a block of rows at a time. The rows of one
+    block's worth of slots are split between the workers, at least one
+    row each, and each block that runs holds one pair of buffers until it
+    ends; a block writes its rows of the outputs in place. So memory grows
+    neither with the number of CPUs nor, beyond the outputs, with count.
     """
     if horizon < 1:
         raise ValueError("horizon_slots must be at least 1")
     rngs = iter(rngs)
     rows = max(1, _BLOCK_CELLS // max(horizon, _DRAIN_CHUNK))
+    workers = min(_WORKERS, rows)
+    rows //= workers
     arrivals = generate_arrivals(env, horizon)
-    local = threading.local()
+    backlogs = np.empty(count)
+    delays = np.empty(count, dtype=np.int64)
+    censored = np.empty(count, dtype=bool)
+    free = []  # buffer pairs of blocks that have ended
 
-    def replicate_block(block):
-        bufs = getattr(local, "bufs", None)
-        if bufs is None or bufs[0].size < len(block) * horizon:
-            bufs = local.bufs = (np.empty(len(block) * horizon),
-                                 np.empty(len(block) * _DRAIN_CHUNK))
-        net = bufs[0][: len(block) * horizon].reshape(len(block), horizon)
-        _draw_service(channel, block, net)
-        np.subtract(arrivals, net, out=net)
-        np.cumsum(net, axis=1, out=net)
-        backlog = net[:, -1] - np.minimum(net.min(axis=1), 0.0)
-        return (backlog, *_drain(channel, block, backlog, bufs[1]))
+    def replicate_block(item):
+        start, block = item
+        try:
+            net_buf, drain_buf = free.pop()
+        except IndexError:
+            net_buf, drain_buf = np.empty(rows * horizon), np.empty(rows * _DRAIN_CHUNK)
+        try:
+            net = net_buf[: len(block) * horizon].reshape(len(block), horizon)
+            _draw_service(channel, block, net)
+            np.subtract(arrivals, net, out=net)
+            np.cumsum(net, axis=1, out=net)
+            rows_of_block = slice(start, start + len(block))
+            backlog = backlogs[rows_of_block]
+            np.subtract(net[:, -1], np.minimum(net.min(axis=1), 0.0), out=backlog)
+            delays[rows_of_block], censored[rows_of_block] = _drain(
+                channel, block, backlog, drain_buf)
+        finally:
+            free.append((net_buf, drain_buf))
 
-    blocks = iter(lambda: list(itertools.islice(rngs, rows)), [])
-    results = _map_in_order(replicate_block, blocks)
-    return tuple(np.concatenate(column) for column in zip(*results))
+    blocks = ((start, list(itertools.islice(rngs, rows))) for start in range(0, count, rows))
+    _run_blocks(replicate_block, blocks, workers)
+    return backlogs, delays, censored
 
 
-def _map_in_order(fn, items) -> list:
-    """[fn(item) for item in items], run on the block pool.
+def _run_blocks(fn, items, workers: int) -> None:
+    """fn(item) for each item, run on the block pool.
 
-    At most _WORKERS + 1 items are in flight at a time, and results are
-    returned in item order. A lone item, or every item when there is one
-    worker, runs on the calling thread. An exception from fn reaches the
-    caller.
+    At most workers + 1 items are in flight at a time, and the first of
+    them to fail, in item order, raises its exception in the caller. A
+    lone item, or every item when there is one worker, runs on the calling
+    thread.
     """
-    workers = _WORKERS
     head = list(itertools.islice(items, 2))
     if len(head) < 2 or workers == 1:
-        return [fn(item) for item in itertools.chain(head, items)]
-    pool = _pool(workers)
+        for item in itertools.chain(head, items):
+            fn(item)
+        return
+    pool = _pool()
     pending = collections.deque()
-    results = []
     try:
         for item in itertools.chain(head, items):
             if len(pending) > workers:
-                results.append(pending.popleft().result())
+                pending.popleft().result()
             pending.append(pool.submit(fn, item))
         while pending:
-            results.append(pending.popleft().result())
+            pending.popleft().result()
     finally:
         # After an error, no item of this call outlives it: the items not
         # started are dropped, and the caller waits out the ones running.
         for future in pending:
             if not future.cancel():
                 future.exception()
-    return results
 
 
-def _pool(workers: int):
-    """The process-wide ThreadPoolExecutor of workers threads."""
-    with _pools_lock:
-        if workers not in _pools:
+def _pool():
+    """The process-wide ThreadPoolExecutor of _WORKERS threads."""
+    global _executor
+    with _executor_lock:
+        if _executor is None:
             from concurrent.futures import ThreadPoolExecutor
 
-            _pools[workers] = ThreadPoolExecutor(workers, thread_name_prefix="linkbound-sim")
-        return _pools[workers]
+            _executor = ThreadPoolExecutor(_WORKERS, thread_name_prefix="linkbound-sim")
+        return _executor
 
 
 def run_replication(
@@ -331,7 +354,7 @@ def run_replication(
     The virtual delay is capped at DELAY_SEARCH_CAP; a censored sample
     counts as exceeding every finite threshold downstream.
     """
-    backlog, delay, censored = _replicate(env, channel, horizon_slots, (rng,))
+    backlog, delay, censored = _replicate(env, channel, horizon_slots, (rng,), 1)
     return float(backlog[0]), int(delay[0]), bool(censored[0])
 
 
@@ -385,7 +408,8 @@ def run_experiment(
     outcome is identical for any execution order.
     """
     rngs = _replication_rngs(config.master_seed, 0, config.replications)
-    backlog, delay, censored = _replicate(env, channel, config.horizon_slots, rngs)
+    backlog, delay, censored = _replicate(
+        env, channel, config.horizon_slots, rngs, config.replications)
     return SimOutcome(
         backlog_samples=backlog,
         delay_samples=delay,

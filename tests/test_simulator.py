@@ -312,12 +312,19 @@ class TestBlockBoundaries:
             _assert_same_outcome(out, reference)
 
 
+def _set_workers(monkeypatch, workers):
+    # A pool of that many threads, built on first use and dropped after
+    # the test.
+    monkeypatch.setattr(simulator, "_WORKERS", workers)
+    monkeypatch.setattr(simulator, "_executor", None)
+
+
 class TestBlockWorkers:
     """Blocks run on a pool of _WORKERS threads; no sample may depend on the
     worker count, on other callers or on a failed run before it."""
 
-    # 5 rows a block at 300 slots: 12 blocks, more than workers + 1 for
-    # every worker count below.
+    # 5 rows at 300 slots, split between the workers: at least 12 blocks,
+    # more than workers + 1 for every worker count below.
     CELLS = 5 * 300
     CFG = lb.SimConfig(300, 60, master_seed=9)
     ENV = lb.AffineEnvelope(0.0, 4.7e9)
@@ -325,7 +332,7 @@ class TestBlockWorkers:
     @pytest.fixture
     def serial(self, operating_channel, monkeypatch):
         monkeypatch.setattr(simulator, "_BLOCK_CELLS", self.CELLS)
-        monkeypatch.setattr(simulator, "_WORKERS", 1)
+        _set_workers(monkeypatch, 1)
         reference = lb.run_experiment(self.ENV, operating_channel, self.CFG)
         _assert_matches_replications(self.ENV, operating_channel, self.CFG, reference)
         return reference
@@ -333,7 +340,7 @@ class TestBlockWorkers:
     def test_worker_count_invariance(self, operating_channel, monkeypatch, serial):
         assert self.CFG.replications // (self.CELLS // 300) > 3 + 1
         for workers in (1, 2, 3):
-            monkeypatch.setattr(simulator, "_WORKERS", workers)
+            _set_workers(monkeypatch, workers)
             out = lb.run_experiment(self.ENV, operating_channel, self.CFG)
             _assert_same_outcome(out, serial)
 
@@ -343,7 +350,7 @@ class TestBlockWorkers:
         # callers would change some sample.
         other_cfg = lb.SimConfig(300, 45, master_seed=10)
         other_serial = lb.run_experiment(self.ENV, operating_channel, other_cfg)
-        monkeypatch.setattr(simulator, "_WORKERS", 3)
+        _set_workers(monkeypatch, 3)
         start = threading.Barrier(2, timeout=60)
         outs = {}
 
@@ -366,7 +373,7 @@ class TestBlockWorkers:
         _assert_same_outcome(outs[other_cfg], other_serial)
 
     def test_block_error_reaches_caller(self, operating_channel, monkeypatch, serial):
-        monkeypatch.setattr(simulator, "_WORKERS", 2)
+        _set_workers(monkeypatch, 2)
         drain = simulator._drain
         calls = iter(range(1000))
 
@@ -392,17 +399,22 @@ def _traced_peak(env, channel, cfg) -> int:
         tracemalloc.stop()
 
 
-def test_experiment_memory_is_one_block(operating_channel, monkeypatch):
-    # One block buffer per worker, 1 MiB each; holding every replication's
-    # path at once would take 16 MiB for 1000 replications and 64 MiB for
-    # 4000. Two workers, whatever the host's CPU count, so the bound below
-    # holds on any host.
-    monkeypatch.setattr(simulator, "_WORKERS", 2)
+def test_experiment_memory_is_one_block(operating_channel):
+    # One block buffer per worker, which together hold 2 MiB whatever the
+    # number of workers; holding every replication's path at once would
+    # take 16 MiB for 1000 replications and 64 MiB for 4000.
     env = lb.AffineEnvelope(0.0, 3.9e9)
     small = _traced_peak(env, operating_channel, lb.SimConfig(2000, 1000, 1))
     large = _traced_peak(env, operating_channel, lb.SimConfig(2000, 4000, 1))
     assert small < 4 * 2**20
     assert large - small < 2**18
+
+
+@pytest.mark.parametrize("workers", [4, 64])
+def test_experiment_memory_does_not_grow_with_workers(operating_channel, monkeypatch, workers):
+    # The same bounds at more workers than this suite assumes cores.
+    _set_workers(monkeypatch, workers)
+    test_experiment_memory_is_one_block(operating_channel)
 
 
 @pytest.fixture(scope="module")
