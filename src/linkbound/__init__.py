@@ -35,6 +35,7 @@ from .simulator import (
     SimOutcome,
     replication_rng,
     run_experiment,
+    run_experiments,
     run_replication,
     wilson_halfwidth,
 )
@@ -62,6 +63,7 @@ __all__ = [
     "log_kernel_bound",
     "replication_rng",
     "run_experiment",
+    "run_experiments",
     "run_replication",
     "sample_snr",
     "snr_cdf",

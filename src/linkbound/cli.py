@@ -9,11 +9,15 @@ section or key is an error, and so is a ``channel.link_budget`` given
 beside ``mean_snr_db`` or ``bandwidth_hz``.
 
 Unit conversions live here and nowhere else: arrival rates enter in Gbps
-and become bits per slot; delay bounds leave in seconds. Sweep points are
-evaluated one after another in sweep-index order on the calling thread,
-output rows follow that order, and a fixed scenario plus seed yields a
-byte-identical table; the simulator spreads a point's replication blocks
-over one worker thread per CPU without changing any sample.
+and become bits per slot; delay bounds leave in seconds. Sweep points'
+bounds are evaluated one after another in sweep-index order on the
+calling thread, and output rows follow that order. The stable points of a
+simulated scenario are then simulated in one run at one master seed, on
+the same replication streams, so each point's simulated columns are
+those of the point run alone, wherever it sits in the sweep. A fixed
+scenario plus seed yields a byte-identical table; the simulator spreads
+the replication blocks over one worker thread per CPU without changing
+any sample.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from .bounds import BoundQuery, UnstableSystemError, backlog_bound, delay_bound
 from .channel import LinkBudget, ShadowingChannel, system_gain_db
 from .inverse_moment import DiscretizationConfig
 from .service import ServiceCharacterization
-from .simulator import MAX_REPLICATIONS, SimConfig, run_experiment
+from .simulator import MAX_REPLICATIONS, SimConfig, run_experiments
 
 
 class ScenarioError(ValueError):
@@ -303,8 +307,10 @@ def _point_scenario(base: Scenario, axis: str, value: float) -> Scenario:
     return replace(base, **{attr: (value,) if attr == "epsilons" else value})
 
 
-def _point_seed(seed: int, index: int) -> int:
-    state = np.random.SeedSequence(entropy=seed, spawn_key=(index,)).generate_state(2)
+def _sim_seed(seed: int) -> int:
+    """Master seed of a scenario's replications, derived from its sim.seed:
+    the first two words of SeedSequence(seed)'s spawn child 0."""
+    state = np.random.SeedSequence(entropy=seed, spawn_key=(0,)).generate_state(2)
     return int(state[0]) | (int(state[1]) << 32)
 
 
@@ -315,15 +321,14 @@ def _service(channel: ShadowingChannel, delta: float | str) -> ServiceCharacteri
     return ServiceCharacterization(channel, DiscretizationConfig(step_delta=float(delta)))
 
 
-def _evaluate_point(point: Scenario, axis: str, value, index: int,
-                    svc: ServiceCharacterization) -> list[ResultRow]:
-    """One row per epsilon of a sweep point.
+def _evaluate_point(point: Scenario, axis: str, value, env: AffineEnvelope,
+                    svc: ServiceCharacterization) -> tuple[list[ResultRow], list | None]:
+    """The rows of a sweep point, one per epsilon, and their bounds in
+    simulator units: bits for backlog, whole slots for delay.
 
     Stability does not depend on epsilon: either every bound of the point
-    exists or none does, and only a stable point is simulated, once.
+    exists or none does, and an unstable point has no bounds (None).
     """
-    env = AffineEnvelope(burst_bits=point.burst_bits,
-                         rate_bits_per_slot=point.rate_gbps * 1e9 * point.slot_seconds)
     bound = backlog_bound if point.kind == "backlog" else delay_bound
     try:
         results = [bound(env, svc, BoundQuery(epsilon=eps, kind=point.kind))
@@ -331,50 +336,58 @@ def _evaluate_point(point: Scenario, axis: str, value, index: int,
     except UnstableSystemError:
         return [ResultRow(axis, value, eps, point.kind, stable=False, bound=None,
                           optimal_theta=None, theta_lower=None, theta_upper=None)
-                for eps in point.epsilons]
+                for eps in point.epsilons], None
 
-    outcome = None
-    if point.simulate:
-        config = SimConfig(horizon_slots=point.horizon_slots, replications=point.replications,
-                           master_seed=_point_seed(point.seed, index))
-        outcome = run_experiment(env, svc.channel, config)
-
-    rows: list[ResultRow] = []
-    for eps, res in zip(point.epsilons, results):
-        # res.value is in bits for backlog and in whole slots for delay.
-        violation = halfwidth = None
-        if outcome is not None:
-            violation, halfwidth = outcome.exceedance(res.value, kind=point.kind)
-        rows.append(ResultRow(
-            axis, value, eps, point.kind, stable=True,
-            bound=res.value if point.kind == "backlog" else res.value * point.slot_seconds,
-            optimal_theta=res.optimal_theta, theta_lower=res.stability.theta_lower,
-            theta_upper=res.stability.theta_upper, violation=violation,
-            violation_halfwidth=halfwidth))
-    return rows
+    rows = [ResultRow(
+        axis, value, eps, point.kind, stable=True,
+        bound=res.value if point.kind == "backlog" else res.value * point.slot_seconds,
+        optimal_theta=res.optimal_theta, theta_lower=res.stability.theta_lower,
+        theta_upper=res.stability.theta_upper)
+        for eps, res in zip(point.epsilons, results)]
+    return rows, [res.value for res in results]
 
 
 def run_scenario(scenario: Scenario) -> list[ResultRow]:
     """Evaluate every (sweep point x epsilon) cell of a scenario.
 
-    Sweep points run in sweep-index order on the calling thread; rows come
-    back ordered by sweep index then by the scenario's epsilon order.
-    Consecutive points with the same channel and delta share one service
-    characterization, so its memoized per-slot factors are computed once.
+    Sweep points' bounds run in sweep-index order on the calling thread;
+    rows come back ordered by sweep index then by the scenario's epsilon
+    order. Consecutive points with the same channel and delta share one
+    service characterization, so its memoized per-slot factors are
+    computed once. With simulation on, the stable points are simulated
+    together, all at the master seed _sim_seed(seed): each point's
+    samples equal those of its own run_experiment at that seed, and points
+    with the same envelope and channel share one run.
     """
     scenario.validate()
     axis = scenario.sweep_axis
     values = [None] if axis == "none" else list(scenario.sweep_grid)
     rows: list[ResultRow] = []
+    simulated = []  # ((envelope, channel), rows, bounds) of each stable point
     key = svc = None
-    for index, value in enumerate(values):
+    for value in values:
         point = _point_scenario(scenario, axis, value)
         channel = ShadowingChannel(point.mean_snr_db, point.sigma_db, point.bandwidth_hz,
                                    point.slot_seconds)
         if key != (channel, point.delta):
             key = (channel, point.delta)
             svc = _service(*key)
-        rows.extend(_evaluate_point(point, axis, value, index, svc))
+        env = AffineEnvelope(burst_bits=point.burst_bits,
+                             rate_bits_per_slot=point.rate_gbps * 1e9 * point.slot_seconds)
+        point_rows, bounds = _evaluate_point(point, axis, value, env, svc)
+        rows.extend(point_rows)
+        if scenario.simulate and bounds is not None:
+            simulated.append(((env, channel), point_rows, bounds))
+    if simulated:
+        config = SimConfig(horizon_slots=scenario.horizon_slots,
+                           replications=scenario.replications,
+                           master_seed=_sim_seed(scenario.seed))
+        outcomes = run_experiments([pt for pt, _, _ in simulated], config,
+                                   delays=scenario.kind == "delay")
+        for (_, point_rows, bounds), outcome in zip(simulated, outcomes):
+            for row, threshold in zip(point_rows, bounds):
+                row.violation, row.violation_halfwidth = outcome.exceedance(
+                    threshold, kind=scenario.kind)
     return rows
 
 

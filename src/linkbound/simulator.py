@@ -13,16 +13,26 @@ spawn_key=(i,)))), bit for bit. The seed words of many indices are
 derived in one array pass over uint32 words; only the spawn word changes
 with i, so the seed's share of numpy's hash is computed once per run.
 
+A run simulates a list of (envelope, channel) points on the same
+replication streams, common random numbers across a sweep: replication
+i of every point replays stream i, so each point's samples equal, bit for
+bit, those of a run of that point alone. The streams' normals are drawn
+once and turned into service once when every point has the same channel
+(a rate sweep), once per point otherwise; each point runs its own backlog
+pass, and the drain that measures a point's delays continues each row's
+stream from the end of its horizon draws.
+
 Replications are evaluated in blocks of rows, one row per replication,
 with each array operation applied to the whole block at once. Every row
 draws from its own stream in the same order as a lone replication would,
 and the arithmetic on a row does not depend on the rows beside it, so no
-sample depends on the block size, the seeding chunk or the order in
-which replications run. Blocks are therefore spread over one worker thread
-per available CPU, each writing its own rows of the outputs; numpy
-releases the GIL inside the normal draws and the exp and log1p passes,
-which are most of a block. The workers split one block's worth of slots
-between them, so memory does not grow with the number of CPUs.
+sample depends on the block size, the seeding chunk, the other points of
+the run or the order in which replications run. Blocks are therefore
+spread over one worker thread per available CPU, each writing its own
+rows of the outputs; numpy releases the GIL inside the normal draws and
+the exp and log1p passes, which are most of a block. The workers split
+one block's worth of slots between them, so memory grows neither with
+the number of CPUs nor with the number of points.
 """
 
 from __future__ import annotations
@@ -45,9 +55,13 @@ DELAY_SEARCH_CAP = 10_000
 # One spawn word, below 2^32, names each replication.
 MAX_REPLICATIONS = 1 << 32
 _DRAIN_CHUNK = 256
+# The leading slots of a drain round that every live row draws; only the
+# rows they do not clear draw the rest of the round.
+_DRAIN_PROBE = 8
 # Slots held by the block buffers of one call (2 MiB of float64): the
-# _BLOCK_CELLS // max(horizon, _DRAIN_CHUNK) rows, at least one, are split
-# evenly between the workers, and each worker's block has its share.
+# _BLOCK_CELLS // max(horizon, _DRAIN_CHUNK) rows, at least one, halved when
+# several points share a row's normals, are split evenly between the
+# workers, and each worker's block has its share.
 _BLOCK_CELLS = 1 << 18
 # Replication indices whose seed words are derived in one array pass.
 _SEED_CHUNK = 1024
@@ -214,11 +228,20 @@ def _draw_service(channel: ShadowingChannel, rngs, out: np.ndarray) -> None:
     capacity_bits_per_slot(channel, sample_snr(channel, rng, n)), so a
     stream redrawn through those functions gives the same bits.
     """
+    _draw_normals(rngs, out)
+    _to_service(channel, out)
+
+
+def _draw_normals(rngs, out: np.ndarray) -> None:
     for row, rng in zip(out, rngs):
         rng.standard_normal(out=row)
-    _snr_from_normals(channel, out)
-    np.log1p(out, out=out)
-    out *= channel.bits_per_nat
+
+
+def _to_service(channel: ShadowingChannel, z: np.ndarray) -> None:
+    """Overwrite standard normals z with the service bits they give."""
+    _snr_from_normals(channel, z)
+    np.log1p(z, out=z)
+    z *= channel.bits_per_nat
 
 
 def _drain(
@@ -226,9 +249,13 @@ def _drain(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Slots of fresh service that clear each backlog: (delays, censored).
 
-    Rows with a positive backlog draw _DRAIN_CHUNK slots at a time from
+    Rows with a positive backlog draw _DRAIN_CHUNK slots a round from
     their own generators until the cumulative service reaches the backlog
-    or DELAY_SEARCH_CAP slots have been drawn; buf holds one round.
+    or DELAY_SEARCH_CAP slots have been drawn; buf holds one round. A
+    round draws its first _DRAIN_PROBE slots for every live row, and the
+    rest only for the rows those slots do not clear. The rest's cumulative
+    sum carries on from the probe's last column, so every sum is the one a
+    single cumsum over the round gives, bit for bit.
     """
     delay = np.zeros(backlog.size, dtype=np.int64)
     live = np.flatnonzero(backlog > 0.0)
@@ -236,16 +263,29 @@ def _drain(
     w = 0
     while live.size and w < DELAY_SEARCH_CAP:
         width = min(_DRAIN_CHUNK, DELAY_SEARCH_CAP - w)
-        cum = buf[: live.size * width].reshape(live.size, width)
-        _draw_service(channel, [rngs[i] for i in live], cum)
-        np.cumsum(cum, axis=1, out=cum)
-        cum += drained[:, None]
-        hit = cum >= backlog[live, None]
-        first = hit.argmax(axis=1)
-        done = hit[np.arange(live.size), first]
-        delay[live[done]] = w + first[done] + 1
-        drained = cum[~done, -1]
-        live = live[~done]
+        probe = min(_DRAIN_PROBE, width)
+        carry = None  # each live row's sum of the round's service so far
+        for lo, hi in ((0, probe), (probe, width)):
+            if lo == hi or not live.size:
+                break
+            # One row per live row: the carried sum, if any, then hi - lo
+            # fresh slots.
+            lead = 0 if carry is None else 1
+            seg = buf[: live.size * (lead + hi - lo)].reshape(live.size, lead + hi - lo)
+            fresh = seg[:, lead:]
+            if carry is not None:
+                seg[:, 0] = carry
+            _draw_service(channel, [rngs[i] for i in live], fresh)
+            np.cumsum(seg, axis=1, out=seg)
+            carry = seg[:, -1].copy()
+            fresh += drained[:, None]
+            hit = fresh >= backlog[live, None]
+            first = hit.argmax(axis=1)
+            done = hit[np.arange(live.size), first]
+            delay[live[done]] = w + lo + first[done] + 1
+            left = ~done
+            live, drained, carry = live[left], drained[left], carry[left]
+        drained += carry
         w += width
     delay[live] = DELAY_SEARCH_CAP
     censored = np.zeros(backlog.size, dtype=bool)
@@ -253,52 +293,99 @@ def _drain(
     return delay, censored
 
 
-def _replicate(
-    env: AffineEnvelope, channel: ShadowingChannel, horizon: int, rngs, count: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Replicate once for each of the count generators in rngs:
-    (backlogs, delays, censored) arrays.
+def _rewind(rngs, rows, kept: dict, keep: bool) -> None:
+    """Put the generator of each of rows back at the end of its horizon
+    draws, from the state kept there. A row without one has not been
+    drained yet; its state is kept first if keep."""
+    for i in rows:
+        state = kept.get(i)
+        if state is not None:
+            rngs[i].bit_generator.state = state
+        elif keep:
+            kept[i] = rngs[i].bit_generator.state
 
-    The generators are taken a block of rows at a time. The rows of one
-    block's worth of slots are split between the workers, at least one
-    row each, and each block that runs holds one pair of buffers until it
-    ends; a block writes its rows of the outputs in place. So memory grows
-    neither with the number of CPUs nor, beyond the outputs, with count.
+
+def _replicate(points, horizon: int, rngs, count: int, delays: bool = True) -> list[tuple]:
+    """Replicate once for each of the count generators in rngs, at every
+    (envelope, channel) point: one (backlogs, delays, censored) triple of
+    arrays per point, with None for delays and censored unless delays.
+
+    The generators are taken a block of rows at a time. Each row draws its
+    horizon's normals once. When every point has the same channel, they
+    become service once, in place; otherwise each point turns a copy into
+    its own channel's service, the last point the normals themselves.
+    Each point then runs its backlog pass, and its drain, on the row. A
+    drain continues the row's stream from the end of the horizon draws:
+    the generator's state there is kept before the row's first drain and
+    restored before each later one. The rows of one block's worth of
+    slots are split between the workers, at least one row each, and each
+    block that runs holds one pair of buffers until it ends; a block
+    writes its rows of the outputs in place. So memory grows neither with
+    the number of CPUs nor with the number of points, nor, beyond the
+    outputs, with count.
     """
     if horizon < 1:
         raise ValueError("horizon_slots must be at least 1")
     rngs = iter(rngs)
-    rows = max(1, _BLOCK_CELLS // max(horizon, _DRAIN_CHUNK))
+    # A lone point turns its normals into net arrivals in place, and its
+    # second buffer holds a drain round; points that share the normals run
+    # their passes and drains in a second buffer as large as the first.
+    width = max(horizon, _DRAIN_CHUNK)
+    shared = len(points) > 1
+    rows = max(1, _BLOCK_CELLS // (width * (1 + shared)))
+    net_width = width if shared else _DRAIN_CHUNK
     workers = min(_WORKERS, rows)
     rows //= workers
-    arrivals = generate_arrivals(env, horizon)
-    backlogs = np.empty(count)
-    delays = np.empty(count, dtype=np.int64)
-    censored = np.empty(count, dtype=bool)
-    free = []  # buffer pairs of blocks that have ended
+    arrivals = [generate_arrivals(env, horizon) for env, _ in points]
+    one_channel = len({channel for _, channel in points}) == 1
+    last = len(points) - 1
+    outputs = [(np.empty(count), np.empty(count, dtype=np.int64) if delays else None,
+                np.empty(count, dtype=bool) if delays else None) for _ in points]
+    # One buffer pair per worker, made up front so that the peak does not
+    # depend on how many blocks happen to run at once; a block takes a free
+    # pair, or makes one if the pool runs more blocks than workers.
+    free = [(np.empty(rows * horizon), np.empty(rows * net_width))
+            for _ in range(min(workers, -(-count // rows)))]
 
     def replicate_block(item):
         start, block = item
         try:
-            net_buf, drain_buf = free.pop()
+            z_buf, net_buf = free.pop()
         except IndexError:
-            net_buf, drain_buf = np.empty(rows * horizon), np.empty(rows * _DRAIN_CHUNK)
+            z_buf, net_buf = np.empty(rows * horizon), np.empty(rows * net_width)
         try:
-            net = net_buf[: len(block) * horizon].reshape(len(block), horizon)
-            _draw_service(channel, block, net)
-            np.subtract(arrivals, net, out=net)
-            np.cumsum(net, axis=1, out=net)
+            z = z_buf[: len(block) * horizon].reshape(len(block), horizon)
+            _draw_normals(block, z)
             rows_of_block = slice(start, start + len(block))
-            backlog = backlogs[rows_of_block]
-            np.subtract(net[:, -1], np.minimum(net.min(axis=1), 0.0), out=backlog)
-            delays[rows_of_block], censored[rows_of_block] = _drain(
-                channel, block, backlog, drain_buf)
+            if one_channel:
+                _to_service(points[0][1], z)
+            kept = {}  # row -> its generator's state after the horizon draws
+            for p, (_, channel) in enumerate(points):
+                # The last point's pass may overwrite what z holds.
+                cum = z if p == last else net_buf[: z.size].reshape(z.shape)
+                if one_channel:
+                    np.subtract(arrivals[p], z, out=cum)
+                else:
+                    if cum is not z:
+                        np.copyto(cum, z)
+                    _to_service(channel, cum)
+                    np.subtract(arrivals[p], cum, out=cum)
+                np.cumsum(cum, axis=1, out=cum)
+                backlogs, point_delays, censored = outputs[p]
+                backlog = backlogs[rows_of_block]
+                np.subtract(cum[:, -1], np.minimum(cum.min(axis=1), 0.0), out=backlog)
+                if not delays:
+                    continue
+                if shared:
+                    _rewind(block, np.flatnonzero(backlog > 0.0).tolist(), kept, p != last)
+                point_delays[rows_of_block], censored[rows_of_block] = _drain(
+                    channel, block, backlog, net_buf)
         finally:
-            free.append((net_buf, drain_buf))
+            free.append((z_buf, net_buf))
 
     blocks = ((start, list(itertools.islice(rngs, rows))) for start in range(0, count, rows))
     _run_blocks(replicate_block, blocks, workers)
-    return backlogs, delays, censored
+    return outputs
 
 
 def _run_blocks(fn, items, workers: int) -> None:
@@ -354,7 +441,7 @@ def run_replication(
     The virtual delay is capped at DELAY_SEARCH_CAP; a censored sample
     counts as exceeding every finite threshold downstream.
     """
-    backlog, delay, censored = _replicate(env, channel, horizon_slots, (rng,), 1)
+    [(backlog, delay, censored)] = _replicate([(env, channel)], horizon_slots, (rng,), 1)
     return float(backlog[0]), int(delay[0]), bool(censored[0])
 
 
@@ -364,12 +451,13 @@ class SimOutcome:
 
     backlog_samples and delay_samples are aligned by replication index;
     ``censored`` marks delay samples that hit the search cap and must be
-    treated as exceeding every finite threshold.
+    treated as exceeding every finite threshold. A run without delays
+    holds None in delay_samples and censored.
     """
 
     backlog_samples: np.ndarray
-    delay_samples: np.ndarray
-    censored: np.ndarray
+    delay_samples: np.ndarray | None
+    censored: np.ndarray | None
     master_seed: int
 
     @property
@@ -381,6 +469,8 @@ class SimOutcome:
         if kind == "backlog":
             count = int(np.count_nonzero(self.backlog_samples > threshold))
         elif kind == "delay":
+            if self.delay_samples is None:
+                raise ValueError("this outcome was simulated without delays")
             exceeds = (self.delay_samples > threshold) | self.censored
             count = int(np.count_nonzero(exceeds))
         else:
@@ -400,19 +490,31 @@ def wilson_halfwidth(successes: int, n: int, z: float = 1.96) -> float:
 
 
 def run_experiment(
-    env: AffineEnvelope, channel: ShadowingChannel, config: SimConfig
+    env: AffineEnvelope, channel: ShadowingChannel, config: SimConfig, *, delays: bool = True
 ) -> SimOutcome:
     """Run the configured replications and collect samples by index.
 
     Every replication seeds itself from (master_seed, index), so the
-    outcome is identical for any execution order.
+    outcome is identical for any execution order. Without delays, no
+    backlog is drained and the outcome holds backlog samples only.
     """
+    return run_experiments([(env, channel)], config, delays=delays)[0]
+
+
+def run_experiments(points, config: SimConfig, *, delays: bool = True) -> list[SimOutcome]:
+    """run_experiment at each (envelope, channel) point, all in one run.
+
+    Every point replays the same replication streams, so each outcome
+    equals, bit for bit, run_experiment of its point alone, and equal
+    points share one outcome.
+    """
+    points = list(points)
+    unique = list(dict.fromkeys(points))
     rngs = _replication_rngs(config.master_seed, 0, config.replications)
-    backlog, delay, censored = _replicate(
-        env, channel, config.horizon_slots, rngs, config.replications)
-    return SimOutcome(
-        backlog_samples=backlog,
-        delay_samples=delay,
-        censored=censored,
-        master_seed=config.master_seed,
-    )
+    results = _replicate(unique, config.horizon_slots, rngs, config.replications, delays)
+    outcomes = {
+        point: SimOutcome(backlog_samples=backlog, delay_samples=delay, censored=censored,
+                          master_seed=config.master_seed)
+        for point, (backlog, delay, censored) in zip(unique, results)
+    }
+    return [outcomes[point] for point in points]

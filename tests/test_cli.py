@@ -157,6 +157,29 @@ class TestRunScenario:
             assert 0.0 <= row.violation <= 1.0
             assert row.violation_halfwidth > 0.0
 
+    @pytest.mark.parametrize("kind, axis, grid", [
+        ("backlog", "rate", [2.0, 3.5, 3.9]),
+        ("delay", "sigma", [2.0, 5.0, 8.0]),
+        ("delay", "gain", [24.0, 26.0]),
+    ])
+    def test_sweep_point_equals_point_alone(self, kind, axis, grid):
+        # Every point replays the sweep's replication streams, so its
+        # simulated columns are those of the point run as its own scenario.
+        doc = base_doc(query={"kind": kind, "epsilons": [0.5, 1e-1]},
+                       sweep={"axis": axis, "grid": grid},
+                       discretization={"delta": "limit"})
+        doc["arrival"]["rate_gbps"] = 3.5
+        doc["sim"].update(enabled=True, replications=400, horizon_slots=300)
+        sweep = Scenario.from_dict(doc)
+        rows = run_scenario(sweep)
+        assert any(row.violation for row in rows)
+        attr = cli._AXIS_FIELDS[axis]
+        for value in grid:
+            alone = replace(sweep, sweep_axis="none", sweep_grid=(), **{attr: value})
+            expected = [(r.violation, r.violation_halfwidth) for r in run_scenario(alone)]
+            point = [(r.violation, r.violation_halfwidth) for r in rows if r.sweep_value == value]
+            assert point == expected
+
     @pytest.mark.parametrize(
         "axis, grid, tables",
         [("rate", [0.1, 0.2, 0.3, 0.4], 1), ("sigma", [1.0, 1.5, 2.0], 3)],

@@ -1,11 +1,13 @@
+import contextlib
 import math
 import sys
 import threading
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import linkbound as lb
 from linkbound import simulator
@@ -390,24 +392,187 @@ class TestBlockWorkers:
         _assert_same_outcome(out, serial)
 
 
-def _traced_peak(env, channel, cfg) -> int:
+@contextlib.contextmanager
+def _engine(workers: int, cells: int):
+    """The simulator at that many block workers and block cells."""
+    with pytest.MonkeyPatch.context() as mp:
+        _set_workers(mp, workers)
+        mp.setattr(simulator, "_BLOCK_CELLS", cells)
+        yield
+
+
+SWEEP_CHANNEL = lb.ShadowingChannel(22.0, 6.0, 5e8, 1.0)
+# Grid values of each axis, below, near and above the mean capacity (3.4
+# Gbps at 22/6 dB), so that most points drain some rows and not others.
+SWEEP_GRIDS = {
+    "rate": (1.0e9, 3.0e9, 3.4e9, 4.2e9),
+    "sigma": (0.0, 2.0, 6.0, 9.0),
+    "gain": (18.0, 22.0, 26.0),
+}
+
+
+def _sweep_point(axis: str, value: float):
+    env = lb.AffineEnvelope(0.0, value if axis == "rate" else 3.0e9)
+    if axis == "sigma":
+        return env, replace(SWEEP_CHANNEL, sigma_db=value)
+    if axis == "gain":
+        return env, replace(SWEEP_CHANNEL, mean_snr_db=value)
+    return env, SWEEP_CHANNEL
+
+
+class TestSweepStreams:
+    """Every point of a run replays the same replication streams: its
+    samples equal those of run_experiment at that point alone."""
+
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(axis=st.sampled_from(sorted(SWEEP_GRIDS)), data=st.data(),
+           horizon=st.sampled_from((1, 60, 300)), replications=st.integers(1, 40),
+           seed=st.integers(0, 2**64 - 1), delays=st.booleans())
+    def test_points_equal_lone_runs(self, axis, data, horizon, replications, seed, delays):
+        # Values may repeat, and a repeated point shares one outcome.
+        values = data.draw(st.lists(st.sampled_from(SWEEP_GRIDS[axis]), min_size=1,
+                                    max_size=5))
+        points = [_sweep_point(axis, value) for value in values]
+        cfg = lb.SimConfig(horizon, replications, seed)
+        lone = [lb.run_experiment(env, channel, cfg, delays=delays) for env, channel in points]
+        for workers, cells in ((1, _BLOCK_CELLS), (3, 3 * 2 * 256)):
+            with _engine(workers, cells):
+                outs = simulator.run_experiments(points, cfg, delays=delays)
+            assert len(outs) == len(points)
+            for out, reference in zip(outs, lone):
+                assert np.array_equal(out.backlog_samples, reference.backlog_samples)
+                if delays:
+                    _assert_same_outcome(out, reference)
+                else:
+                    assert out.delay_samples is None and out.censored is None
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_long_drains_equal_lone_runs(self, workers):
+        # Above capacity the drains take several rounds, and each round
+        # must continue the row's stream where the one before it stopped.
+        points = [_sweep_point("rate", rate) for rate in (3.4e9, 4.2e9, 3.0e9, 5.0e9)]
+        cfg = lb.SimConfig(2000, 60, master_seed=21)
+        lone = [lb.run_experiment(env, channel, cfg) for env, channel in points]
+        assert any(np.any(out.delay_samples > 2 * _DRAIN_CHUNK) for out in lone)
+        with _engine(workers, 5 * 2 * 2000):
+            outs = simulator.run_experiments(points, cfg)
+        for out, reference in zip(outs, lone):
+            _assert_same_outcome(out, reference)
+
+    def test_equal_points_share_one_outcome(self):
+        env, channel = _sweep_point("rate", 3.0e9)
+        outs = simulator.run_experiments([(env, channel)] * 3, lb.SimConfig(100, 20, 4))
+        assert outs[0] is outs[1] is outs[2]
+
+
+class TestBacklogOnly:
+    """A run without delays drains nothing and keeps its backlogs."""
+
+    def test_backlogs_without_drain(self, operating_channel, monkeypatch):
+        env = lb.AffineEnvelope(0.0, 4.1e9)
+        cfg = lb.SimConfig(500, 300, master_seed=12)
+        full = lb.run_experiment(env, operating_channel, cfg)
+
+        def no_drain(*args):
+            raise AssertionError("a run without delays drained a backlog")
+
+        monkeypatch.setattr(simulator, "_drain", no_drain)
+        out = lb.run_experiment(env, operating_channel, cfg, delays=False)
+        assert np.array_equal(out.backlog_samples, full.backlog_samples)
+        assert out.delay_samples is None and out.censored is None
+        threshold = float(np.median(full.backlog_samples))
+        assert out.exceedance(threshold) == full.exceedance(threshold)
+        with pytest.raises(ValueError, match="without delays"):
+            out.exceedance(1.0, kind="delay")
+
+
+def _one_cumsum_drain(channel, rngs, backlog, buf):
+    """The drain before the probe split, verbatim: every live row draws a
+    whole round, and one cumsum runs over it."""
+    delay = np.zeros(backlog.size, dtype=np.int64)
+    live = np.flatnonzero(backlog > 0.0)
+    drained = np.zeros(live.size)
+    w = 0
+    while live.size and w < simulator.DELAY_SEARCH_CAP:
+        width = min(_DRAIN_CHUNK, simulator.DELAY_SEARCH_CAP - w)
+        cum = buf[: live.size * width].reshape(live.size, width)
+        simulator._draw_service(channel, [rngs[i] for i in live], cum)
+        np.cumsum(cum, axis=1, out=cum)
+        cum += drained[:, None]
+        hit = cum >= backlog[live, None]
+        first = hit.argmax(axis=1)
+        done = hit[np.arange(live.size), first]
+        delay[live[done]] = w + first[done] + 1
+        drained = cum[~done, -1]
+        live = live[~done]
+        w += width
+    delay[live] = simulator.DELAY_SEARCH_CAP
+    censored = np.zeros(backlog.size, dtype=bool)
+    censored[live] = True
+    return delay, censored
+
+
+class TestDrainProbe:
+    """The probe's split draws and split cumsum give the delays of one
+    cumsum over each whole round, bit for bit."""
+
+    # Caps: the default; a round and a short second one; below one round;
+    # a round that the probe fills.
+    @pytest.mark.parametrize("cap", [DELAY_SEARCH_CAP, _DRAIN_CHUNK + 44, 200, 3])
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_matches_one_cumsum_per_round(self, operating_channel, monkeypatch, cap, workers):
+        # Mean capacity is 4.16 Gbps: at 4.1 Gbps most delays end inside
+        # the probe, and at 5.5 Gbps every one runs into a third round.
+        cfg = lb.SimConfig(2000, 150, master_seed=3)
+        monkeypatch.setattr(simulator, "DELAY_SEARCH_CAP", cap)
+        _set_workers(monkeypatch, workers)
+        monkeypatch.setattr(simulator, "_BLOCK_CELLS", 7 * 2 * 2000)
+        outs = []
+        for rate in (4.1e9, 5.5e9):
+            env = lb.AffineEnvelope(0.0, rate)
+            with monkeypatch.context() as mp:
+                mp.setattr(simulator, "_drain", _one_cumsum_drain)
+                reference = lb.run_experiment(env, operating_channel, cfg)
+            out = lb.run_experiment(env, operating_channel, cfg)
+            _assert_same_outcome(out, reference)
+            outs.append(out)
+        delay = np.concatenate([out.delay_samples for out in outs])
+        censored = np.concatenate([out.censored for out in outs])
+        assert np.any((delay > 0) & (delay <= min(cap, simulator._DRAIN_PROBE)) & ~censored)
+        if cap == DELAY_SEARCH_CAP:
+            assert np.any(delay > 2 * _DRAIN_CHUNK) and not censored.any()
+        else:
+            assert censored.any() and np.all(delay[censored] == cap)
+
+
+def _traced_peak(points, cfg) -> int:
     tracemalloc.start()
     try:
-        lb.run_experiment(env, channel, cfg)
+        simulator.run_experiments(points, cfg)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
+# Output bytes of one point per replication: backlog, delay and censored.
+OUTPUT_BYTES = 8 + 8 + 1
+
+
 def test_experiment_memory_is_one_block(operating_channel):
-    # One block buffer per worker, which together hold 2 MiB whatever the
-    # number of workers; holding every replication's path at once would
-    # take 16 MiB for 1000 replications and 64 MiB for 4000.
+    # One pair of block buffers per worker, which together hold 2 MiB
+    # whatever the number of workers and points; holding every
+    # replication's path at once would take 16 MiB for 1000 replications
+    # and 64 MiB for 4000, and a buffer pair per point 8 MiB for a 4-point
+    # sigma sweep. Beyond the other points' outputs, the sweep grows with
+    # the replication count no more than its last point alone.
     env = lb.AffineEnvelope(0.0, 3.9e9)
-    small = _traced_peak(env, operating_channel, lb.SimConfig(2000, 1000, 1))
-    large = _traced_peak(env, operating_channel, lb.SimConfig(2000, 4000, 1))
-    assert small < 4 * 2**20
-    assert large - small < 2**18
+    sweep = [(env, replace(operating_channel, sigma_db=s)) for s in (2.0, 4.0, 6.0, 8.0)]
+    for points, replications in ((sweep[-1:], 4000), (sweep, 2000)):
+        small = _traced_peak(points, lb.SimConfig(2000, 1000, 1))
+        large = _traced_peak(points, lb.SimConfig(2000, replications, 1))
+        assert small < 4 * 2**20
+        more_outputs = (len(points) - 1) * (replications - 1000) * OUTPUT_BYTES
+        assert large - small < 2**18 + more_outputs
 
 
 @pytest.mark.parametrize("workers", [4, 64])
