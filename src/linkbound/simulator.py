@@ -28,16 +28,15 @@ draws from its own stream in the same order as a lone replication would,
 and the arithmetic on a row does not depend on the rows beside it, so no
 sample depends on the block size, the seeding chunk, the other points of
 the run or the order in which replications run. Blocks are therefore
-spread over one worker thread per available CPU, each writing its own
-rows of the outputs; numpy releases the GIL inside the normal draws and
-the exp and log1p passes, which are most of a block. The workers split
-one block's worth of slots between them, so memory grows neither with
-the number of CPUs nor with the number of points.
+spread over one worker per available CPU, the caller and threads that
+end with the call, each with its own buffers and rows of the outputs;
+numpy releases the GIL inside the normal draws and the exp and log1p
+passes, most of a block. The workers split one block's worth of slots,
+so memory grows neither with the number of CPUs nor with the points.
 """
 
 from __future__ import annotations
 
-import collections
 import itertools
 import math
 import operator
@@ -68,19 +67,6 @@ _SEED_CHUNK = 1024
 # Block workers: one per CPU this process may run on.
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-# The process-wide pool of _WORKERS block threads, started on first use.
-_executor = None
-_executor_lock = threading.Lock()
-
-
-def _forget_executor() -> None:
-    global _executor
-    _executor = None
-
-
-# A forked child inherits the pool but not its threads.
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_executor)
 
 
 @dataclass(frozen=True)
@@ -318,11 +304,12 @@ def _replicate(points, horizon: int, rngs, count: int, delays: bool = True) -> l
     drain continues the row's stream from the end of the horizon draws:
     the generator's state there is kept before the row's first drain and
     restored before each later one. The rows of one block's worth of
-    slots are split between the workers, at least one row each, and each
-    block that runs holds one pair of buffers until it ends; a block
-    writes its rows of the outputs in place. So memory grows neither with
-    the number of CPUs nor with the number of points, nor, beyond the
-    outputs, with count.
+    slots are split between the workers: the caller and threads joined
+    before it returns or raises, at least one row each, each with one
+    buffer pair made before any thread starts. So memory grows neither
+    with the number of CPUs nor with the number of points, nor, beyond
+    the outputs, with count. The first failure, an interrupt included,
+    stops every worker; the call raises the lowest block's failure.
     """
     if horizon < 1:
         raise ValueError("horizon_slots must be at least 1")
@@ -341,92 +328,70 @@ def _replicate(points, horizon: int, rngs, count: int, delays: bool = True) -> l
     last = len(points) - 1
     outputs = [(np.empty(count), np.empty(count, dtype=np.int64) if delays else None,
                 np.empty(count, dtype=bool) if delays else None) for _ in points]
-    # One buffer pair per worker, made up front so that the peak does not
-    # depend on how many blocks happen to run at once; a block takes a free
-    # pair, or makes one if the pool runs more blocks than workers.
-    free = [(np.empty(rows * horizon), np.empty(rows * net_width))
-            for _ in range(min(workers, -(-count // rows)))]
 
-    def replicate_block(item):
-        start, block = item
-        try:
-            z_buf, net_buf = free.pop()
-        except IndexError:
-            z_buf, net_buf = np.empty(rows * horizon), np.empty(rows * net_width)
-        try:
-            z = z_buf[: len(block) * horizon].reshape(len(block), horizon)
-            _draw_normals(block, z)
-            rows_of_block = slice(start, start + len(block))
+    def replicate_block(start, block, z_buf, net_buf):
+        z = z_buf[: len(block) * horizon].reshape(len(block), horizon)
+        _draw_normals(block, z)
+        rows_of_block = slice(start, start + len(block))
+        if one_channel:
+            _to_service(points[0][1], z)
+        kept = {}  # row -> its generator's state after the horizon draws
+        for p, (_, channel) in enumerate(points):
+            # The last point's pass may overwrite what z holds.
+            cum = z if p == last else net_buf[: z.size].reshape(z.shape)
             if one_channel:
-                _to_service(points[0][1], z)
-            kept = {}  # row -> its generator's state after the horizon draws
-            for p, (_, channel) in enumerate(points):
-                # The last point's pass may overwrite what z holds.
-                cum = z if p == last else net_buf[: z.size].reshape(z.shape)
-                if one_channel:
-                    np.subtract(arrivals[p], z, out=cum)
-                else:
-                    if cum is not z:
-                        np.copyto(cum, z)
-                    _to_service(channel, cum)
-                    np.subtract(arrivals[p], cum, out=cum)
-                np.cumsum(cum, axis=1, out=cum)
-                backlogs, point_delays, censored = outputs[p]
-                backlog = backlogs[rows_of_block]
-                np.subtract(cum[:, -1], np.minimum(cum.min(axis=1), 0.0), out=backlog)
-                if not delays:
-                    continue
-                if shared:
-                    _rewind(block, np.flatnonzero(backlog > 0.0).tolist(), kept, p != last)
-                point_delays[rows_of_block], censored[rows_of_block] = _drain(
-                    channel, block, backlog, net_buf)
-        finally:
-            free.append((z_buf, net_buf))
+                np.subtract(arrivals[p], z, out=cum)
+            else:
+                if cum is not z:
+                    np.copyto(cum, z)
+                _to_service(channel, cum)
+                np.subtract(arrivals[p], cum, out=cum)
+            np.cumsum(cum, axis=1, out=cum)
+            backlogs, point_delays, censored = outputs[p]
+            backlog = backlogs[rows_of_block]
+            np.subtract(cum[:, -1], np.minimum(cum.min(axis=1), 0.0), out=backlog)
+            if not delays:
+                continue
+            if shared:
+                _rewind(block, np.flatnonzero(backlog > 0.0).tolist(), kept, p != last)
+            point_delays[rows_of_block], censored[rows_of_block] = _drain(
+                channel, block, backlog, net_buf)
 
-    blocks = ((start, list(itertools.islice(rngs, rows))) for start in range(0, count, rows))
-    _run_blocks(replicate_block, blocks, workers)
-    return outputs
+    pairs = [(np.empty(rows * horizon), np.empty(rows * net_width))
+             for _ in range(min(workers, -(-count // rows)))]
+    starts = iter(range(0, count, rows))
+    lock = threading.Lock()
+    failures = {}  # block start -> the exception that stopped its worker
 
+    def work(z_buf, net_buf):
+        start = count
+        try:
+            while True:
+                with lock:
+                    start = next(starts, count)
+                    if start == count or failures:
+                        return
+                    block = list(itertools.islice(rngs, rows))
+                replicate_block(start, block, z_buf, net_buf)
+        except BaseException as exc:
+            failures.setdefault(start, exc)
 
-def _run_blocks(fn, items, workers: int) -> None:
-    """fn(item) for each item, run on the block pool.
-
-    At most workers + 1 items are in flight at a time, and the first of
-    them to fail, in item order, raises its exception in the caller. A
-    lone item, or every item when there is one worker, runs on the calling
-    thread.
-    """
-    head = list(itertools.islice(items, 2))
-    if len(head) < 2 or workers == 1:
-        for item in itertools.chain(head, items):
-            fn(item)
-        return
-    pool = _pool()
-    pending = collections.deque()
+    threads = [threading.Thread(target=work, args=pair) for pair in pairs[1:]]
     try:
-        for item in itertools.chain(head, items):
-            if len(pending) > workers:
-                pending.popleft().result()
-            pending.append(pool.submit(fn, item))
-        while pending:
-            pending.popleft().result()
-    finally:
-        # After an error, no item of this call outlives it: the items not
-        # started are dropped, and the caller waits out the ones running.
-        for future in pending:
-            if not future.cancel():
-                future.exception()
-
-
-def _pool():
-    """The process-wide ThreadPoolExecutor of _WORKERS threads."""
-    global _executor
-    with _executor_lock:
-        if _executor is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            _executor = ThreadPoolExecutor(_WORKERS, thread_name_prefix="linkbound-sim")
-        return _executor
+        for thread in threads:
+            thread.start()
+        work(*pairs[0])
+    except BaseException as exc:  # an interrupt outside a block
+        failures.setdefault(count, exc)
+    for thread in threads:
+        while thread.is_alive():
+            try:
+                thread.join()
+            except BaseException as exc:
+                failures.setdefault(count, exc)
+    if failures:
+        raise failures[min(failures)]
+    return outputs
 
 
 def run_replication(

@@ -1,5 +1,7 @@
 import contextlib
+import itertools
 import math
+import multiprocessing
 import sys
 import threading
 import tracemalloc
@@ -315,15 +317,25 @@ class TestBlockBoundaries:
 
 
 def _set_workers(monkeypatch, workers):
-    # A pool of that many threads, built on first use and dropped after
-    # the test.
     monkeypatch.setattr(simulator, "_WORKERS", workers)
-    monkeypatch.setattr(simulator, "_executor", None)
+
+
+def _failing_on_call(fn, n, message):
+    """fn, except that its call number n, counted from 0, raises RuntimeError(message)."""
+    calls = itertools.count()
+
+    def failing(*args):
+        if next(calls) == n:
+            raise RuntimeError(message)
+        return fn(*args)
+
+    return failing
 
 
 class TestBlockWorkers:
-    """Blocks run on a pool of _WORKERS threads; no sample may depend on the
-    worker count, on other callers or on a failed run before it."""
+    """Blocks run on _WORKERS threads started for each call; no sample may
+    depend on the worker count, on other callers or on a failed run before
+    it."""
 
     # 5 rows at 300 slots, split between the workers: at least 12 blocks,
     # more than workers + 1 for every worker count below.
@@ -390,6 +402,60 @@ class TestBlockWorkers:
         monkeypatch.setattr(simulator, "_drain", drain)
         out = lb.run_experiment(self.ENV, operating_channel, self.CFG)
         _assert_same_outcome(out, serial)
+
+    def test_seeding_error_reaches_caller(self, operating_channel, monkeypatch, serial):
+        # One-row blocks: replication 40 is seeded when a worker takes its
+        # block, so a worker that dropped the error would leave rows unset.
+        _set_workers(monkeypatch, 3)
+        before = set(threading.enumerate())
+        failing = _failing_on_call(simulator._generator, 40, "seeding failed")
+        monkeypatch.setattr(simulator, "_generator", failing)
+        with pytest.raises(RuntimeError, match="seeding failed"):
+            lb.run_experiment(self.ENV, operating_channel, self.CFG)
+        assert set(threading.enumerate()) == before
+
+    def test_no_thread_outlives_a_call(self, operating_channel, monkeypatch, serial):
+        _set_workers(monkeypatch, 3)
+        before = set(threading.enumerate())
+        out = lb.run_experiment(self.ENV, operating_channel, self.CFG)
+        _assert_same_outcome(out, serial)
+        assert set(threading.enumerate()) == before
+        failing = _failing_on_call(simulator._drain, 3, "block failed")
+        monkeypatch.setattr(simulator, "_drain", failing)
+        with pytest.raises(RuntimeError, match="block failed"):
+            lb.run_experiment(self.ENV, operating_channel, self.CFG)
+        assert set(threading.enumerate()) == before
+
+    def test_one_block_starts_no_thread(self, operating_channel, monkeypatch, serial):
+        _set_workers(monkeypatch, 3)
+        monkeypatch.setattr(threading, "Thread", None)
+        lb.run_replication(self.ENV, operating_channel, 300, lb.replication_rng(9, 0))
+        _set_workers(monkeypatch, 1)
+        _assert_same_outcome(lb.run_experiment(self.ENV, operating_channel, self.CFG), serial)
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="needs the fork start method")
+    def test_forked_child_simulates(self, operating_channel, monkeypatch, serial):
+        # A child forked after a threaded run inherits none of its threads
+        # and runs its own.
+        _set_workers(monkeypatch, 3)
+        _assert_same_outcome(lb.run_experiment(self.ENV, operating_channel, self.CFG), serial)
+        ctx = multiprocessing.get_context("fork")
+        receiver, sender = ctx.Pipe(duplex=False)
+
+        def child():
+            out = lb.run_experiment(self.ENV, operating_channel, self.CFG)
+            sender.send((out.backlog_samples, out.delay_samples, out.censored))
+
+        process = ctx.Process(target=child)
+        process.start()
+        try:
+            assert receiver.poll(60)
+            samples = receiver.recv()
+        finally:
+            process.join(60)
+        assert not process.is_alive() and process.exitcode == 0
+        _assert_same_outcome(lb.SimOutcome(*samples, master_seed=self.CFG.master_seed), serial)
 
 
 @contextlib.contextmanager
