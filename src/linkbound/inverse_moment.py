@@ -17,15 +17,15 @@ and the block-merged ``StieltjesTable``, compute one staircase sum:
 sum of mass * (1+x_left)^(-theta) over cells, plus the survival at the cut
 times (1+x_cut)^(-theta). Masses are differences of the CDF at cell right
 edges, so no term cancels, whatever the exponent. The grid streams in
-fixed-size chunks so that fine steps never materialize the whole grid;
-the table is built in chunks of 2^15 cells, lattice ids or blocks, so
-that no temporary of its build outgrows a chunk. The table's block
-lattice, the first cell of each block, is a function of the step and the
-block width alone: it is placed once per (step, width) in the process and
-every table takes a prefix of it as its log edges, so a sweep places it
-once and a single table in a fresh process gains nothing. A table's own
-work is the CDF at the block edges, the masses and the segment moments.
-The table sums exponents up to
+fixed-size chunks so that fine steps never materialize the whole grid.
+The table's block lattice, the first cell x = m delta of each block, is a
+function of the step and the block width alone: it is placed once per
+(step, width) in the process, x beside its log1p, and every table takes a
+prefix of it, so a sweep places it once and a single table in a fresh
+process gains nothing. A table's own work is one pass over chunks of
+about 2^15 blocks, whole segments each: the CDF at the chunk's right
+edges, the block masses it closes and the chunk's segment moments, so no
+temporary of the build outgrows a chunk. The table sums exponents up to
 64 as a short power series about the left edge of each of a few hundred
 segments, with moments stored at build time. A larger exponent takes an
 exp pass over the shortest prefix of the blocks past which the rest of
@@ -34,12 +34,13 @@ equal the staircase to rounding, and truncating the series or charging
 the rest at the cut only overestimates.
 The truncation point is chosen in x-space, independent of the step, so
 refining the step compares the same truncated quantity and is guaranteed
-monotone.
+monotone. The grid refuses a truncation point at or past the search
+ceiling, 1e12, where the tail rules never fired; the table accepts one,
+since its cost follows the log-range.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 import threading
 from dataclasses import dataclass
@@ -63,11 +64,6 @@ _SEARCH_CEIL = 1e12
 # guess is off by about n * 2.2e-16 * log1p(n delta) cells at n cells: at
 # most 50 at 2^53 cells, the most that float cell indices resolve.
 _NUDGE_PASSES = 128
-# Up to this many cells a block start x = m delta is recovered from its log
-# edge l as rint(expm1(l) / delta) * delta: expm1(l) / delta is off by at
-# most m * (l + 2) * 2.2e-16 < 0.2 cells there (l <= 710), whatever the
-# step. A lattice of more cells keeps x beside its log edges.
-_RECOVER_LIMIT = 2**40
 # A table groups its blocks into segments of this width in log1p(x) and
 # sums every exponent t <= 1 / _SEGMENT_WIDTH as a power series in t about
 # each segment's left edge L, through the t^_SERIES_TERMS term. A block
@@ -78,8 +74,8 @@ _RECOVER_LIMIT = 2**40
 # l - L are exact floats.
 _SERIES_TERMS = 18
 _SEGMENT_WIDTH = 1.0 / 64.0
-# Cells or lattice ids per chunk of the table build, and blocks per chunk
-# of its segment moment pass: 256 kB per float array.
+# Cells or lattice ids per chunk of the lattice placement, and blocks per
+# chunk of a table build, rounded to whole segments: 256 kB per float array.
 _TABLE_CHUNK = 1 << 15
 # Above the series, an exponent sums a growing prefix of the blocks and
 # stops once the mass past the prefix, charged at its cut, is at most this
@@ -242,7 +238,9 @@ def inverse_moment_bound_many(cdf, thetas, config: DiscretizationConfig) -> np.n
     exponent: the CDF and log grids are shared, each exponent stops at the
     first cell edge at or past its own truncation point, where the survival
     past the cut adds its end term, and its per-chunk partials are
-    re-summed exactly.
+    re-summed exactly. A truncation point at or past the search ceiling,
+    1e12, where the tail rules never stopped the search, raises ValueError
+    instead of streaming 1e12 / delta cells.
     """
     thetas = np.asarray(thetas, dtype=float)
     if not np.all((thetas >= 0) & (thetas < math.inf)):
@@ -252,8 +250,11 @@ def inverse_moment_bound_many(cdf, thetas, config: DiscretizationConfig) -> np.n
     if not np.any(active):
         return out
     act = thetas[active].tolist()
+    cuts = [truncation_point(cdf, t, config) for t in act]
+    if max(cuts) >= _SEARCH_CEIL:
+        raise ValueError(f"the tail rules do not stop the grid below x = {_SEARCH_CEIL:g}")
     delta = config.step_delta
-    n_terms = [max(1, math.ceil(truncation_point(cdf, t, config) / delta)) for t in act]
+    n_terms = [max(1, math.ceil(cut / delta)) for cut in cuts]
     n_max = max(n_terms)
     cdfv = _as_vectorized(cdf)
     partials = [[] for _ in act]
@@ -292,8 +293,9 @@ def inverse_moment_bound(cdf, theta: float, config: DiscretizationConfig) -> flo
     ``exact <= value <= exact + theta * delta * value + end term``.
 
     ``cdf`` maps a float array to an array of the same shape. Raises
-    ValueError for a negative, infinite or NaN theta and CdfContractError
-    if the CDF returns another shape or misbehaves on the grid.
+    ValueError for a negative, infinite or NaN theta or a tail too heavy
+    for the truncation rules below x = 1e12, and CdfContractError if the
+    CDF returns another shape or misbehaves on the grid.
     """
     return float(inverse_moment_bound_many(cdf, np.asarray([theta]), config)[0])
 
@@ -364,9 +366,8 @@ def _block_starts(delta: float, n_terms: int, width: float, first: int = 0,
 class _Lattice:
     """Every block start of the first ``n_terms`` cells of one (delta, width), read-only.
 
-    ``log_edges`` holds log1p(x) of each start; ``x`` holds the starts
-    themselves only above _RECOVER_LIMIT cells, and is None below it.
-    Starts increase strictly with the lattice id, so the starts of the first
+    ``x`` holds each start x = m delta, ``log_edges`` its log1p(x). Starts
+    increase strictly with the lattice id, so the starts of the first
     n <= n_terms cells are exactly a prefix of these.
     """
 
@@ -374,23 +375,11 @@ class _Lattice:
     width: float
     n_terms: int
     log_edges: np.ndarray
-    x: np.ndarray | None
-
-    def starts(self, i0: int, i1: int) -> np.ndarray:
-        """x = m delta of starts i0 to i1 - 1, exactly."""
-        if self.x is not None:
-            return self.x[i0:i1]
-        x = np.expm1(self.log_edges[i0:i1])
-        x /= self.delta
-        np.rint(x, out=x)
-        x *= self.delta
-        return x
+    x: np.ndarray
 
     def prefix(self, n_terms: int) -> int:
         """Number of starts in the first ``n_terms`` cells: those with x <= (n_terms - 1) delta."""
-        last = (n_terms - 1.0) * self.delta
-        return bisect.bisect_right(range(self.log_edges.size), last,
-                                   key=lambda i: float(self.starts(i, i + 1)[0]))
+        return int(np.searchsorted(self.x, (n_terms - 1.0) * self.delta, side="right"))
 
 
 def _place_lattice(delta: float, n_terms: int, width: float,
@@ -406,27 +395,19 @@ def _place_lattice(delta: float, n_terms: int, width: float,
     dense_top = float(_block_id(float(n_dense - 1), delta, width))
     top = float(_block_id(float(n_terms - 1), delta, width))
     capacity = int(min(n_dense, dense_top + 1.0) + max(top - dense_top, 0.0))
-    log_edges = np.empty(capacity)
-    kept_x = np.empty(capacity) if n_terms > _RECOVER_LIMIT else None
+    x, log_edges = np.empty(capacity), np.empty(capacity)
     first, last_id, n = 0, -1.0, 0
     if base is not None:
         # The cells from base's last start up to its end share that start's id.
-        first, n = base.n_terms, base.log_edges.size
+        first, n = base.n_terms, base.x.size
         last_id = float(np.floor(base.log_edges[-1] / width))
-        log_edges[:n] = base.log_edges
-        if kept_x is not None:
-            kept_x[:n] = base.starts(0, n)
-    for x, log_x in _block_starts(delta, n_terms, width, first, last_id):
-        log_edges[n:n + x.size] = log_x
-        if kept_x is not None:
-            kept_x[n:n + x.size] = x
-        n += x.size
-    log_edges = log_edges[:n]
-    log_edges.flags.writeable = False
-    if kept_x is not None:
-        kept_x = kept_x[:n]
-        kept_x.flags.writeable = False
-    return _Lattice(delta, width, n_terms, log_edges, kept_x)
+        x[:n], log_edges[:n] = base.x, base.log_edges
+    for x_new, log_new in _block_starts(delta, n_terms, width, first, last_id):
+        x[n:n + x_new.size], log_edges[n:n + x_new.size] = x_new, log_new
+        n += x_new.size
+    x, log_edges = x[:n], log_edges[:n]
+    x.flags.writeable = log_edges.flags.writeable = False
+    return _Lattice(delta, width, n_terms, log_edges, x)
 
 
 # The lattice of the last (delta, width) a table asked for, extended to the
@@ -450,20 +431,6 @@ def _shared_lattice(delta: float, n_terms: int, width: float) -> _Lattice:
         return lattice
 
 
-def _close_masses(cdfv, right: np.ndarray, prev_f: float, out: np.ndarray) -> float:
-    """Write to ``out`` the masses of consecutive cells that end at ``right``.
-
-    The first cell starts where the CDF is ``prev_f``. Returns the checked
-    CDF at the last right edge, or ``prev_f`` if there is none.
-    """
-    if not right.size:
-        return prev_f
-    f = _check_chunk(cdfv(right), prev_f)
-    out[0] = f[0] - prev_f
-    np.subtract(f[1:], f[:-1], out=out[1:])
-    return float(f[-1])
-
-
 class StieltjesTable:
     """Mass/edge aggregation of a CDF over the uniform grid, for fast sweeps.
 
@@ -480,23 +447,24 @@ class StieltjesTable:
     (2^15) cells or lattice ids, and shared: the first table of a pair
     places it, a table of more cells extends it, placing only the cells
     above it, and every table takes the prefix of the starts with
-    x <= (n_terms - 1) delta. ``log_edges`` is a read-only view of that
-    prefix, so a sweep places the lattice once and keeps its log edges
-    once; a single table in a fresh process gains nothing. The build then
-    evaluates the CDF once at the block edges and the grid end, in chunks
-    of 2^15 blocks: each start x = m delta is read back exactly from its
-    log edge as rint(expm1(l) / delta) * delta, or from the lattice, which
-    keeps x above 2^40 cells; the CDF there is checked, and the masses it
-    closes, differences of the CDF across each block, go into one
-    preallocated array. The number of blocks is at most 1 + log1p(delta * n_terms) /
-    block_log_width, whatever the step, and the placement handles at most
-    1 / block_log_width more ids than that. More than 2^53 cells raise
-    ValueError.
+    x <= (n_terms - 1) delta. The lattice keeps each start x = m delta
+    beside its log edge; ``log_edges`` is a read-only view of the prefix,
+    so a sweep places the lattice once and keeps its log edges once; a
+    single table in a fresh process gains nothing. The number of blocks is
+    at most 1 + log1p(delta * n_terms) / block_log_width, whatever the
+    step, and the placement handles at most 1 / block_log_width more ids
+    than that. More than 2^53 cells raise ValueError.
 
-    The build also groups the blocks into segments of width 1/64 in log1p(x)
-    and stores, for each segment s with left edge L_s, the local moments
-    sum of mass * (l - L_s)^k / k! for k = 0..18. An exponent t <= 64 is
-    then summed as sum_s exp(-t L_s) * sum_k (-t)^k moment_{k,s}, which
+    The build groups the blocks into segments of width 1/64 in log1p(x)
+    and makes one pass over chunks of whole segments, each starting at the
+    segment that holds a multiple of 2^15 blocks. A chunk evaluates the
+    CDF once at its blocks' right edges, the next starts read from the
+    lattice and the grid end for the last block, checks it and writes the
+    masses, differences of the CDF across each block, into one
+    preallocated array. While they are still in cache it stores, for each
+    of its segments s with left edge L_s, the local moments sum of
+    mass * (l - L_s)^k / k! for k = 0..18. An exponent t <= 64 is then
+    summed as sum_s exp(-t L_s) * sum_k (-t)^k moment_{k,s}, which
     equals the staircase to rounding at the cost of one exp per segment.
     A larger exponent takes an exp pass over a growing prefix of the
     blocks: the leftmost subtrees of numpy's pairwise sum over all of
@@ -516,17 +484,29 @@ class StieltjesTable:
         lattice = _shared_lattice(delta, n_terms, width)
         n = lattice.prefix(n_terms)
         self.log_edges, self.mass = lattice.log_edges[:n], np.empty(n)
-        # A block's first cell ends the block before it, so the CDF there
-        # closes that block's mass; the block at x = 0 closes none.
+        self._seg_left, first, cuts = _segments(self.log_edges)
+        moments = np.empty((_SERIES_TERMS + 1, self._seg_left.size))
+        # A block closes at the next block's start, the last one at the grid
+        # end; the CDF there less the CDF where the block before closed, 0
+        # before the first, is its mass. The right edges are a lattice view,
+        # or in the last chunk a copy left unnamed, freed before the check.
         prev_f = 0.0
-        for i0 in range(1, n, _TABLE_CHUNK):
-            i1 = min(i0 + _TABLE_CHUNK, n)
-            prev_f = _close_masses(cdfv, lattice.starts(i0, i1), prev_f,
-                                   self.mass[i0 - 1:i1 - 1])
-        f_end = _close_masses(cdfv, np.asarray([n_terms * delta]), prev_f, self.mass[n - 1:n])
-        self.end_survival = 1.0 - f_end
+        for c0, c1 in zip(cuts, cuts[1:]):
+            b0, b1 = int(first[c0]), int(first[c1])
+            f = _check_chunk(cdfv(lattice.x[b0 + 1:b1 + 1] if b1 < n else
+                                  np.append(lattice.x[b0 + 1:n], n_terms * delta)), prev_f)
+            mass = self.mass[b0:b1]
+            mass[0] = f[0] - prev_f
+            np.subtract(f[1:], f[:-1], out=mass[1:])
+            prev_f = float(f[-1])
+            # Freed before the moment pass takes two buffers like it; not
+            # reused, as the CDF may return a read-only array or one it keeps.
+            del f
+            _chunk_moments(self.log_edges[b0:b1], mass, first[c0:c1] - b0, moments[:, c0:c1])
+        moments /= np.cumprod(np.arange(_SERIES_TERMS + 1.0).clip(1.0))[:, None]
+        self._seg_moments = moments
+        self.end_survival = 1.0 - prev_f
         self.end_log_edge = math.log1p(n_terms * delta)
-        self._seg_left, self._seg_moments = _segment_moments(self.log_edges, self.mass)
 
     def bound(self, theta: float) -> float:
         """Upper bound on E[(1+X)^(-theta)] from the aggregated blocks."""
@@ -583,43 +563,42 @@ def _pairwise_prefixes(n: int) -> list[int]:
     return sizes[::-1]
 
 
-def _segment_moments(log_edges: np.ndarray, mass: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(left edge L_s, moments sum mass * (l - L_s)^k / k! by k and s) of each segment.
+def _segments(log_edges: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """(left edge L_s, first block, chunk cuts) of the segments that hold a block.
 
     Segment s holds the blocks whose log edge l has floor(l / width) = s,
-    that is s * width <= l; only segments that hold a block are kept.
-    Moments are summed over chunks of whole segments, in two buffers sized
-    to the longest chunk, so the temporaries stay cache-sized.
+    that is s * width <= l; it spans blocks first[s] to first[s + 1], and
+    the first blocks end with the block count. A chunk runs from one cut
+    to the next: it starts at the segment that holds a multiple of
+    _TABLE_CHUNK blocks, so that no segment is split, and the last cut is
+    the segment count.
     """
     n = log_edges.size
     lattice = np.arange(math.floor(log_edges[-1] / _SEGMENT_WIDTH) + 1.0) * _SEGMENT_WIDTH
     first = np.searchsorted(log_edges, lattice)
     held = np.diff(first, append=n) > 0
-    first, seg_left = first[held], lattice[held]
-    moments = np.empty((_SERIES_TERMS + 1, first.size))
-    # Each chunk starts at the first block of the segment that holds a
-    # multiple of _TABLE_CHUNK, so that no segment is split.
+    first = np.append(first[held], n)
     cuts = np.unique(np.searchsorted(first, np.arange(0, n, _TABLE_CHUNK), side="right") - 1)
-    block_of = np.append(first, n)
-    longest = int(np.diff(block_of[np.append(cuts, first.size)]).max())
-    offset_buf, power_buf = np.empty(longest), np.empty(longest)
-    for c0, c1 in zip(cuts.tolist(), cuts[1:].tolist() + [first.size]):
-        b0, b1 = int(block_of[c0]), int(block_of[c1])
-        edges = log_edges[b0:b1]
-        # offset = edges - floor(edges / width) * width
-        offset = np.divide(edges, _SEGMENT_WIDTH, out=offset_buf[:b1 - b0])
-        np.floor(offset, out=offset)
-        offset *= _SEGMENT_WIDTH
-        np.subtract(edges, offset, out=offset)
-        local = first[c0:c1] - b0
-        powers = power_buf[:b1 - b0]
-        powers[:] = mass[b0:b1]
-        moments[0, c0:c1] = np.add.reduceat(powers, local)
-        for k in range(1, _SERIES_TERMS + 1):
-            powers *= offset
-            moments[k, c0:c1] = np.add.reduceat(powers, local)
-    moments /= np.cumprod(np.arange(_SERIES_TERMS + 1.0).clip(1.0))[:, None]
-    return seg_left, moments
+    return lattice[held], first, cuts.tolist() + [first.size - 1]
+
+
+def _chunk_moments(edges: np.ndarray, mass: np.ndarray, local: np.ndarray,
+                   out: np.ndarray) -> None:
+    """Write to out[k] the sums of mass * (l - L)^k, k = 0..18, over each segment.
+
+    ``edges`` and ``mass`` are those of the blocks of whole segments whose
+    first blocks are at ``local``; L is the left edge of a block's segment.
+    """
+    # offset = edges - floor(edges / width) * width
+    offset = np.divide(edges, _SEGMENT_WIDTH)
+    np.floor(offset, out=offset)
+    offset *= _SEGMENT_WIDTH
+    np.subtract(edges, offset, out=offset)
+    powers = mass.copy()
+    out[0] = np.add.reduceat(powers, local)
+    for k in range(1, _SERIES_TERMS + 1):
+        powers *= offset
+        out[k] = np.add.reduceat(powers, local)
 
 
 def _trapezoid_nodes(step: float, half_width: float) -> tuple[np.ndarray, float]:

@@ -28,8 +28,9 @@ draws from its own stream in the same order as a lone replication would,
 and the arithmetic on a row does not depend on the rows beside it, so no
 sample depends on the block size, the seeding chunk, the other points of
 the run or the order in which replications run. Blocks are therefore
-spread over one worker per available CPU, the caller and threads that
-end with the call, each with its own buffers and rows of the outputs;
+spread over one worker per available CPU, but no more than leave each 16
+rows of a block, the caller and threads that end with the call, each
+with its own buffers and rows of the outputs;
 numpy releases the GIL inside the normal draws and the exp and log1p
 passes, most of a block. The workers split one block's worth of slots,
 so memory grows neither with the number of CPUs nor with the points.
@@ -67,6 +68,9 @@ _SEED_CHUNK = 1024
 # Block workers: one per CPU this process may run on.
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
+# A call starts no more workers than leave each at least this many rows per
+# block: per-block Python work and GIL hand-offs dominate smaller blocks.
+_MIN_WORKER_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -305,10 +309,10 @@ def _replicate(points, horizon: int, rngs, count: int, delays: bool = True) -> l
     the generator's state there is kept before the row's first drain and
     restored before each later one. The rows of one block's worth of
     slots are split between the workers: the caller and threads joined
-    before it returns or raises, at least one row each, each with one
-    buffer pair made before any thread starts. So memory grows neither
-    with the number of CPUs nor with the number of points, nor, beyond
-    the outputs, with count. The first failure, an interrupt included,
+    before it returns or raises, as many as get at least 16 rows each
+    (one if none would), each with one buffer pair made before any thread
+    starts. So memory grows neither with the number of CPUs nor with the
+    number of points, nor, beyond the outputs, with count. The first failure, an interrupt included,
     stops every worker; the call raises the lowest block's failure.
     """
     if horizon < 1:
@@ -321,7 +325,7 @@ def _replicate(points, horizon: int, rngs, count: int, delays: bool = True) -> l
     shared = len(points) > 1
     rows = max(1, _BLOCK_CELLS // (width * (1 + shared)))
     net_width = width if shared else _DRAIN_CHUNK
-    workers = min(_WORKERS, rows)
+    workers = min(_WORKERS, max(1, rows // _MIN_WORKER_ROWS))
     rows //= workers
     arrivals = [generate_arrivals(env, horizon) for env, _ in points]
     one_channel = len({channel for _, channel in points}) == 1

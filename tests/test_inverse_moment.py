@@ -17,7 +17,9 @@ from linkbound.inverse_moment import (
     _SEARCH_CEIL,
     _SEARCH_X0,
     _SEGMENT_WIDTH,
+    _SERIES_TERMS,
     _SLACK_TOL,
+    _TABLE_CHUNK,
     StieltjesTable,
     _lognormal_log_exact,
     _staircase_sum,
@@ -347,6 +349,23 @@ class TestTruncationAndTable:
         assert truncation_point(cdf, 0.0, cfg) == _SEARCH_CEIL
         assert scalar_truncation_point(cdf, 0.0, cfg) == _SEARCH_CEIL
 
+    @pytest.mark.parametrize("theta", [0.5, 1.0])
+    def test_grid_refuses_a_cut_past_the_search_ceiling(self, theta):
+        # Survival 1 everywhere: at theta = 0.5 no rule fires below the
+        # 1e12 ceiling, and at theta = 1 the slack rule fires just past it.
+        # A grid to either cut would stream 1e14 cells; the truncation
+        # search evaluates at most 1025 points at once, the grid 2e6.
+        def zero_cdf(x):
+            assert x.size <= 1025, "the grid evaluated the CDF"
+            return np.zeros_like(x)
+
+        cfg = lb.DiscretizationConfig()
+        assert truncation_point(zero_cdf, theta, cfg) >= _SEARCH_CEIL
+        with pytest.raises(ValueError, match="tail rules do not stop the grid"):
+            lb.inverse_moment_bound(zero_cdf, theta, cfg)
+        with pytest.raises(ValueError, match="tail rules do not stop the grid"):
+            lb.inverse_moment_bound_many(zero_cdf, [0.0, 3.0, theta], cfg)
+
     def test_truncation_point_rejects_nan_cdf(self, operating_channel):
         # A NaN survival used to read as "not stopped", so the search walked
         # to the 1e12 ceiling and the grid then asked for 1e14 cells.
@@ -487,6 +506,53 @@ def cell_by_cell_table(cdf, delta, n_terms, block_log_width, chunk=2_000_000):
     return np.concatenate(edges), np.concatenate(masses), 1.0 - prev_f
 
 
+def segment_moments_reference(log_edges: np.ndarray, mass: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(left edge L_s, moments sum mass * (l - L_s)^k / k! by k and s) of each segment.
+
+    Segment s holds the blocks whose log edge l has floor(l / width) = s,
+    that is s * width <= l; only segments that hold a block are kept.
+    Moments are summed over chunks of whole segments, in two buffers sized
+    to the longest chunk, so the temporaries stay cache-sized.
+    """
+    # The two-pass build's moment pass, verbatim: the reference for the
+    # moments that the one-pass build sums chunk by chunk.
+    n = log_edges.size
+    lattice = np.arange(math.floor(log_edges[-1] / _SEGMENT_WIDTH) + 1.0) * _SEGMENT_WIDTH
+    first = np.searchsorted(log_edges, lattice)
+    held = np.diff(first, append=n) > 0
+    first, seg_left = first[held], lattice[held]
+    moments = np.empty((_SERIES_TERMS + 1, first.size))
+    # Each chunk starts at the first block of the segment that holds a
+    # multiple of _TABLE_CHUNK, so that no segment is split.
+    cuts = np.unique(np.searchsorted(first, np.arange(0, n, _TABLE_CHUNK), side="right") - 1)
+    block_of = np.append(first, n)
+    longest = int(np.diff(block_of[np.append(cuts, first.size)]).max())
+    offset_buf, power_buf = np.empty(longest), np.empty(longest)
+    for c0, c1 in zip(cuts.tolist(), cuts[1:].tolist() + [first.size]):
+        b0, b1 = int(block_of[c0]), int(block_of[c1])
+        edges = log_edges[b0:b1]
+        # offset = edges - floor(edges / width) * width
+        offset = np.divide(edges, _SEGMENT_WIDTH, out=offset_buf[:b1 - b0])
+        np.floor(offset, out=offset)
+        offset *= _SEGMENT_WIDTH
+        np.subtract(edges, offset, out=offset)
+        local = first[c0:c1] - b0
+        powers = power_buf[:b1 - b0]
+        powers[:] = mass[b0:b1]
+        moments[0, c0:c1] = np.add.reduceat(powers, local)
+        for k in range(1, _SERIES_TERMS + 1):
+            powers *= offset
+            moments[k, c0:c1] = np.add.reduceat(powers, local)
+    moments /= np.cumprod(np.arange(_SERIES_TERMS + 1.0).clip(1.0))[:, None]
+    return seg_left, moments
+
+
+def assert_moments_match_reference(table):
+    seg_left, moments = segment_moments_reference(table.log_edges, table.mass)
+    assert np.array_equal(table._seg_left, seg_left)
+    assert np.array_equal(table._seg_moments, moments)
+
+
 class TestBlockLatticeBuild:
     @pytest.mark.parametrize(
         "mean_snr_db, sigma_db, delta, width, n_terms",
@@ -512,6 +578,19 @@ class TestBlockLatticeBuild:
         assert np.array_equal(table.log_edges, log_edges)
         assert np.array_equal(table.mass, mass)
         assert table.end_survival == end_survival
+        assert_moments_match_reference(table)
+
+    def test_read_only_cdf_output(self, operating_channel):
+        # The build reads the CDF's arrays and writes to none of them.
+        cdf = lognormal_cdf(operating_channel)
+
+        def read_only(x):
+            f = cdf(x)
+            f.flags.writeable = False
+            return f
+
+        n = int(math.ceil(truncation_point(cdf, 0.0, lb.DiscretizationConfig()) / 1e-2))
+        assert table_digest(read_only, 1e-2, n) == table_digest(cdf, 1e-2, n)
 
     def test_out_of_range_cdf_rejected(self):
         bad = lambda x: np.full_like(np.asarray(x, dtype=float), 1.5)
@@ -606,9 +685,9 @@ class TestSharedLattice:
 
     @pytest.mark.parametrize("channel, steps, width, ns", _lattice_cases())
     def test_prefix_matches_a_cleared_lattice(self, monkeypatch, channel, steps, width, ns):
-        # Up to 2^40 cells the build recovers each start's x from its log
-        # edge; above it the lattice keeps x. After the 2^53-cell table the
-        # descending order reads every smaller table's x from the kept ones.
+        # Ascending counts extend the lattice table by table; after the
+        # 2^53-cell table the descending order slices every smaller table's
+        # x and log edges from the largest lattice.
         cdf = lognormal_cdf(channel)
         reference = {}
         for delta in steps:
@@ -625,15 +704,37 @@ class TestSharedLattice:
             for delta, n in builds:
                 assert table_digest(cdf, delta, n, width) == reference[delta, n], (order, delta, n)
 
+    @pytest.mark.parametrize("channel, steps, width, ns", _lattice_cases())
+    def test_moments_match_a_separate_pass(self, channel, steps, width, ns):
+        # The build sums each chunk's segment moments right after its
+        # masses; they must equal a separate pass over the finished table.
+        cdf = lognormal_cdf(channel)
+        for n in ns:
+            assert_moments_match_reference(StieltjesTable(cdf, steps[0], n, width))
+
     @pytest.mark.parametrize("delta, n_terms", [(1e-2, 2**40), (1e-2, 2**53), (1e-11, 2**53)])
     def test_starts_are_the_placed_cells(self, delta, n_terms):
-        # Up to 2^40 cells x is recovered from the log edge, exactly; at
-        # 2^53 cells that recovery is up to 32 cells off, so the lattice
-        # keeps x there.
+        # The lattice keeps every start x = m delta as placed; recovering x
+        # from its log edge instead would be up to 32 cells off at 2^53.
         lattice = inverse_moment._place_lattice(delta, n_terms, 2e-5)
         placed = np.concatenate([x for x, _ in inverse_moment._block_starts(delta, n_terms, 2e-5)])
-        assert np.array_equal(lattice.starts(0, placed.size), placed)
+        assert np.array_equal(lattice.x, placed)
         assert lattice.prefix(n_terms) == placed.size
+
+    @pytest.mark.parametrize("delta, n_base, n_terms", [
+        (1e-2, 49_999, 50_001),  # across the last cell assigned one by one
+        (1e-2, 100_000, 2**40),
+        (1e-11, 2**40, 2**53),
+    ])
+    def test_extension_keeps_the_base(self, delta, n_base, n_terms):
+        base = inverse_moment._place_lattice(delta, n_base, 2e-5)
+        grown = inverse_moment._place_lattice(delta, n_terms, 2e-5, base)
+        fresh = inverse_moment._place_lattice(delta, n_terms, 2e-5)
+        kept = base.x.size
+        assert np.array_equal(grown.x[:kept], base.x)
+        assert np.array_equal(grown.log_edges[:kept], base.log_edges)
+        assert np.array_equal(grown.x, fresh.x)
+        assert np.array_equal(grown.log_edges, fresh.log_edges)
 
     def test_second_table_allocates_no_log_edges(self, operating_channel):
         # At 25/8 dB the log edges take 2.3 MB; a table at the same step and
@@ -658,8 +759,9 @@ class TestSharedLattice:
             assert peak - before < own + second.log_edges.nbytes // 2
 
     def test_concurrent_tables_match_a_cleared_lattice(self, monkeypatch, operating_channel):
-        # The points of a sweep build their tables on pool threads, so the
-        # lattice is placed, grown, swapped and sliced concurrently.
+        # The CLI builds every table on its calling thread, but a library
+        # caller may build tables from several threads; the lattice is then
+        # placed, grown, swapped and sliced concurrently.
         cdf = lognormal_cdf(operating_channel)
         jobs = [(delta, n) for delta in (1e-2, 2e-2) for n in (50_001, 400_000, 820_000)]
         reference = {}

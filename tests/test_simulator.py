@@ -317,7 +317,10 @@ class TestBlockBoundaries:
 
 
 def _set_workers(monkeypatch, workers):
+    """The simulator at that many block workers, down to one row per worker,
+    so that the small blocks of these tests still split between them."""
     monkeypatch.setattr(simulator, "_WORKERS", workers)
+    monkeypatch.setattr(simulator, "_MIN_WORKER_ROWS", 1)
 
 
 def _failing_on_call(fn, n, message):
@@ -644,8 +647,34 @@ def test_experiment_memory_is_one_block(operating_channel):
 @pytest.mark.parametrize("workers", [4, 64])
 def test_experiment_memory_does_not_grow_with_workers(operating_channel, monkeypatch, workers):
     # The same bounds at more workers than this suite assumes cores.
-    _set_workers(monkeypatch, workers)
+    monkeypatch.setattr(simulator, "_WORKERS", workers)
     test_experiment_memory_is_one_block(operating_channel)
+
+
+def test_workers_keep_16_rows_per_block(operating_channel, monkeypatch):
+    # At 2000 slots a block holds 131 rows, or 65 when several points
+    # share them, so 64 CPUs start only the 8 or 4 workers that get at
+    # least 16 rows each; the samples are those of one worker.
+    env = lb.AffineEnvelope(0.0, 3.9e9)
+    sweep = [(env, replace(operating_channel, sigma_db=s)) for s in (2.0, 4.0, 6.0, 8.0)]
+    cfg = lb.SimConfig(2000, 200, master_seed=8)
+    monkeypatch.setattr(simulator, "_WORKERS", 1)
+    serial = [simulator.run_experiments(points, cfg) for points in (sweep[-1:], sweep)]
+    started = []
+
+    class CountedThread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(simulator, "_WORKERS", 64)
+    monkeypatch.setattr(threading, "Thread", CountedThread)
+    for points, workers, reference in zip((sweep[-1:], sweep), (8, 4), serial):
+        started.clear()
+        outs = simulator.run_experiments(points, cfg)
+        assert len(started) == workers - 1
+        for out, ref in zip(outs, reference):
+            _assert_same_outcome(out, ref)
 
 
 @pytest.fixture(scope="module")
