@@ -17,9 +17,18 @@ A run simulates a list of (envelope, channel) points on the same
 replication streams, common random numbers across a sweep: replication
 i of every point replays stream i, so each point's samples equal, bit for
 bit, those of a run of that point alone. The streams' normals are drawn
-once and turned into service once when every point has the same channel
-(a rate sweep), once per point otherwise; each point runs its own backlog
-pass, and the drain that measures a point's delays continues each row's
+once. A row's backlog at the horizon T comes from the min-plus identity
+B(T) = max(0, sup_s [A(s,T) - S(s,T)]) over cumulative arrivals A and
+cumulative service S, both centred on a constant c of the channel alone,
+its capacity at the median SNR: S'_k = cumsum(s - c) and A'_k = cumsum(a
+- c). The walk W = A' - S' then gives B(T) = W_T - min(0, min_k W_k).
+S' is one prefix-sum pass per distinct channel, so once in all for a
+rate sweep and once per point for a sigma or gain sweep; A' is one row
+per point, summed once per run; and each point subtracts its A' from S'
+and takes the minimum. c depends on the channel alone, so a sweep point
+and its lone run do the same arithmetic. The centre keeps the sums near
+zero, so the backlog carries the rounding of the walk, not of the whole
+service. The drain that measures a point's delays continues each row's
 stream from the end of its horizon draws.
 
 Replications are evaluated in blocks of rows, one row per replication,
@@ -30,16 +39,19 @@ sample depends on the block size, the seeding chunk, the other points of
 the run or the order in which replications run. Blocks are therefore
 spread over one worker per available CPU, but no more than leave each 16
 rows of a block, the caller and threads that end with the call, each
-with its own buffers and rows of the outputs;
-numpy releases the GIL inside the normal draws and the exp and log1p
-passes, most of a block. The workers split one block's worth of slots,
-so memory grows neither with the number of CPUs nor with the points.
+with its own buffers and rows of the outputs. numpy releases the GIL
+inside the normal draws and the elementwise passes (exp, log1p, the
+subtractions and the minimum), most of a block; the 2-D prefix sum holds
+it, which is why a block makes as few as it can. The workers split one
+block's worth of slots, so memory grows neither with the number of CPUs
+nor with the points.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import operator
 import os
 import threading
@@ -49,7 +61,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .arrival import AffineEnvelope, generate_arrivals
-from .channel import ShadowingChannel, _snr_from_normals
+from .channel import ShadowingChannel, _snr_from_normals, capacity_bits_per_slot
 
 DELAY_SEARCH_CAP = 10_000
 # One spawn word, below 2^32, names each replication.
@@ -75,13 +87,22 @@ _MIN_WORKER_ROWS = 16
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Replication plan: observation horizon, count, and seeding."""
+    """Replication plan: observation horizon, count, and seeding.
+
+    Each field is an integer, kept as a Python int: a float, even an
+    integral one, or a bool raises TypeError naming the field.
+    """
 
     horizon_slots: int = 2000
     replications: int = 10000
     master_seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("horizon_slots", "replications", "master_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, operator.index(value))
         if self.horizon_slots < 1:
             raise ValueError("horizon_slots must be at least 1")
         if not 1 <= self.replications <= MAX_REPLICATIONS:
@@ -227,11 +248,21 @@ def _draw_normals(rngs, out: np.ndarray) -> None:
         rng.standard_normal(out=row)
 
 
-def _to_service(channel: ShadowingChannel, z: np.ndarray) -> None:
-    """Overwrite standard normals z with the service bits they give."""
-    _snr_from_normals(channel, z)
-    np.log1p(z, out=z)
-    z *= channel.bits_per_nat
+def _to_service(channel: ShadowingChannel, z: np.ndarray, out=None) -> None:
+    """Write the service bits that standard normals z give to out, z itself
+    by default."""
+    out = _snr_from_normals(channel, z, out)
+    np.log1p(out, out=out)
+    out *= channel.bits_per_nat
+
+
+def _cumulative_service(channel: ShadowingChannel, centre: float, z: np.ndarray,
+                        out: np.ndarray) -> None:
+    """Write each row's centred cumulative service, cumsum(s - centre), for
+    the service s that the standard normals z give, to out, which may be z."""
+    _to_service(channel, z, out)
+    out -= centre
+    np.cumsum(out, axis=1, out=out)
 
 
 def _drain(
@@ -301,34 +332,44 @@ def _replicate(points, horizon: int, rngs, count: int, delays: bool = True) -> l
     arrays per point, with None for delays and censored unless delays.
 
     The generators are taken a block of rows at a time. Each row draws its
-    horizon's normals once. When every point has the same channel, they
-    become service once, in place; otherwise each point turns a copy into
-    its own channel's service, the last point the normals themselves.
-    Each point then runs its backlog pass, and its drain, on the row. A
-    drain continues the row's stream from the end of the horizon draws:
-    the generator's state there is kept before the row's first drain and
-    restored before each later one. The rows of one block's worth of
-    slots are split between the workers: the caller and threads joined
-    before it returns or raises, as many as get at least 16 rows each
-    (one if none would), each with one buffer pair made before any thread
-    starts. So memory grows neither with the number of CPUs nor with the
-    number of points, nor, beyond the outputs, with count. The first failure, an interrupt included,
-    stops every worker; the call raises the lowest block's failure.
+    horizon's normals once. Each distinct channel turns them into its
+    cumulative service centred on its capacity c at the median SNR, S' =
+    cumsum(s - c): in place, once for all points, when every point has the
+    same channel (a rate sweep); otherwise each point writes its own
+    channel's into its buffer, the last point over the normals themselves,
+    so a sigma or gain sweep sums once per point. Each point's
+    cumulative arrivals on the same centre, A' = cumsum(a - c), are one
+    row summed before the first block. A point subtracts S' from its A'
+    into its buffer, the walk W, and reads the backlog W_T - min(0, min_k
+    W_k); its drain then runs on the row. A drain continues the row's
+    stream from the end of the horizon draws: the generator's state there
+    is kept before the row's first drain and restored before each later
+    one. The rows of one block's worth of slots are split between the
+    workers: the caller and threads joined before it returns or raises,
+    as many as get at least 16 rows each (one if none would), each with
+    one buffer pair made before any thread starts. So memory grows
+    neither with the number of CPUs nor with the number of points, nor,
+    beyond the outputs and the arrival rows, with count. The first
+    failure, an interrupt included, stops every worker; the call raises
+    the lowest block's failure.
     """
     if horizon < 1:
         raise ValueError("horizon_slots must be at least 1")
     rngs = iter(rngs)
-    # A lone point turns its normals into net arrivals in place, and its
-    # second buffer holds a drain round; points that share the normals run
-    # their passes and drains in a second buffer as large as the first.
+    # A lone point forms its walk in place over its normals, and its second
+    # buffer holds a drain round; points that share the normals form their
+    # walks, and run their drains, in a second buffer as large as the first.
     width = max(horizon, _DRAIN_CHUNK)
     shared = len(points) > 1
     rows = max(1, _BLOCK_CELLS // (width * (1 + shared)))
     net_width = width if shared else _DRAIN_CHUNK
     workers = min(_WORKERS, max(1, rows // _MIN_WORKER_ROWS))
     rows //= workers
-    arrivals = [generate_arrivals(env, horizon) for env, _ in points]
-    one_channel = len({channel for _, channel in points}) == 1
+    centres = {channel: capacity_bits_per_slot(channel, channel.median_snr)
+               for _, channel in points}
+    cum_arrivals = [np.cumsum(generate_arrivals(env, horizon) - centres[channel])
+                    for env, channel in points]
+    one_channel = len(centres) == 1
     last = len(points) - 1
     outputs = [(np.empty(count), np.empty(count, dtype=np.int64) if delays else None,
                 np.empty(count, dtype=bool) if delays else None) for _ in points]
@@ -338,22 +379,19 @@ def _replicate(points, horizon: int, rngs, count: int, delays: bool = True) -> l
         _draw_normals(block, z)
         rows_of_block = slice(start, start + len(block))
         if one_channel:
-            _to_service(points[0][1], z)
+            _cumulative_service(points[0][1], centres[points[0][1]], z, z)
         kept = {}  # row -> its generator's state after the horizon draws
         for p, (_, channel) in enumerate(points):
-            # The last point's pass may overwrite what z holds.
-            cum = z if p == last else net_buf[: z.size].reshape(z.shape)
+            # The last point's walk may overwrite what z holds.
+            walk = z if p == last else net_buf[: z.size].reshape(z.shape)
             if one_channel:
-                np.subtract(arrivals[p], z, out=cum)
+                np.subtract(cum_arrivals[p], z, out=walk)
             else:
-                if cum is not z:
-                    np.copyto(cum, z)
-                _to_service(channel, cum)
-                np.subtract(arrivals[p], cum, out=cum)
-            np.cumsum(cum, axis=1, out=cum)
+                _cumulative_service(channel, centres[channel], z, walk)
+                np.subtract(cum_arrivals[p], walk, out=walk)
             backlogs, point_delays, censored = outputs[p]
             backlog = backlogs[rows_of_block]
-            np.subtract(cum[:, -1], np.minimum(cum.min(axis=1), 0.0), out=backlog)
+            np.subtract(walk[:, -1], np.minimum(walk.min(axis=1), 0.0), out=backlog)
             if not delays:
                 continue
             if shared:

@@ -32,6 +32,20 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="replications"):
             lb.SimConfig(replications=2**32 + 1)
 
+    @pytest.mark.parametrize("field", ["horizon_slots", "replications", "master_seed"])
+    @pytest.mark.parametrize("value", [200.0, 10.5, True, "200", None])
+    def test_fields_must_be_integers(self, field, value):
+        with pytest.raises(TypeError, match=field):
+            lb.SimConfig(**{field: value})
+
+    def test_numpy_integers_accepted(self):
+        cfg = lb.SimConfig(np.int64(50), np.uint32(3), np.int64(2))
+        assert [type(v) for v in (cfg.horizon_slots, cfg.replications, cfg.master_seed)] == [int] * 3
+        env = lb.AffineEnvelope(0.0, 1e9)
+        channel = lb.ShadowingChannel(25.0, 8.0, 500e6, 1.0)
+        out = lb.run_experiment(env, channel, cfg)
+        _assert_same_outcome(out, lb.run_experiment(env, channel, lb.SimConfig(50, 3, 2)))
+
 
 SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**128 + 3)
 INDICES = (0, 255, 256, 2**31, 2**32 - 1)
@@ -553,6 +567,72 @@ class TestBacklogOnly:
         assert out.exceedance(threshold) == full.exceedance(threshold)
         with pytest.raises(ValueError, match="without delays"):
             out.exceedance(1.0, kind="delay")
+
+
+class _CumsumCounter:
+    """numpy as the simulator module sees it, counting its 2-D prefix sums."""
+
+    def __init__(self):
+        self.passes = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def cumsum(self, a, *args, **kwargs):
+        self.passes += np.ndim(a) == 2
+        return np.cumsum(a, *args, **kwargs)
+
+
+@pytest.mark.parametrize("axis, values, per_block", [
+    ("rate", (1.0e9, 3.0e9, 4.2e9), 1),
+    ("sigma", (0.0, 2.0, 6.0, 9.0), 4),
+])
+def test_one_prefix_sum_per_channel_and_block(monkeypatch, axis, values, per_block):
+    # A block sums the cumulative service once per distinct channel: once
+    # for a rate sweep, once per point for a sigma sweep. Without delays
+    # no drain runs, so every 2-D prefix sum is one of these.
+    points = [_sweep_point(axis, value) for value in values]
+    blocks = []
+    draw = simulator._draw_normals
+
+    def counted_draw(rngs, out):
+        blocks.append(len(out))
+        return draw(rngs, out)
+
+    counter = _CumsumCounter()
+    _set_workers(monkeypatch, 1)
+    monkeypatch.setattr(simulator, "_BLOCK_CELLS", 2 * 5 * 300)
+    monkeypatch.setattr(simulator, "_draw_normals", counted_draw)
+    monkeypatch.setattr(simulator, "np", counter)
+    simulator.run_experiments(points, lb.SimConfig(300, 23, 4), delays=False)
+    assert blocks == [5, 5, 5, 5, 3]
+    assert counter.passes == per_block * len(blocks)
+
+
+# (mean_snr_db, sigma_db, load), the load against the mean of the service drawn.
+PRECISION_POINTS = [(20.0, 6.0, 0.3), (20.0, 6.0, 0.9), (25.0, 2.0, 0.95), (15.0, 4.0, 1.1),
+                    (30.0, 8.0, 0.5)]
+
+
+@pytest.mark.parametrize("gain, sigma, load", PRECISION_POINTS)
+def test_backlog_matches_long_double_walk(gain, sigma, load):
+    # The centred float64 walk against the uncentred walk summed in long
+    # double over the same service bits: within 0.1 bit of backlogs of up
+    # to 1e12 bits, and exactly zero wherever the reference is.
+    channel = lb.ShadowingChannel(gain, sigma, 500e6, 1.0)
+    cfg = lb.SimConfig(2000, 400, master_seed=11)
+    service = np.array([
+        lb.capacity_bits_per_slot(channel, lb.sample_snr(
+            channel, lb.replication_rng(cfg.master_seed, i), cfg.horizon_slots))
+        for i in range(cfg.replications)])
+    rate = load * float(np.mean(service))
+    walk = np.cumsum(np.longdouble(rate) - service, axis=1)
+    reference = walk[:, -1] - np.minimum(walk.min(axis=1), 0.0)
+    out = lb.run_experiment(lb.AffineEnvelope(0.0, rate), channel, cfg, delays=False)
+    assert np.all(np.abs(out.backlog_samples - reference) <= 0.1)
+    zero = reference == 0.0
+    assert np.all(out.backlog_samples[zero] == 0.0)
+    assert zero.any() == (load < 1.0)
 
 
 def _one_cumsum_drain(channel, rngs, backlog, buf):
