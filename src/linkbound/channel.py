@@ -15,6 +15,9 @@ import numpy as np
 
 # ln(10)/10 converts a dB quantity into the natural log of its linear value.
 DB_TO_LN = math.log(10.0) / 10.0
+# The largest mean SNR accepted: its linear value, 1e308, is still a finite
+# float, which it is not from about 3082.5 dB on.
+MAX_MEAN_SNR_DB = 3080.0
 
 
 @dataclass(frozen=True)
@@ -70,7 +73,9 @@ class ShadowingChannel:
     """Slotted wireless channel with i.i.d. log-normal shadowing.
 
     Attributes:
-        mean_snr_db: mean of the per-slot SNR in dB (the system gain).
+        mean_snr_db: mean of the per-slot SNR in dB (the system gain), at
+            most MAX_MEAN_SNR_DB (3080 dB), past which the linear SNR
+            overflows a float.
         sigma_db: shadowing standard deviation in dB. Zero gives a
             deterministic channel, useful as an oracle case.
         bandwidth_hz: signal bandwidth in Hz.
@@ -83,6 +88,9 @@ class ShadowingChannel:
     slot_seconds: float = 1.0
 
     def __post_init__(self) -> None:
+        if not self.mean_snr_db <= MAX_MEAN_SNR_DB:
+            raise ValueError(f"mean_snr_db must be at most {MAX_MEAN_SNR_DB:g} dB, "
+                             f"got {self.mean_snr_db!r}: its linear SNR would overflow a float")
         if self.sigma_db < 0:
             raise ValueError("sigma_db must be non-negative")
         if self.bandwidth_hz <= 0:

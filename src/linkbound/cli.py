@@ -35,7 +35,7 @@ import numpy as np
 from . import __version__
 from .arrival import AffineEnvelope
 from .bounds import BoundQuery, UnstableSystemError, backlog_bound, delay_bound
-from .channel import LinkBudget, ShadowingChannel, system_gain_db
+from .channel import MAX_MEAN_SNR_DB, LinkBudget, ShadowingChannel, system_gain_db
 from .inverse_moment import DiscretizationConfig
 from .service import ServiceCharacterization
 from .simulator import MAX_REPLICATIONS, SimConfig, run_experiments
@@ -71,6 +71,7 @@ def _integer(value) -> int:
 
 
 _REPLICATIONS_RULE = f"between 1 and {MAX_REPLICATIONS}"
+_MEAN_SNR_RULE = f"at most {MAX_MEAN_SNR_DB:g} dB"
 
 # Range rules, keyed by the words their error message prints.
 _RULES: dict[str, Callable[[Any], bool]] = {
@@ -78,6 +79,7 @@ _RULES: dict[str, Callable[[Any], bool]] = {
     "positive": lambda v: v > 0,
     "at least 1": lambda v: v >= 1,
     _REPLICATIONS_RULE: lambda v: 1 <= v <= MAX_REPLICATIONS,
+    _MEAN_SNR_RULE: lambda v: v <= MAX_MEAN_SNR_DB,
     "positive or 'limit'": lambda v: v == "limit" or (not isinstance(v, str) and v > 0),
 }
 
@@ -114,7 +116,7 @@ class _Field:
 
 # The scenario schema. A section is required when one of its fields is.
 _FIELDS = (
-    _Field("mean_snr_db", "channel", "mean_snr_db", _number),
+    _Field("mean_snr_db", "channel", "mean_snr_db", _number, rule=_MEAN_SNR_RULE),
     _Field("sigma_db", "channel", "sigma_db", _number, rule="non-negative"),
     _Field("bandwidth_hz", "channel", "bandwidth_hz", _number, rule="positive"),
     _Field("slot_seconds", "channel", "slot_seconds", _number, 1.0, "positive"),

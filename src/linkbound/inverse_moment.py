@@ -85,6 +85,9 @@ _PREFIX_RTOL = 2.0**-60
 # variable, within this half-width of the log-integrand's peak.
 _TRAPEZOID_STEP = 0.05
 _TRAPEZOID_HALF_WIDTH = 12.0
+# Newton steps allowed to the log-integrand's peak; it takes at most six at
+# gains of -10 to 60 dB and 15 at thousands of dB.
+_PEAK_STEPS = 64
 
 
 class CdfContractError(ValueError):
@@ -507,24 +510,59 @@ class StieltjesTable:
         self._seg_moments = moments
         self.end_survival = 1.0 - prev_f
         self.end_log_edge = math.log1p(n_terms * delta)
+        # The segment moments above their copies weighted by each segment's
+        # left edge L, for the slope; and the exp pass's mass past each
+        # prefix cut, end survival included.
+        self._seg_moments_l: np.ndarray | None = None
+        self._tail_mass: dict[int, float] = {}
 
-    def bound(self, theta: float) -> float:
-        """Upper bound on E[(1+X)^(-theta)] from the aggregated blocks."""
+    def bound(self, theta: float, with_slope: bool = False):
+        """Upper bound on E[(1+X)^(-theta)] from the aggregated blocks.
+
+        With ``with_slope``, returns (bound, slope), the slope being the
+        derivative of the bound's log in theta: minus the tilted mean of
+        log1p(x) under the blocks' staircase, and 0 on a floored bound. It
+        comes from the sums the bound forms: one more contraction of the
+        segment moments on the series, the l-weighted sum of the same
+        prefix on the exp pass.
+        """
         if theta * _SEGMENT_WIDTH <= 1.0:
             # No BLAS: einsum without optimize runs numpy's own loops, so the
-            # result does not depend on the BLAS thread pool.
-            by_power = np.einsum(
-                "ks,s->k", self._seg_moments, np.exp(-theta * self._seg_left)
-            ).tolist()
+            # result does not depend on the BLAS thread pool. Each row is
+            # summed by the same contiguous loop, so the moments' rows give
+            # the same floats alone or beside their L-weighted copies.
+            weights = np.exp(-theta * self._seg_left)
+            if with_slope:
+                if self._seg_moments_l is None:
+                    # Made on the first slope: a table asked for none keeps
+                    # only its moments.
+                    self._seg_moments_l = np.concatenate(
+                        (self._seg_moments, self._seg_moments * self._seg_left))
+                sums = np.einsum("ks,s->k", self._seg_moments_l, weights).tolist()
+                by_power, by_power_l = sums[:_SERIES_TERMS + 1], sums[_SERIES_TERMS + 1:]
+            else:
+                by_power = np.einsum("ks,s->k", self._seg_moments, weights).tolist()
             val = 0.0
             for moment in reversed(by_power):
                 val = val * -theta + moment
-            val += self.end_survival * math.exp(-theta * self.end_log_edge)
+            end = self.end_survival * math.exp(-theta * self.end_log_edge)
+            val += end
+            if with_slope:
+                # sum of mass * l * exp(-t l), with l = L + (l - L): the
+                # moments contracted with exp(-t L) * L, plus the series'
+                # own derivative in t.
+                first = by_power_l[_SERIES_TERMS]
+                for k in reversed(range(_SERIES_TERMS)):
+                    first = first * -theta + by_power_l[k] + (k + 1) * by_power[k + 1]
+                first += end * self.end_log_edge
         else:
-            val = self._exp_pass(theta)
-        return min(max(val, _FACTOR_FLOOR), 1.0)
+            val, first = self._exp_pass(theta, with_slope)
+        clamped = min(max(val, _FACTOR_FLOOR), 1.0)
+        if not with_slope:
+            return clamped
+        return clamped, (0.0 if val < _FACTOR_FLOOR else -first / val)
 
-    def _exp_pass(self, theta: float) -> float:
+    def _exp_pass(self, theta: float, with_slope: bool = False) -> tuple[float, float]:
         """Staircase sum plus end term, from the shortest prefix of blocks that meets it.
 
         The prefixes are the leftmost subtrees of numpy's pairwise sum over
@@ -534,19 +572,30 @@ class StieltjesTable:
         once that mass charged at the cut is at most _PREFIX_RTOL of the
         prefix sum, less than half an ulp of it, every later addition of
         the full pass rounds back to the prefix sum, and so does the bound.
+        The mass past each cut is summed once per table. Returns the sum
+        and, with ``with_slope``, the sum of each term times its log edge
+        (else 0).
         """
         n = self.mass.size
-        val, k = 0.0, 0
+        val = first = 0.0
+        k = 0
         for cut in _pairwise_prefixes(n):
-            val += _staircase_sum(self.log_edges[k:cut], self.mass[k:cut], theta)
+            log_left, mass = self.log_edges[k:cut], self.mass[k:cut]
+            val += _staircase_sum(log_left, mass, theta)
+            if with_slope:
+                first += _staircase_sum(log_left, mass * log_left, theta)
             k = cut
             if k == n:
                 break
-            survival = float(self.mass[k:].sum()) + self.end_survival
-            charge = survival * math.exp(-theta * float(self.log_edges[k]))
+            survival = self._tail_mass.get(k)
+            if survival is None:
+                survival = self._tail_mass[k] = float(self.mass[k:].sum()) + self.end_survival
+            cut_edge = float(self.log_edges[k])
+            charge = survival * math.exp(-theta * cut_edge)
             if charge <= _PREFIX_RTOL * val:
-                return val + charge
-        return val + self.end_survival * math.exp(-theta * self.end_log_edge)
+                return val + charge, first + charge * cut_edge
+        end = self.end_survival * math.exp(-theta * self.end_log_edge)
+        return val + end, first + end * self.end_log_edge
 
 
 def _pairwise_prefixes(n: int) -> list[int]:
@@ -610,52 +659,96 @@ def _trapezoid_nodes(step: float, half_width: float) -> tuple[np.ndarray, float]
 _TRAPEZOID_NODES = _trapezoid_nodes(_TRAPEZOID_STEP, _TRAPEZOID_HALF_WIDTH)
 
 
+def _log_integrand_peak(ln_mean: float, ln_sigma: float, theta: float) -> float:
+    """A z within 0.025 of the peak of f(z) = -z^2/2 - theta ln(1 + exp(ln_mean + ln_sigma z)).
+
+    f'(z) = -z - theta ln_sigma p, with p = x / (1 + x) and x the SNR at z,
+    and f''(z) = -1 - theta ln_sigma^2 p (1 - p) <= -1, so any z with
+    |f'(z)| <= 0.025 lies within 0.025 of the peak: the search returns the
+    first such z. Its Newton steps go in s = ln(-ln_sigma z), where the
+    peak equation f' = 0 reads F(s) = s + softplus(e^s - ln_mean) - c = 0,
+    c = ln(theta ln_sigma^2), with F convex and increasing. From a start
+    where F >= 0 they fall monotonically onto the root, in at most six
+    steps at gains of -10 to 60 dB, where Newton on f' in z moves about
+    1 / ln_sigma per step on the exponential side of the peak. Two upper bounds on e^s
+    at the root give the start: e^c, and k = c + ln_mean when k >= 1.
+    The step cap ends the search only where z is too large for its floats
+    to resolve the tolerance.
+    """
+    if theta == 0.0:
+        return 0.0
+    c = math.log(theta) + 2.0 * math.log(ln_sigma)
+    k = c + ln_mean
+    s = c if k < 1.0 else min(c, math.log(k))
+    for _ in range(_PEAK_STEPS):
+        y = math.exp(s)
+        # p and q = 1 - p at z = -y / ln_sigma, without overflow.
+        if y < ln_mean:
+            e = math.exp(y - ln_mean)
+            p = 1.0 / (1.0 + e)
+            q = e * p
+            softplus = math.log1p(e)
+        else:
+            e = math.exp(ln_mean - y)
+            q = 1.0 / (1.0 + e)
+            p = e * q
+            softplus = (y - ln_mean) + math.log1p(e)
+        if abs(y / ln_sigma - theta * ln_sigma * p) <= 0.025:
+            break
+        s -= (s + softplus - c) / (1.0 + y * q)
+    return -y / ln_sigma
+
+
 def _lognormal_log_exact(channel: ShadowingChannel, theta: float,
-                         nodes: tuple[np.ndarray, float] = _TRAPEZOID_NODES) -> float:
-    """ln E[(1+X)^(-theta)] of the log-normal SNR by a trapezoid rule in z.
+                         nodes: tuple[np.ndarray, float] = _TRAPEZOID_NODES
+                         ) -> tuple[float, float]:
+    """ln E[(1+X)^(-theta)] of the log-normal SNR by a trapezoid rule in z, and its slope.
 
     Substitutes x = exp(ln10/10 * (mean_db + sigma_db z)) with z standard
     normal. The log-integrand f(z) = -z^2/2 - theta ln(1 + x) is concave
     with curvature at most -1. The nodes lie at ``nodes``' offsets (by
     default k * 0.05, k = -240..240) from a centre within 0.025 of the
-    peak of f, so past the last node the integrand is below exp(-71) of
-    its peak value. exp(f) is summed relative to its largest term, so no
-    exponent overflows or underflows whatever theta is.
+    peak of f (``_log_integrand_peak``), so past the last node the
+    integrand is below exp(-71) of its peak value. exp(f) is summed
+    relative to its largest term, so no exponent overflows or underflows
+    whatever theta is. The slope, the derivative of the log in theta at
+    fixed nodes, is minus the mean of ln(1 + x) under the same weights.
     """
     ln_mean = DB_TO_LN * channel.mean_snr_db
     ln_sigma = DB_TO_LN * channel.sigma_db
-    # The slope of f, -z - theta*ln_sigma*x/(1+x), is positive at
-    # z = -theta*ln_sigma and negative at 0: bisect its root.
-    lo, hi = -theta * ln_sigma, 0.0
-    while hi - lo > 0.05:
-        mid = 0.5 * (lo + hi)
-        x = math.exp(ln_mean + ln_sigma * mid)
-        if -mid - theta * ln_sigma * x / (1.0 + x) > 0.0:
-            lo = mid
-        else:
-            hi = mid
     offsets, ln_weight = nodes
-    z = offsets + 0.5 * (lo + hi)
-    f = -0.5 * z * z - theta * np.logaddexp(0.0, ln_mean + ln_sigma * z)
+    z = offsets + _log_integrand_peak(ln_mean, ln_sigma, theta)
+    log_gain = np.logaddexp(0.0, ln_mean + ln_sigma * z)
+    f = -0.5 * z * z - theta * log_gain
     top = float(f.max())
-    return top + math.log(float(np.exp(f - top).sum())) + ln_weight
+    weights = np.exp(f - top)
+    total = float(weights.sum())
+    weights *= log_gain
+    return top + math.log(total) + ln_weight, -float(weights.sum()) / total
 
 
-def exact_inverse_moment(channel: ShadowingChannel, theta: float) -> float:
+def exact_inverse_moment(channel: ShadowingChannel, theta: float, with_slope: bool = False):
     """E[(1+X)^(-theta)] of a channel's SNR, the step -> 0 reference.
 
     A fixed-step trapezoid rule in the Gaussian variable, summed in the log
     domain (``_lognormal_log_exact``); halving its step or widening its
     window moves the log by less than 1e-12 relative. The value is clamped
-    to [_FACTOR_FLOOR, 1]. Raises TypeError unless ``channel`` is a
-    ShadowingChannel and ValueError for a negative, infinite or NaN theta.
+    to [_FACTOR_FLOOR, 1]. With ``with_slope``, returns (value, slope), the
+    slope being the derivative of the value's log in theta, 0 on a floored
+    value. Raises TypeError unless ``channel`` is a ShadowingChannel and
+    ValueError for a negative, infinite or NaN theta.
     """
     if not isinstance(channel, ShadowingChannel):
         raise TypeError("exact_inverse_moment needs a ShadowingChannel")
     if not 0 <= theta < math.inf:
         raise ValueError("theta must be non-negative and finite")
-    if theta == 0:
-        return 1.0
     if channel.sigma_db == 0.0:
-        return math.exp(-theta * math.log1p(channel.median_snr))
-    return min(max(math.exp(_lognormal_log_exact(channel, theta)), _FACTOR_FLOOR), 1.0)
+        log_gain = math.log1p(channel.median_snr)
+        value, slope = math.exp(-theta * log_gain), -log_gain
+    else:
+        log_value, slope = _lognormal_log_exact(channel, theta)
+        value = math.exp(log_value)
+        if value < _FACTOR_FLOOR:
+            value, slope = _FACTOR_FLOOR, 0.0
+        value = 1.0 if theta == 0 else min(value, 1.0)
+    return (value, slope) if with_slope else value

@@ -25,12 +25,21 @@ Both return an upper bound on the exact per-slot factor, which is the
 property all downstream guarantees rest on. Both are Laplace transforms of
 a distribution in t, so the log factor is convex in theta. A deterministic
 channel (sigma_db == 0) takes neither: its factor is exact, in closed form.
+Every route also returns the log factor's slope in theta, minus
+bits_per_nat times the tilted mean of ln(1 + SNR), from the sums it
+already forms: one more contraction of the table's segment moments or the
+l-weighted sum of its exp pass, the same trapezoid nodes in exact mode,
+the closed form at sigma_db == 0, and 0 on a floored factor. The memo
+keeps the (log factor, slope) pair of every theta it has computed, beside
+the sorted list of those thetas, so that the bounds' searches can step by
+the slope and start between known probes.
 This module adds no floor, clamp or term cap; the only floor is that of
 ``inverse_moment`` (``_FACTOR_FLOOR``), on the table and exact routes.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 
 import numpy as np
@@ -59,7 +68,9 @@ class ServiceCharacterization:
             trapezoid rule, for the discretized bound (the step -> 0 mode).
 
     The memoization cache is keyed on the exact float theta, so a cached
-    value always belongs to the theta asked for.
+    value always belongs to the theta asked for. Each entry holds the log
+    factor and its slope in theta, and the memoized thetas are also kept
+    in order (``probed``).
     """
 
     def __init__(
@@ -71,7 +82,10 @@ class ServiceCharacterization:
         self.channel = channel
         self.config = config if config is not None else DiscretizationConfig()
         self.exact = exact
-        self._log_cache: dict[float, float] = {}
+        # theta -> (ln factor, its derivative in theta), and every memoized
+        # theta in increasing order, that is, in the order of ln theta.
+        self._log_cache: dict[float, tuple[float, float]] = {}
+        self._probed: list[float] = []
         self._table: StieltjesTable | None = None
 
     def composite_exponent(self, theta: float) -> float:
@@ -97,27 +111,43 @@ class ServiceCharacterization:
             )
         return self._table
 
-    def _compute_log(self, theta: float) -> float:
+    def _compute_log(self, theta: float) -> tuple[float, float]:
+        """(ln factor, its derivative in theta) at theta, from the route's own sums."""
         exponent = self.composite_exponent(theta)
         if self.channel.sigma_db == 0.0:
             # Degenerate channel: the inverse moment of a point mass, exactly.
-            return -exponent * math.log1p(self.channel.median_snr)
+            log_gain = math.log1p(self.channel.median_snr)
+            return -exponent * log_gain, -self.channel.bits_per_nat * log_gain
         if self.exact:
-            return math.log(exact_inverse_moment(self.channel, exponent))
-        return math.log(self._ensure_table().bound(exponent))
+            value, slope = exact_inverse_moment(self.channel, exponent, with_slope=True)
+        else:
+            value, slope = self._ensure_table().bound(exponent, with_slope=True)
+        return math.log(value), self.channel.bits_per_nat * slope
 
-    def log_per_slot_bound(self, theta: float) -> float:
+    def log_per_slot_bound(self, theta: float, with_slope: bool = False):
         """ln of the per-slot transform bound; non-positive, and not clamped here.
 
-        Raises ValueError unless theta is positive and finite.
+        With ``with_slope``, returns (ln bound, its derivative in theta):
+        minus bits_per_nat times the tilted mean of ln(1 + SNR) under the
+        route's distribution, 0 where the factor is floored. Raises
+        ValueError unless theta is positive and finite.
         """
         if not 0 < theta < math.inf:
             raise ValueError("theta must be positive and finite")
         cached = self._log_cache.get(theta)
         if cached is None:
-            cached = self._compute_log(theta)
-            self._log_cache[theta] = cached
-        return cached
+            cached = self._log_cache[theta] = self._compute_log(theta)
+            bisect.insort(self._probed, theta)
+        return cached if with_slope else cached[0]
+
+    def probed(self, lo: float, hi: float) -> list[float]:
+        """The thetas strictly between lo and hi whose factor is memoized, in increasing order.
+
+        A theta that two threads compute at once is listed twice, which a
+        search over the list tolerates.
+        """
+        return self._probed[bisect.bisect_right(self._probed, lo):
+                            bisect.bisect_left(self._probed, hi)]
 
     def log_per_slot_bound_many(self, thetas) -> np.ndarray:
         """Batched log_per_slot_bound over an array of thetas."""

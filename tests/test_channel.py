@@ -201,3 +201,22 @@ def test_channel_validation():
         lb.ShadowingChannel(25.0, 8.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         lb.ShadowingChannel(25.0, 8.0, 500e6, 0.0)
+
+
+@pytest.mark.parametrize("mean_snr_db", [4000.0, 3082.6, math.inf, math.nan])
+def test_overflowing_mean_snr_rejected(mean_snr_db):
+    # Past about 3082.5 dB the linear SNR is no finite float.
+    with pytest.raises(ValueError, match="mean_snr_db"):
+        lb.ShadowingChannel(mean_snr_db, 8.0, 500e6, 1.0)
+
+
+def test_largest_mean_snr_evaluates():
+    # At the largest accepted gain the CDF and the exact-mode factor still
+    # compute without overflow.
+    chan = lb.ShadowingChannel(3080.0, 8.0, 500e6, 1.0)
+    assert chan.median_snr == pytest.approx(1e308, rel=1e-12)
+    svc = lb.ServiceCharacterization(chan, exact=True)
+    lf, slope = svc.log_per_slot_bound(1e-9, with_slope=True)
+    assert lf < 0.0 and slope <= 0.0
+    cdf = lb.snr_cdf(chan, np.asarray([1.0, 1e300]))
+    assert np.all(np.isfinite(cdf))

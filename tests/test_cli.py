@@ -317,6 +317,24 @@ class TestMain:
         assert main(["--scenario", path]) == 2
         assert f"error: invalid field '{section}.{field}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("delta", ["limit", 0.01])
+    def test_overflowing_mean_snr_exit_code(self, tmp_path, capsys, delta):
+        # 4000 dB is a linear SNR of 1e400, past any float: the bundled rate
+        # sweep at that gain once died with a raw OverflowError.
+        doc = json.loads((BUNDLED_DIR / "backlog_tail_vs_rate.json").read_text())
+        doc["channel"]["mean_snr_db"] = 4000.0
+        doc["discretization"]["delta"] = delta
+        doc["sim"]["enabled"] = False
+        assert main(["--scenario", self.write_scenario(tmp_path, doc)]) == 2
+        assert capsys.readouterr().err == "error: channel.mean_snr_db must be at most 3080 dB\n"
+
+    def test_overflowing_gain_sweep_value(self, tmp_path, capsys):
+        path = self.write_scenario(
+            tmp_path, base_doc(sweep={"axis": "gain", "grid": [25.0, 4000.0]}))
+        assert main(["--scenario", path]) == 2
+        assert capsys.readouterr().err == (
+            "error: sweep.grid value 4000.0: channel.mean_snr_db must be at most 3080 dB\n")
+
     @pytest.mark.parametrize("value", [True, "100.0"])
     def test_malformed_link_budget_exit_code(self, tmp_path, capsys, value):
         doc = base_doc()

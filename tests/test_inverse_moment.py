@@ -12,8 +12,10 @@ from hypothesis import example, given, settings, strategies as st
 
 import linkbound as lb
 from linkbound import inverse_moment
+from linkbound.channel import DB_TO_LN
 from linkbound.inverse_moment import (
     _FACTOR_FLOOR,
+    _PREFIX_RTOL,
     _SEARCH_CEIL,
     _SEARCH_X0,
     _SEGMENT_WIDTH,
@@ -21,7 +23,9 @@ from linkbound.inverse_moment import (
     _SLACK_TOL,
     _TABLE_CHUNK,
     StieltjesTable,
+    _log_integrand_peak,
     _lognormal_log_exact,
+    _pairwise_prefixes,
     _staircase_sum,
     _trapezoid_nodes,
     truncation_point,
@@ -211,7 +215,7 @@ class TestExactInverseMoment:
     def test_matches_mpmath(self, mean_db, sigma_db, exponent):
         reference = mp_log_inverse_moment(mean_db, sigma_db, exponent)
         chan = lb.ShadowingChannel(mean_db, sigma_db, 500e6, 1.0)
-        assert _lognormal_log_exact(chan, exponent) == pytest.approx(reference, rel=1e-10)
+        assert _lognormal_log_exact(chan, exponent)[0] == pytest.approx(reference, rel=1e-10)
         assert lb.exact_inverse_moment(chan, exponent) == pytest.approx(
             max(math.exp(reference), 1e-300), rel=1e-10
         )
@@ -222,10 +226,20 @@ class TestExactInverseMoment:
         chan = lb.ShadowingChannel(25.0, 0.5, 500e6, 1.0)
         reference = mp_log_inverse_moment(25.0, 0.5, 1600.0)
         assert reference < -690.0
-        log_value = _lognormal_log_exact(chan, 1600.0)
+        log_value, _ = _lognormal_log_exact(chan, 1600.0)
         assert math.isfinite(log_value)
         assert log_value == pytest.approx(reference, rel=1e-10)
         assert lb.exact_inverse_moment(chan, 1600.0) == 1e-300
+
+    @pytest.mark.parametrize("exponent", [0.5, 5.0, 721.0, 7.2e10])
+    @pytest.mark.parametrize("mean_db, sigma_db", [(25.0, 8.0), (25.0, 0.5), (5.0, 2.0),
+                                                   (40.0, 8.0), (-10.0, 12.0), (3080.0, 4.0)])
+    def test_window_centre_within_tolerance_of_peak(self, mean_db, sigma_db, exponent):
+        # The Newton search stops once |f'| <= 0.025, and f'' <= -1 puts the
+        # centre within 0.025 of the argmax.
+        centre = _log_integrand_peak(DB_TO_LN * mean_db, DB_TO_LN * sigma_db, exponent)
+        argmax = float(mp_integrand_peak(mean_db, sigma_db, exponent))
+        assert abs(centre - argmax) <= 0.025
 
     def test_step_and_window_are_certified(self):
         # Halving the step or widening the window by 4 moves nothing that
@@ -238,9 +252,9 @@ class TestExactInverseMoment:
             for sigma_db in (0.5, 2.0, 4.0, 8.0):
                 chan = lb.ShadowingChannel(mean_db, sigma_db, 500e6, 1.0)
                 for exponent in np.geomspace(1e-3, 1e11, 40):
-                    base = _lognormal_log_exact(chan, exponent)
+                    base = _lognormal_log_exact(chan, exponent)[0]
                     for nodes in variants:
-                        moved = _lognormal_log_exact(chan, exponent, nodes) - base
+                        moved = _lognormal_log_exact(chan, exponent, nodes)[0] - base
                         assert abs(moved) <= 1e-12 * abs(base), (mean_db, sigma_db, exponent)
 
 
@@ -259,11 +273,27 @@ def test_non_finite_exponent_rejected(operating_channel, route, theta):
     assert not svc._log_cache
 
 
+def mp_integrand_peak(mean_db, sigma_db, exponent):
+    """Argmax of the log-integrand -z^2/2 - t ln(1 + x(z)), by 200 bisections at 30 digits."""
+    with mpmath.workdps(30):
+        a = mpmath.log(10) / 10 * mean_db
+        b = mpmath.log(10) / 10 * sigma_db
+        t = mpmath.mpf(exponent)
+        lo, hi = -t * b, mpmath.mpf(0)
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            if -mid - t * b / (1 + mpmath.exp(-(a + b * mid))) > 0:
+                lo = mid
+            else:
+                hi = mid
+        return (lo + hi) / 2
+
+
 def mp_log_inverse_moment(mean_db, sigma_db, exponent):
     """ln E[(1+X)^(-exponent)] of the log-normal SNR by mpmath.quad at 30 digits.
 
     The Gaussian variable z is integrated within 30 of the log-integrand's
-    peak, found by bisection, with a break at every integer offset.
+    peak (``mp_integrand_peak``), with a break at every integer offset.
     """
     with mpmath.workdps(30):
         a = mpmath.log(10) / 10 * mean_db
@@ -273,14 +303,7 @@ def mp_log_inverse_moment(mean_db, sigma_db, exponent):
         def log_integrand(z):
             return -z * z / 2 - t * mpmath.log1p(mpmath.exp(a + b * z))
 
-        lo, hi = -t * b, mpmath.mpf(0)
-        for _ in range(200):
-            mid = (lo + hi) / 2
-            if -mid - t * b / (1 + mpmath.exp(-(a + b * mid))) > 0:
-                lo = mid
-            else:
-                hi = mid
-        peak = (lo + hi) / 2
+        peak = mp_integrand_peak(mean_db, sigma_db, exponent)
         top = log_integrand(peak)
         value = mpmath.quad(lambda z: mpmath.exp(log_integrand(z) - top),
                             [peak + k for k in range(-30, 31)])
@@ -457,9 +480,10 @@ class TestTruncationAndTable:
     def test_cold_bound_exp_passes(self, monkeypatch, gbps_env, operating_channel, kind,
                                    bound):
         # Every exponent up to 1 / _SEGMENT_WIDTH takes the segment series, so
-        # a cold bound pays only a few exp passes. At 25/8 dB those are the
-        # stability search's probes t = 721 and 7.2e10, and each sums a
-        # short prefix of the 292k blocks, not all of them.
+        # a cold bound pays only a few exp passes. At 25/8 dB the only one is
+        # the stability search's probe at the cap, t = 7.2e10, which sums a
+        # short prefix of the 292k blocks, not all of them, once for the
+        # factor and once for its slope.
         calls = []
         real = inverse_moment._staircase_sum
 
@@ -472,8 +496,52 @@ class TestTruncationAndTable:
         bound(gbps_env, svc, lb.BoundQuery(epsilon=1e-3, kind=kind))
         assert len(calls) <= 4
         thetas = {round(theta) for theta, _ in calls}
-        assert {721, 72_134_752_044} <= thetas
+        assert thetas == {72_134_752_044}
         assert max(size for _, size in calls) <= 512
+
+
+    def test_slope_leaves_the_bound_unchanged(self, operating_channel):
+        # Asking for the slope adds sums beside the bound's own; the bound
+        # is the same float, on the series and on the exp pass.
+        cdf = lognormal_cdf(operating_channel)
+        cfg = lb.DiscretizationConfig(step_delta=1e-2)
+        n = int(math.ceil(truncation_point(cdf, 0.0, cfg) / cfg.step_delta))
+        table = StieltjesTable(cdf, cfg.step_delta, n, block_log_width=2e-5)
+        for theta in np.geomspace(1e-3, 1e11, 200).tolist():
+            value, slope = table.bound(theta, with_slope=True)
+            assert value == table.bound(theta)
+            assert slope <= 0.0
+
+    @pytest.mark.parametrize("theta", [65.0, 721.0, 7.2e10])
+    def test_exp_pass_tail_memo_is_bit_identical(self, operating_channel, theta):
+        # The mass past each prefix cut is summed once per table; the pass
+        # gives the float of one that sums it afresh, on a cold memo and a
+        # warm one, with or without the slope.
+        cdf = lognormal_cdf(operating_channel)
+        cfg = lb.DiscretizationConfig(step_delta=1e-2)
+        n = int(math.ceil(truncation_point(cdf, 0.0, cfg) / cfg.step_delta))
+        table = StieltjesTable(cdf, cfg.step_delta, n, block_log_width=2e-5)
+        expected = unmemoised_exp_pass(table, theta)
+        assert table._exp_pass(theta)[0] == expected
+        assert table._tail_mass
+        assert table._exp_pass(theta)[0] == expected
+        assert table._exp_pass(theta, with_slope=True)[0] == expected
+
+
+def unmemoised_exp_pass(table, theta):
+    """The table's exp pass, summing the mass past each prefix cut on every call."""
+    n = table.mass.size
+    val, k = 0.0, 0
+    for cut in _pairwise_prefixes(n):
+        val += _staircase_sum(table.log_edges[k:cut], table.mass[k:cut], theta)
+        k = cut
+        if k == n:
+            break
+        survival = float(table.mass[k:].sum()) + table.end_survival
+        charge = survival * math.exp(-theta * float(table.log_edges[k]))
+        if charge <= _PREFIX_RTOL * val:
+            return val + charge
+    return val + table.end_survival * math.exp(-theta * table.end_log_edge)
 
 
 def cell_by_cell_table(cdf, delta, n_terms, block_log_width, chunk=2_000_000):

@@ -215,3 +215,54 @@ class TestTableRoute:
             exact = lb.backlog_bound(gbps_env, svc(sigma_db, exact=True), query).value
             assert exact <= disc <= 1.01 * exact
         assert edges[2.0] > edges[4.0]
+
+
+class TestFactorSlope:
+    """The slope returned beside each log factor is its derivative in theta."""
+
+    @staticmethod
+    def central_difference(svc, theta, rel=1e-4):
+        h = rel * theta
+        return (svc.log_per_slot_bound(theta + h) - svc.log_per_slot_bound(theta - h)) / (2 * h)
+
+    @pytest.mark.parametrize(
+        "exact, exponent",
+        # The table sums t <= 64 as its segment series and larger t by an
+        # exp pass over a prefix of its blocks; exact mode by its trapezoid rule.
+        [(False, 5.0), (False, 63.0), (False, 65.0), (False, 721.0),
+         (True, 0.5), (True, 5.0), (True, 721.0)],
+        ids=["series-5", "series-63", "exp-65", "exp-721", "exact-0.5", "exact-5", "exact-721"],
+    )
+    def test_matches_central_difference(self, operating_channel, exact, exponent):
+        svc = lb.ServiceCharacterization(operating_channel, exact=exact)
+        theta = exponent / operating_channel.bits_per_nat
+        lf, slope = svc.log_per_slot_bound(theta, with_slope=True)
+        assert lf == svc.log_per_slot_bound(theta)
+        assert slope < 0.0
+        assert slope == pytest.approx(self.central_difference(svc, theta), rel=1e-6)
+
+    @pytest.mark.parametrize("exact", [False, True], ids=["table", "exact"])
+    def test_sigma_zero_closed_form(self, exact):
+        chan = lb.ShadowingChannel(25.0, 0.0, 500e6, 1.0)
+        svc = lb.ServiceCharacterization(chan, exact=exact)
+        for theta in (1e-9, 100.0):
+            _, slope = svc.log_per_slot_bound(theta, with_slope=True)
+            assert slope == -chan.bits_per_nat * math.log1p(chan.median_snr)
+
+    @pytest.mark.parametrize("exact", [False, True], ids=["table", "exact"])
+    def test_floored_factor_is_flat(self, exact):
+        # At 25 dB and sigma = 0.5 dB the factor at t = 1600 is exp(-2216),
+        # floored at 1e-300 in both modes: flat in theta.
+        chan = lb.ShadowingChannel(25.0, 0.5, 500e6, 1.0)
+        svc = lb.ServiceCharacterization(chan, exact=exact)
+        theta = 1600.0 / chan.bits_per_nat
+        lf, slope = svc.log_per_slot_bound(theta, with_slope=True)
+        assert lf == math.log(1e-300)
+        assert slope == 0.0 == self.central_difference(svc, theta)
+
+    def test_memo_keeps_probed_thetas_in_order(self, operating_channel):
+        svc = lb.ServiceCharacterization(operating_channel, exact=True)
+        for theta in (3e-9, 1e-9, 2e-9, 1e-9):
+            svc.log_per_slot_bound(theta)
+        assert svc.probed(0.0, 1.0) == [1e-9, 2e-9, 3e-9]
+        assert svc.probed(1e-9, 3e-9) == [2e-9]
