@@ -13,7 +13,9 @@ Newton steps on the convex excess theta*rate + log factor, and each bound
 by a Brent-Dekker root search on the sign of its objective's slope in
 log theta, started between the two nearest thetas the service has
 already probed and ended on a fixed lattice in log theta, so that the
-result does not depend on what was probed before. The slope only steers:
+result does not depend on what was probed before; where the factor floor
+puts a kink in the objective between two lattice thetas, the tangents
+there narrow it further. The slope only steers:
 every reported edge, optimum and bound is the factor's own value at a
 probed theta. All kernel arithmetic
 stays in the log domain; the gap 1 - exp(g) is evaluated through expm1 so
@@ -33,6 +35,10 @@ EXTEND_THETA_CAP = 1e2
 XATOL = 1e-6
 # Relative width at which the stability search stops.
 _EDGE_RTOL = 1e-6
+# Relative height of the better of two neighbouring lattice thetas above
+# the meeting point of the objective's tangents there, below which the
+# minimum search ends between them.
+_KINK_RTOL = 1e-11
 
 
 class UnstableSystemError(RuntimeError):
@@ -78,8 +84,8 @@ class BoundResult:
     the continuous slot count w*(theta) for delay. The objective is
     quasiconvex in theta, and the reported optimum is the better of the
     two neighbouring lattice thetas, XATOL apart in ln theta, between which
-    its slope changes sign: a probe beats it by at most what the objective
-    moves within that step.
+    its slope changes sign, or of two thetas closer still at a kink: a
+    probe beats it by at most what the objective moves within that step.
     """
 
     value: float
@@ -253,18 +259,57 @@ def _root_search(phi, a: float, fa: float, b: float, fb: float, inside) -> tuple
         fb = phi(b)
 
 
+def _close_in(at, values: dict, slopes: dict, x: float, y: float) -> tuple[float, float]:
+    """Narrow the bracket x < y of neighbouring candidates, where the slope changes sign.
+
+    On a smooth objective the better of x and y lies above the minimum by
+    about its curvature times XATOL^2, but where the factor floor starts
+    to bind the objective has a kink, and at a kink the better end can lie
+    above it by its slope times XATOL. In u = ln theta the tangents at x
+    and y, of slopes ``slopes`` (the objective's derivative in u), meet
+    at a point at or below the minimum of an objective convex between
+    them, and at the kink of one whose pieces are straight. While the
+    better end lies more than _KINK_RTOL above the tangents' meeting
+    point, the search probes at it, kept at least 1/16 of the bracket
+    inside it, or at the middle after a step that did not halve the
+    bracket, and keeps the part where the slope changes sign. ``at``
+    probes a theta, filling ``values`` and ``slopes``, and returns the
+    slope's sign. Returns the last bracket.
+    """
+    halved = True
+    while True:
+        fx, fy, dx, dy = values[x], values[y], slopes[x], slopes[y]
+        if not (dx < 0.0 <= dy and math.isfinite(fx + fy + dy)):
+            return x, y
+        width = math.log(y) - math.log(x)
+        # The tangents meet at ln x + s: fx + dx s = fy + dy (s - width).
+        s = (fy - fx - dy * width) / (dx - dy)
+        best = min(fx, fy)
+        if best - (fx + dx * s) <= _KINK_RTOL * best:
+            return x, y
+        s = min(max(s, width / 16), width - width / 16) if halved else 0.5 * width
+        theta = x * math.exp(s)
+        if not x < theta < y:
+            return x, y
+        if at(theta) < 0.0:
+            x = theta
+        else:
+            y = theta
+        halved = math.log(y) - math.log(x) <= 0.5 * width
+
+
 def _minimize(env, svc, region: StabilityRegion, objective, slope):
     """Minimize objective(theta, lf, log gap) over the stability region.
 
     The objective is quasiconvex in u = ln theta, so the sign of its
     derivative changes once, from negative to positive, at the minimum.
-    slope(theta, lf, lf', gap ratio, log gap) splits that derivative,
-    scaled by a positive factor, into a rising and a falling part, both
-    non-negative; the search steers by their share (rising - falling) /
-    (rising + falling), 0 where both vanish (a flat objective), which has
-    the derivative's sign but stays in [-1, 1], even next to the pole at
-    the stability edge, so that its interpolation stays useful over a
-    wide bracket. The gap ratio is exp(g) / (1 - exp(g)).
+    slope(theta, lf, lf', gap ratio, log gap) splits that derivative into
+    a rising and a falling part, both non-negative; the search steers by
+    their share (rising - falling) / (rising + falling), 0 where both
+    vanish (a flat objective), which has the derivative's sign but stays
+    in [-1, 1], even next to the pole at the stability edge, so that its
+    interpolation stays useful over a wide bracket. The gap ratio is
+    exp(g) / (1 - exp(g)).
 
     The candidates are the lattice thetas exp(k * XATOL), k an integer,
     inside the region, and its two ends, SCAN_THETA_FLOOR and
@@ -275,31 +320,32 @@ def _minimize(env, svc, region: StabilityRegion, objective, slope):
     narrows the bracket to two of them; the candidates at or beyond those
     bracket the sign change too, and a Brent-Dekker root search
     (``_root_search``) closes it to two neighbouring candidates, XATOL
-    apart in u (relative in theta). The result is the better of the two.
-    Since they are the same pair whatever the service probed before, a
-    bound does not depend on the sweep points or epsilons searched before
-    it. An unstable probe reads as a share of 1. Returns (theta, value) of
-    that candidate and the (theta, value) probe list: the slope only
-    steers, and every reported value is the objective at a probed theta.
+    apart in u (relative in theta), which ``_close_in`` narrows further
+    only where the objective has a kink between them. The result is the
+    better of the last two. Since they are the same pair whatever the
+    service probed before, a bound does not depend on the sweep points or
+    epsilons searched before it. An unstable probe reads as a share of 1.
+    Returns (theta, value) of that candidate and the (theta, value) probe
+    list: the slope only steers, and every reported value is the
+    objective at a probed theta.
     """
     probes = []
-    values = {}
+    values, slopes = {}, {}
     rate = env.rate_bits_per_slot
 
     def at(theta: float) -> float:
         lf, dlf = svc.log_per_slot_bound(theta, with_slope=True)
         g = theta * rate + lf
         if g >= 0.0:
-            share, value = 1.0, math.inf
+            value, rising, falling = math.inf, 1.0, 0.0
         else:
             lg = _log1mexp(g)
             value = objective(theta, lf, lg)
             rising, falling = slope(theta, lf, dlf, _gap_ratio(g, lg), lg)
-            total = rising + falling
-            share = (rising - falling) / total if total > 0.0 else 0.0
         probes.append((theta, value))
-        values[theta] = value
-        return share
+        values[theta], slopes[theta] = value, rising - falling
+        total = rising + falling
+        return (rising - falling) / total if total > 0.0 else 0.0
 
     # A candidate's position is k for a lattice theta, ln(theta) / XATOL for an end.
     lo, hi = SCAN_THETA_FLOOR, min(region.theta_upper, EXTEND_THETA_CAP)
@@ -346,10 +392,12 @@ def _minimize(env, svc, region: StabilityRegion, objective, slope):
         # shares, where not probed yet, are read as those of a and b.
         x, y = _root_search(lambda k: at(theta_at(k)), float(candidate(a, True)), f_a,
                             float(candidate(b, False)), f_b, inside)
-        pair = (theta_at(x), theta_at(y))
+        pair = sorted((theta_at(x), theta_at(y)))
     for theta in pair:
         if theta not in values:
             at(theta)
+    if f_lo < 0.0 < f_hi:
+        pair = _close_in(at, values, slopes, *pair)
     best_t = min(pair, key=values.__getitem__)
     return best_t, values[best_t], probes
 
@@ -386,10 +434,10 @@ def backlog_bound(
         best_t, best_f, trace = _minimize(
             env, svc, region,
             lambda theta, lf, lg: env.burst_bits + (-lg - log_eps) / theta,
-            # theta^2 times the derivative is theta A' - A + ln epsilon, with
-            # A = -log gap and A' = (rate + lf') * gap ratio.
+            # The derivative in ln theta is A' - (A - ln epsilon) / theta,
+            # with A = -log gap and A' = (rate + lf') * gap ratio.
             lambda theta, lf, dlf, ratio, lg: (
-                theta * env.rate_bits_per_slot * ratio, -theta * dlf * ratio - lg - log_eps),
+                env.rate_bits_per_slot * ratio, -dlf * ratio + (-lg - log_eps) / theta),
         )
         try:
             kernel = math.exp(_log_kernel(env, best_t, *_stable_at(env, svc, best_t), 0))
@@ -427,12 +475,15 @@ def delay_bound(
         return math.inf if lf == 0.0 else (theta * env.burst_bits - lg - log_eps) / -lf
 
     def slots_slope(theta, lf, dlf, ratio, lg):
-        """Rising and falling parts of theta lf^2 times the derivative of slots:
-        (b + A')(-lf) + (theta b + A + ln(1/epsilon)) lf', with A = -log gap
-        and A' = (rate + lf') * gap ratio."""
+        """Rising and falling parts of the derivative of slots in ln theta:
+        theta ((b + A')(-lf) + (theta b + A + ln(1/epsilon)) lf') / lf^2,
+        with A = -log gap and A' = (rate + lf') * gap ratio. Where lf = 0
+        the slot count is infinite and falls."""
+        if lf == 0.0:
+            return 0.0, 1.0
         burst = env.burst_bits
-        return (theta * (burst + env.rate_bits_per_slot * ratio) * -lf,
-                -theta * dlf * (ratio * -lf + theta * burst - lg - log_eps))
+        return (theta * (burst + env.rate_bits_per_slot * ratio) / -lf,
+                theta * -dlf * (ratio + (theta * burst - lg - log_eps) / -lf) / -lf)
 
     best_t, best_w, trace = _minimize(env, svc, region, slots, slots_slope)
     stable = _stable_at(env, svc, best_t)

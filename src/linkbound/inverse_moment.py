@@ -466,9 +466,10 @@ class StieltjesTable:
     masses, differences of the CDF across each block, into one
     preallocated array. While they are still in cache it stores, for each
     of its segments s with left edge L_s, the local moments sum of
-    mass * (l - L_s)^k / k! for k = 0..18. An exponent t <= 64 is then
-    summed as sum_s exp(-t L_s) * sum_k (-t)^k moment_{k,s}, which
-    equals the staircase to rounding at the cost of one exp per segment.
+    mass * (l - L_s)^k / k! for k = 0..18, and after the pass the same
+    moments times L_s, for the slope. An exponent t <= 64 is then summed
+    as sum_s exp(-t L_s) * sum_k (-t)^k moment_{k,s}, which equals the
+    staircase to rounding at the cost of one exp per segment.
     A larger exponent takes an exp pass over a growing prefix of the
     blocks: the leftmost subtrees of numpy's pairwise sum over all of
     them, 64 to 128 blocks first and about twice as many each step. It
@@ -488,7 +489,11 @@ class StieltjesTable:
         n = lattice.prefix(n_terms)
         self.log_edges, self.mass = lattice.log_edges[:n], np.empty(n)
         self._seg_left, first, cuts = _segments(self.log_edges)
-        moments = np.empty((_SERIES_TERMS + 1, self._seg_left.size))
+        # Rows 0..18 hold the segment moments, rows 19..37 the same moments
+        # weighted by each segment's left edge L, for the slope.
+        terms = _SERIES_TERMS + 1
+        self._seg_moments = np.empty((2 * terms, self._seg_left.size))
+        moments = self._seg_moments[:terms]
         # A block closes at the next block's start, the last one at the grid
         # end; the CDF there less the CDF where the block before closed, 0
         # before the first, is its mass. The right edges are a lattice view,
@@ -506,63 +511,47 @@ class StieltjesTable:
             # reused, as the CDF may return a read-only array or one it keeps.
             del f
             _chunk_moments(self.log_edges[b0:b1], mass, first[c0:c1] - b0, moments[:, c0:c1])
-        moments /= np.cumprod(np.arange(_SERIES_TERMS + 1.0).clip(1.0))[:, None]
-        self._seg_moments = moments
+        moments /= np.cumprod(np.arange(float(terms)).clip(1.0))[:, None]
+        np.multiply(moments, self._seg_left, out=self._seg_moments[terms:])
         self.end_survival = 1.0 - prev_f
         self.end_log_edge = math.log1p(n_terms * delta)
-        # The segment moments above their copies weighted by each segment's
-        # left edge L, for the slope; and the exp pass's mass past each
-        # prefix cut, end survival included.
-        self._seg_moments_l: np.ndarray | None = None
+        # The exp pass's mass past each prefix cut, end survival included.
         self._tail_mass: dict[int, float] = {}
 
-    def bound(self, theta: float, with_slope: bool = False):
-        """Upper bound on E[(1+X)^(-theta)] from the aggregated blocks.
+    def bound(self, theta: float) -> tuple[float, float]:
+        """Upper bound on E[(1+X)^(-theta)] from the aggregated blocks, and its slope.
 
-        With ``with_slope``, returns (bound, slope), the slope being the
-        derivative of the bound's log in theta: minus the tilted mean of
-        log1p(x) under the blocks' staircase, and 0 on a floored bound. It
-        comes from the sums the bound forms: one more contraction of the
-        segment moments on the series, the l-weighted sum of the same
-        prefix on the exp pass.
+        The slope is the derivative of the bound's log in theta: minus the
+        tilted mean of log1p(x) under the blocks' staircase, and 0 on a
+        floored bound. It comes from the sums the bound forms: the
+        contraction of the L-weighted segment moments beside the moments
+        on the series, the l-weighted sum of the same prefix on the exp
+        pass.
         """
         if theta * _SEGMENT_WIDTH <= 1.0:
             # No BLAS: einsum without optimize runs numpy's own loops, so the
-            # result does not depend on the BLAS thread pool. Each row is
-            # summed by the same contiguous loop, so the moments' rows give
-            # the same floats alone or beside their L-weighted copies.
+            # result does not depend on the BLAS thread pool.
             weights = np.exp(-theta * self._seg_left)
-            if with_slope:
-                if self._seg_moments_l is None:
-                    # Made on the first slope: a table asked for none keeps
-                    # only its moments.
-                    self._seg_moments_l = np.concatenate(
-                        (self._seg_moments, self._seg_moments * self._seg_left))
-                sums = np.einsum("ks,s->k", self._seg_moments_l, weights).tolist()
-                by_power, by_power_l = sums[:_SERIES_TERMS + 1], sums[_SERIES_TERMS + 1:]
-            else:
-                by_power = np.einsum("ks,s->k", self._seg_moments, weights).tolist()
+            sums = np.einsum("ks,s->k", self._seg_moments, weights).tolist()
+            by_power, by_power_l = sums[:_SERIES_TERMS + 1], sums[_SERIES_TERMS + 1:]
             val = 0.0
             for moment in reversed(by_power):
                 val = val * -theta + moment
             end = self.end_survival * math.exp(-theta * self.end_log_edge)
             val += end
-            if with_slope:
-                # sum of mass * l * exp(-t l), with l = L + (l - L): the
-                # moments contracted with exp(-t L) * L, plus the series'
-                # own derivative in t.
-                first = by_power_l[_SERIES_TERMS]
-                for k in reversed(range(_SERIES_TERMS)):
-                    first = first * -theta + by_power_l[k] + (k + 1) * by_power[k + 1]
-                first += end * self.end_log_edge
+            # sum of mass * l * exp(-t l), with l = L + (l - L): the moments
+            # contracted with exp(-t L) * L, plus the series' own derivative
+            # in t.
+            first = by_power_l[_SERIES_TERMS]
+            for k in reversed(range(_SERIES_TERMS)):
+                first = first * -theta + by_power_l[k] + (k + 1) * by_power[k + 1]
+            first += end * self.end_log_edge
         else:
-            val, first = self._exp_pass(theta, with_slope)
-        clamped = min(max(val, _FACTOR_FLOOR), 1.0)
-        if not with_slope:
-            return clamped
-        return clamped, (0.0 if val < _FACTOR_FLOOR else -first / val)
+            val, first = self._exp_pass(theta)
+        return (min(max(val, _FACTOR_FLOOR), 1.0),
+                0.0 if val < _FACTOR_FLOOR else -first / val)
 
-    def _exp_pass(self, theta: float, with_slope: bool = False) -> tuple[float, float]:
+    def _exp_pass(self, theta: float) -> tuple[float, float]:
         """Staircase sum plus end term, from the shortest prefix of blocks that meets it.
 
         The prefixes are the leftmost subtrees of numpy's pairwise sum over
@@ -573,8 +562,7 @@ class StieltjesTable:
         prefix sum, less than half an ulp of it, every later addition of
         the full pass rounds back to the prefix sum, and so does the bound.
         The mass past each cut is summed once per table. Returns the sum
-        and, with ``with_slope``, the sum of each term times its log edge
-        (else 0).
+        and the sum of each term times its log edge.
         """
         n = self.mass.size
         val = first = 0.0
@@ -582,8 +570,7 @@ class StieltjesTable:
         for cut in _pairwise_prefixes(n):
             log_left, mass = self.log_edges[k:cut], self.mass[k:cut]
             val += _staircase_sum(log_left, mass, theta)
-            if with_slope:
-                first += _staircase_sum(log_left, mass * log_left, theta)
+            first += _staircase_sum(log_left, mass * log_left, theta)
             k = cut
             if k == n:
                 break

@@ -121,7 +121,7 @@ class ServiceCharacterization:
         if self.exact:
             value, slope = exact_inverse_moment(self.channel, exponent, with_slope=True)
         else:
-            value, slope = self._ensure_table().bound(exponent, with_slope=True)
+            value, slope = self._ensure_table().bound(exponent)
         return math.log(value), self.channel.bits_per_nat * slope
 
     def log_per_slot_bound(self, theta: float, with_slope: bool = False):

@@ -407,7 +407,7 @@ class TestTruncationAndTable:
         table = StieltjesTable(cdf, cfg.step_delta, n, block_log_width=2e-5)
         for theta in (0.5, 1.0, 3.0):
             grid_val = lb.inverse_moment_bound(cdf, theta, cfg)
-            table_val = table.bound(theta)
+            table_val = table.bound(theta)[0]
             exact = lb.exact_inverse_moment(operating_channel, theta)
             assert table_val >= exact
             # Within the advertised looseness of the unmerged grid value.
@@ -430,7 +430,7 @@ class TestTruncationAndTable:
             staircase = _staircase_sum(table.log_edges, table.mass, theta)
             staircase += table.end_survival * math.exp(-theta * table.end_log_edge)
             assert staircase == grid
-            assert table.bound(theta) == pytest.approx(grid, rel=1e-14, abs=0.0)
+            assert table.bound(theta)[0] == pytest.approx(grid, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("mean_snr_db, sigma_db", [(25.0, 8.0), (25.0, 2.0),
                                                        (10.0, 4.0), (30.0, 6.0)])
@@ -447,7 +447,7 @@ class TestTruncationAndTable:
         for theta in thetas:
             staircase = _staircase_sum(table.log_edges, table.mass, theta)
             staircase += table.end_survival * math.exp(-theta * table.end_log_edge)
-            assert table.bound(theta) == pytest.approx(staircase, rel=1e-13, abs=0.0)
+            assert table.bound(theta)[0] == pytest.approx(staircase, rel=1e-13, abs=0.0)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -473,7 +473,7 @@ class TestTruncationAndTable:
             full = _staircase_sum(table.log_edges, table.mass, theta)
             full += table.end_survival * math.exp(-theta * table.end_log_edge)
             full = min(max(full, _FACTOR_FLOOR), 1.0)
-            assert full <= table.bound(theta) <= full * (1.0 + 2.0**-50)
+            assert full <= table.bound(theta)[0] <= full * (1.0 + 2.0**-50)
 
     @pytest.mark.parametrize("kind, bound", [("backlog", lb.backlog_bound),
                                              ("delay", lb.delay_bound)])
@@ -500,23 +500,24 @@ class TestTruncationAndTable:
         assert max(size for _, size in calls) <= 512
 
 
-    def test_slope_leaves_the_bound_unchanged(self, operating_channel):
-        # Asking for the slope adds sums beside the bound's own; the bound
-        # is the same float, on the series and on the exp pass.
+    def test_slope_is_minus_a_tilted_mean(self, operating_channel):
+        # The slope is minus a mean of log1p(x) under a tilted distribution:
+        # never positive, and above minus the grid's last log edge, on the
+        # series and on the exp pass.
         cdf = lognormal_cdf(operating_channel)
         cfg = lb.DiscretizationConfig(step_delta=1e-2)
         n = int(math.ceil(truncation_point(cdf, 0.0, cfg) / cfg.step_delta))
         table = StieltjesTable(cdf, cfg.step_delta, n, block_log_width=2e-5)
         for theta in np.geomspace(1e-3, 1e11, 200).tolist():
-            value, slope = table.bound(theta, with_slope=True)
-            assert value == table.bound(theta)
-            assert slope <= 0.0
+            value, slope = table.bound(theta)
+            assert 0.0 < value <= 1.0
+            assert -table.end_log_edge <= slope <= 0.0
 
     @pytest.mark.parametrize("theta", [65.0, 721.0, 7.2e10])
     def test_exp_pass_tail_memo_is_bit_identical(self, operating_channel, theta):
         # The mass past each prefix cut is summed once per table; the pass
         # gives the float of one that sums it afresh, on a cold memo and a
-        # warm one, with or without the slope.
+        # warm one.
         cdf = lognormal_cdf(operating_channel)
         cfg = lb.DiscretizationConfig(step_delta=1e-2)
         n = int(math.ceil(truncation_point(cdf, 0.0, cfg) / cfg.step_delta))
@@ -525,7 +526,6 @@ class TestTruncationAndTable:
         assert table._exp_pass(theta)[0] == expected
         assert table._tail_mass
         assert table._exp_pass(theta)[0] == expected
-        assert table._exp_pass(theta, with_slope=True)[0] == expected
 
 
 def unmemoised_exp_pass(table, theta):
@@ -618,7 +618,8 @@ def segment_moments_reference(log_edges: np.ndarray, mass: np.ndarray) -> tuple[
 def assert_moments_match_reference(table):
     seg_left, moments = segment_moments_reference(table.log_edges, table.mass)
     assert np.array_equal(table._seg_left, seg_left)
-    assert np.array_equal(table._seg_moments, moments)
+    # The moments, then the same moments times each segment's left edge.
+    assert np.array_equal(table._seg_moments, np.concatenate((moments, moments * seg_left)))
 
 
 class TestBlockLatticeBuild:
