@@ -37,6 +37,7 @@ from .simulator import (
     run_experiment,
     run_experiments,
     run_replication,
+    stationary_tails,
     wilson_halfwidth,
 )
 
@@ -68,6 +69,7 @@ __all__ = [
     "sample_snr",
     "snr_cdf",
     "stability_region",
+    "stationary_tails",
     "system_gain_db",
     "wilson_halfwidth",
 ]

@@ -12,12 +12,19 @@ Unit conversions live here and nowhere else: arrival rates enter in Gbps
 and become bits per slot; delay bounds leave in seconds. Sweep points'
 bounds are evaluated one after another in sweep-index order on the
 calling thread, and output rows follow that order. The stable points of a
-simulated scenario are then simulated in one run at one master seed, on
-the same replication streams, so each point's simulated columns are
-those of the point run alone, wherever it sits in the sweep. A fixed
-scenario plus seed yields a byte-identical table; the simulator spreads
-the replication blocks over one worker thread per CPU without changing
-any sample.
+simulated scenario are then simulated together by
+``simulator.stationary_tails`` at one master seed, on the same
+replication streams: each row's ``violation`` estimates the stationary
+probability that the backlog or delay exceeds its bound, by mean-shifted
+importance sampling, and ``violation_halfwidth`` is 1.96 times the sample
+standard deviation of the importance weights over the square root of the
+replication count. Each point's simulated columns are those of the point
+run alone, wherever it sits in the sweep. ``sim.horizon_slots`` stays in
+the schema, since unknown keys are rejected and existing documents set
+it, but only the library's ``run_experiment`` reads a horizon; the
+CLI's columns do not depend on it. A point whose replications reach the
+simulator's slot cap gets one warning, since its estimates then err
+high. A fixed scenario plus seed yields a byte-identical table.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ from .bounds import BoundQuery, UnstableSystemError, backlog_bound, delay_bound
 from .channel import MAX_MEAN_SNR_DB, LinkBudget, ShadowingChannel, system_gain_db
 from .inverse_moment import DiscretizationConfig
 from .service import ServiceCharacterization
-from .simulator import MAX_REPLICATIONS, SimConfig, run_experiments
+from .simulator import DELAY_SEARCH_CAP, MAX_REPLICATIONS, stationary_tails
 
 
 class ScenarioError(ValueError):
@@ -349,7 +356,7 @@ def _evaluate_point(point: Scenario, axis: str, value, env: AffineEnvelope,
     return rows, [res.value for res in results]
 
 
-def run_scenario(scenario: Scenario) -> list[ResultRow]:
+def run_scenario(scenario: Scenario, capped: dict | None = None) -> list[ResultRow]:
     """Evaluate every (sweep point x epsilon) cell of a scenario.
 
     Sweep points' bounds run in sweep-index order on the calling thread;
@@ -357,9 +364,12 @@ def run_scenario(scenario: Scenario) -> list[ResultRow]:
     order. Consecutive points with the same channel and delta share one
     service characterization, so its memoized per-slot factors are
     computed once. With simulation on, the stable points are simulated
-    together, all at the master seed _sim_seed(seed): each point's
-    samples equal those of its own run_experiment at that seed, and points
-    with the same envelope and channel share one run.
+    together, all at the master seed _sim_seed(seed): each row's violation
+    is stationary_tails' estimate of the stationary tail at its bound,
+    equal to that of the point's own run at that seed, and points with
+    the same envelope and channel share one walk. ``capped``, if given,
+    maps each simulated (sweep axis, sweep value) whose rows reached
+    DELAY_SEARCH_CAP to the most replications capped at one of its rows.
     """
     scenario.validate()
     axis = scenario.sweep_axis
@@ -381,15 +391,15 @@ def run_scenario(scenario: Scenario) -> list[ResultRow]:
         if scenario.simulate and bounds is not None:
             simulated.append(((env, channel), point_rows, bounds))
     if simulated:
-        config = SimConfig(horizon_slots=scenario.horizon_slots,
-                           replications=scenario.replications,
-                           master_seed=_sim_seed(scenario.seed))
-        outcomes = run_experiments([pt for pt, _, _ in simulated], config,
-                                   delays=scenario.kind == "delay")
-        for (_, point_rows, bounds), outcome in zip(simulated, outcomes):
-            for row, threshold in zip(point_rows, bounds):
-                row.violation, row.violation_halfwidth = outcome.exceedance(
-                    threshold, kind=scenario.kind)
+        tails = stationary_tails([pt for pt, _, _ in simulated], scenario.kind,
+                                 [bounds for _, _, bounds in simulated],
+                                 scenario.replications, _sim_seed(scenario.seed))
+        for (_, point_rows, _), point_tails in zip(simulated, tails):
+            for row, (estimate, halfwidth, _) in zip(point_rows, point_tails):
+                row.violation, row.violation_halfwidth = estimate, halfwidth
+            most = max(count for _, _, count in point_tails)
+            if most and capped is not None:
+                capped[(point_rows[0].sweep_axis, point_rows[0].sweep_value)] = most
     return rows
 
 
@@ -496,8 +506,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2
+    capped: dict = {}
     try:
-        rows = run_scenario(scenario)
+        rows = run_scenario(scenario, capped)
         out.write((rows_to_csv if args.format == "csv" else rows_to_json)(rows, scenario))
     except (ValueError, OSError) as exc:  # such as a grid step too fine for the table
         print(f"error: {exc}", file=sys.stderr)
@@ -508,9 +519,16 @@ def main(argv=None) -> int:
 
     unstable = dict.fromkeys((r.sweep_axis, r.sweep_value) for r in rows if not r.stable)
     for axis, value in unstable:
-        where = "the scenario" if axis == "none" else f"sweep point {axis}={value}"
-        print(f"warning: {where} is unstable; no bound exists", file=sys.stderr)
+        print(f"warning: {_where(axis, value)} is unstable; no bound exists", file=sys.stderr)
+    for (axis, value), count in capped.items():
+        print(f"warning: {_where(axis, value)}: {count} of {scenario.replications} "
+              f"replications reached the {DELAY_SEARCH_CAP}-slot cap; its violation "
+              f"estimates err high", file=sys.stderr)
     return 1 if unstable else 0
+
+
+def _where(axis: str, value) -> str:
+    return "the scenario" if axis == "none" else f"sweep point {axis}={value}"
 
 
 if __name__ == "__main__":

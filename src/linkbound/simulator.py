@@ -1,5 +1,13 @@
 """Slotted fluid-queue Monte Carlo for validating the analytical bounds.
 
+Two estimators share the replication streams. ``stationary_tails``, which
+the CLI runs, estimates the stationary P(B > x) and P(D > w) that the
+bounds speak about, by mean-shifted importance sampling of the Loynes
+walk; each replication stops at its first passage over every level, a
+few tens of slots in (see its docstring). ``run_experiment`` is the plain
+reference: the transient backlog and delay after a fixed horizon from an
+empty buffer, described below.
+
 Each replication draws an independent service sample path, evolves the
 backlog by the max(., 0) recursion from an empty buffer, and reads the
 backlog at the horizon. The virtual delay of the data present at the
@@ -61,7 +69,10 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .arrival import AffineEnvelope, generate_arrivals
-from .channel import ShadowingChannel, _snr_from_normals, capacity_bits_per_slot
+from .bounds import stability_region
+from .channel import DB_TO_LN, ShadowingChannel, _snr_from_normals, capacity_bits_per_slot
+from .inverse_moment import _log_integrand_peak
+from .service import ServiceCharacterization
 
 DELAY_SEARCH_CAP = 10_000
 # One spawn word, below 2^32, names each replication.
@@ -77,6 +88,16 @@ _DRAIN_PROBE = 8
 _BLOCK_CELLS = 1 << 18
 # Replication indices whose seed words are derived in one array pass.
 _SEED_CHUNK = 1024
+# Slots that stationary_tails draws per row in its first round; each round
+# doubles the last, up to the widest, which repeats up to DELAY_SEARCH_CAP.
+_TAIL_FIRST_ROUND = 16
+_TAIL_LAST_ROUND = 1024
+# Slots that one batch of a stationary_tails round holds (128 KiB of
+# float64), or one row of the widest round if that is more: a round's rows
+# are taken in batches that fit.
+_ROUND_CELLS = 1 << 14
+# Replications whose stationary_tails weights are summed together.
+_TAIL_GROUP = 1024
 # Block workers: one per CPU this process may run on.
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
@@ -525,3 +546,219 @@ def run_experiments(points, config: SimConfig, *, delays: bool = True) -> list[S
         for point, (backlog, delay, censored) in zip(unique, results)
     }
     return [outcomes[point] for point in points]
+
+
+@dataclass(frozen=True)
+class _TailPoint:
+    """The walk of one distinct (envelope, channel) of stationary_tails, in
+    nats: a slot adds rate - log1p(exp(offset - slope * z0)) to W for its
+    stream normal z0, that is (r - s) / bits_per_nat for the service s at
+    the shifted normal z0 + shift."""
+
+    levels: np.ndarray  # distinct, in bits (backlog) or whole slots (delay)
+    thresholds: np.ndarray  # each level's threshold on W, in nats
+    rate: float  # r / bits_per_nat
+    slope: float  # ln_sigma
+    offset: float  # ln_mean - ln_sigma * shift
+    shift: float  # z_p
+    half_square: float  # z_p^2 / 2, each slot's share of minus the log ratio
+
+
+def _tail_point(env: AffineEnvelope, channel: ShadowingChannel, kind: str,
+                levels: np.ndarray) -> _TailPoint | None:
+    """The walk of one point over its distinct levels, or None where the
+    stable walk never rises above 0: a deterministic channel or a
+    zero-rate flow. Raises ValueError at a point outside the exact-mode
+    stability region."""
+    region = stability_region(env, ServiceCharacterization(channel, exact=True))
+    if region.is_empty:
+        raise ValueError(f"no stationary tail: {env} on {channel} is not stable")
+    if channel.sigma_db == 0.0 or env.rate_bits_per_slot == 0.0:
+        return None
+    ln_mean = DB_TO_LN * channel.mean_snr_db
+    ln_sigma = DB_TO_LN * channel.sigma_db
+    shift = -_log_integrand_peak(ln_mean, ln_sigma, region.theta_upper * channel.bits_per_nat)
+    rate = env.rate_bits_per_slot / channel.bits_per_nat
+    levels = np.unique(levels)
+    thresholds = levels * rate if kind == "delay" else levels / channel.bits_per_nat
+    return _TailPoint(levels, thresholds, rate, ln_sigma, ln_mean - ln_sigma * shift, shift,
+                      0.5 * shift * shift)
+
+
+def stationary_tails(points, kind: str, levels, replications: int,
+                     master_seed: int) -> list[list[tuple[float, float, int]]]:
+    """Stationary P(B > x) or P(D > w) at each (envelope, channel) point and
+    level, by mean-shifted importance sampling: per point, one (estimate,
+    half-width, capped count) per level in ``levels[p]``.
+
+    The tails. With constant arrivals r per slot and i.i.d. service s_i,
+    Loynes' construction gives the stationary backlog as B = sup_{m>=0}
+    W_m, with W_m = m*r - (s_1 + ... + s_m) over the m slots before the
+    observation, latest first. So P(B > x) = P(tau < inf) for tau the first
+    m with W_m > x. The delay is FCFS: the data present leave once fresh
+    service reaches B, so D > w iff B > s'_1 + ... + s'_w over the next w
+    slots. Put those w slots in front of the past ones: B - (s'_1 + ... +
+    s'_w) = sup_{k>=0} (k*r - s'_1 - ... - s'_w - s_1 - ... - s_k), a sum of
+    m = w + k i.i.d. services, so D > w iff W_m > w*r at some m >= w. As
+    W_m <= m*r, no m < w passes w*r anyway: D > w iff B > w*r, and a
+    delay level w is walked as the backlog level w*r. A delay level is
+    read as whole slots, rounded down, since D is.
+
+    The sampling (Siegmund 1976; Asmussen & Glynn, Stochastic Simulation,
+    ch. VI). Replication i reads stream (master_seed, i), as
+    run_experiment does, and shifts each of its normals z0 by z_p: the slot
+    draws from N(z_p, 1), and the row carries the likelihood ratio L_m =
+    prod phi(z)/phi(z - z_p) = prod exp(-z_p*z + z_p^2/2) over z = z0 + z_p,
+    that is exp(-z_p * (z0_1 + ... + z0_m) - m * z_p^2 / 2). z_p is the
+    peak of the normal law tilted at the Lundberg root theta*, the
+    exact-mode stability edge: minus _log_integrand_peak at exponent
+    theta* * bits_per_nat, the sign of z being reversed here, where a
+    larger z is a deeper fade. Under the shift the walk drifts up, so a
+    row stops at its first passage over every level, a few tens of slots
+    in, and its weight at a level is L_tau, unbiased for any z_p. A row
+    still below a level after DELAY_SEARCH_CAP slots takes L at the cap
+    there and counts as capped, so in expectation the estimate errs high,
+    never low: E[L_tau; cap < tau < inf] = P(cap < tau < inf) <= P(tau >
+    cap) = E[L_cap; tau > cap].
+    The estimate is the mean weight, and the half-width 1.96 times the
+    weights' sample standard deviation over sqrt(replications) (infinite
+    for one replication). A deterministic channel or a zero-rate flow
+    never queues when stable: every estimate and half-width is 0.0, with
+    no draws. An infinite level is never passed: 0.0 too.
+
+    Streams and sums. Rows draw their normals in rounds of 16, 32, ...
+    slots, at most 1024, until every level of every point is passed or
+    the cap is reached; each point turns the same normals into its own
+    walk. Replications run in groups of _TAIL_GROUP indices, and a round's
+    rows in batches of at most _ROUND_CELLS slots. Nothing done to a row
+    depends on the rows beside it, and a group's weights are summed per
+    level and the group sums added in index order, so no result depends
+    on the batches or on the other points: each point's estimates equal,
+    bit for bit, those of the point alone, and equal points share one
+    walk. Memory holds one group, whatever the replication count.
+    """
+    if kind not in ("backlog", "delay"):
+        raise ValueError("kind must be 'backlog' or 'delay'")
+    if not 1 <= replications <= MAX_REPLICATIONS:
+        raise ValueError(f"replications must be between 1 and {MAX_REPLICATIONS}")
+    if master_seed < 0:
+        raise ValueError("master_seed must be non-negative")
+    points = list(points)
+    levels = [np.array(point_levels, dtype=float) for point_levels in levels]
+    if len(levels) != len(points):
+        raise ValueError("levels must hold one sequence per point")
+    if any(not np.all(lv >= 0.0) for lv in levels):
+        raise ValueError("levels must be non-negative")
+    if kind == "delay":
+        levels = [np.floor(lv) for lv in levels]
+    # Equal points share one walk over the union of their levels.
+    merged: dict = {}
+    for point, point_levels in zip(points, levels):
+        merged.setdefault(point, []).append(point_levels)
+    specs = {point: _tail_point(*point, kind, np.concatenate(parts))
+             for point, parts in merged.items()}
+    walked = [(point, spec) for point, spec in specs.items() if spec is not None]
+    sums = {point: np.zeros((3, spec.levels.size)) for point, spec in walked}
+    if walked:
+        rngs = _replication_rngs(master_seed, 0, replications)
+        cells = max(_ROUND_CELLS, _TAIL_LAST_ROUND + 1)
+        buffers = [np.empty(cells) for _ in range(2)]
+        for start in range(0, replications, _TAIL_GROUP):
+            group = list(itertools.islice(rngs, min(_TAIL_GROUP, replications - start)))
+            for (point, _), (weights, capped) in zip(
+                    walked, _tail_group([spec for _, spec in walked], group, buffers)):
+                point_sums = sums[point]
+                point_sums[0] += weights.sum(axis=1)
+                np.square(weights, out=weights)
+                point_sums[1] += weights.sum(axis=1)
+                point_sums[2] += capped.sum(axis=1)
+
+    n = replications
+    results = []
+    for point, point_levels in zip(points, levels):
+        spec = specs[point]
+        if spec is None:
+            results.append([(0.0, 0.0, 0)] * point_levels.size)
+            continue
+        total, squares, capped = sums[point][:, np.searchsorted(spec.levels, point_levels)]
+        row = []
+        for s1, s2, c in zip(total.tolist(), squares.tolist(), capped.tolist()):
+            var = max(s2 - s1 * s1 / n, 0.0) / (n - 1) if n > 1 else math.inf
+            row.append((s1 / n, 1.96 * math.sqrt(var / n), int(c)))
+        results.append(row)
+    return results
+
+
+def _tail_group(specs, rngs, buffers) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Walk one group of rows at every point: per point, (weights, capped),
+    each of shape (levels, rows). weights[j, i] is row i's likelihood ratio
+    at its first passage over level j, or at the cap, where capped[j, i]
+    is set."""
+    n = len(rngs)
+    normal_sums = np.zeros(n)  # each row's z0_1 + ... + z0_m
+    walk_ends = [np.zeros(n) for _ in specs]  # each point's W_m of each row
+    weights = [np.zeros((spec.levels.size, n)) for spec in specs]
+    # Open (level, row) pairs: not yet passed. An infinite level never is.
+    open_pairs = [np.repeat(np.isfinite(spec.levels)[:, None], n, axis=1) for spec in specs]
+    before = 0
+    width = _TAIL_FIRST_ROUND
+    while before < DELAY_SEARCH_CAP:
+        rows = np.flatnonzero(np.logical_or.reduce([pairs.any(axis=0) for pairs in open_pairs]))
+        if not rows.size:
+            break
+        width = min(width, DELAY_SEARCH_CAP - before)
+        batch = buffers[0].size // (width + 1)
+        for lo in range(0, rows.size, batch):
+            _tail_round(specs, rngs, rows[lo:lo + batch], before, width, normal_sums,
+                        walk_ends, weights, open_pairs, buffers)
+        before += width
+        width = min(2 * width, _TAIL_LAST_ROUND)
+    for spec, point_weights, pairs in zip(specs, weights, open_pairs):
+        level, row = np.nonzero(pairs)
+        point_weights[level, row] = np.exp(-spec.shift * normal_sums[row]
+                                           - before * spec.half_square)
+    return list(zip(weights, open_pairs))
+
+
+def _tail_round(specs, rngs, rows, before, width, normal_sums, walk_ends, weights,
+                open_pairs, buffers) -> None:
+    """Draw slots before + 1 .. before + width of the given rows and record
+    each point's first passages among them."""
+    k = rows.size
+    z = buffers[0][: k * width].reshape(k, width)
+    _draw_normals([rngs[i] for i in rows], z)
+    passages = []  # (point, a level's weights, rows' positions, columns) passed
+    for spec, walk_end, point_weights, pairs in zip(specs, walk_ends, weights, open_pairs):
+        open_here = pairs[:, rows]
+        sel = np.flatnonzero(open_here.any(axis=0))
+        if not sel.size:
+            continue
+        idx, open_here = rows[sel], open_here[:, sel]
+        # Column c + 1 holds W_m, in nats, at m = before + 1 + c.
+        walk = buffers[1][: sel.size * (width + 1)].reshape(sel.size, width + 1)
+        walk[:, 0] = walk_end[idx]
+        steps = walk[:, 1:]
+        np.multiply(z if sel.size == k else z[sel], -spec.slope, out=steps)
+        steps += spec.offset
+        np.exp(steps, out=steps)
+        np.log1p(steps, out=steps)
+        np.subtract(spec.rate, steps, out=steps)
+        np.cumsum(walk, axis=1, out=walk)
+        walk_end[idx] = walk[:, -1]
+        # Only the rows whose peak in this round passes a level search the
+        # round for their first passage.
+        peak = walk[:, 1:].max(axis=1)
+        for level, threshold in enumerate(spec.thresholds.tolist()):
+            row = np.flatnonzero((peak > threshold) & open_here[level])
+            if not row.size:
+                continue
+            first = (walk[row, 1:] > threshold).argmax(axis=1)
+            passages.append((spec, point_weights[level], sel[row], first))
+            pairs[level, idx[row]] = False
+    # Each row's z0_1 + ... + z0_m at m = before + 1 + c, in column c.
+    z[:, 0] += normal_sums[rows]
+    np.cumsum(z, axis=1, out=z)
+    normal_sums[rows] = z[:, -1]
+    for spec, level_weights, pos, first in passages:
+        level_weights[rows[pos]] = np.exp(-spec.shift * z[pos, first]
+                                          - (before + 1 + first) * spec.half_square)

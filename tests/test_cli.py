@@ -499,6 +499,34 @@ class TestMain:
             assert row["violation"] == 0.0
         assert [r["stable"] for r in rows if r["sweep_value"] == 5.0] == [False, False]
 
+    def test_one_warning_per_capped_point(self, tmp_path, capsys, monkeypatch):
+        # No row reaches the cap at first. A 6-slot cap then stops rows of
+        # both 1 ms delay walks before their first passage; each point gets
+        # one warning, the table is that of a run without warnings, and the
+        # exit code stays 0.
+        from linkbound import simulator
+
+        doc = base_doc(sweep={"axis": "rate", "grid": [1.0, 3.6]},
+                       query={"kind": "delay", "epsilons": [1e-1, 1e-3]},
+                       discretization={"delta": "limit"})
+        doc["channel"]["slot_seconds"] = 1e-3
+        doc["sim"].update(enabled=True, replications=500)
+        path, out = self.write_scenario(tmp_path, doc), tmp_path / "rows.csv"
+        assert main(["--scenario", path, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        monkeypatch.setattr(simulator, "DELAY_SEARCH_CAP", 6)
+        monkeypatch.setattr(cli, "DELAY_SEARCH_CAP", 6)
+        assert main(["--scenario", path, "--out", str(out)]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        suffix = " of 500 replications reached the 6-slot cap; its violation estimates err high"
+        assert len(lines) == 2, lines
+        for line, rate in zip(lines, ("1.0", "3.6")):
+            prefix = f"warning: sweep point rate={rate}: "
+            assert line.startswith(prefix) and line.endswith(suffix)
+            assert 0 < int(line[len(prefix):-len(suffix)]) <= 500
+        sc = Scenario.from_dict(doc)
+        assert out.read_text() == rows_to_csv(run_scenario(sc), sc)
+
     def test_fine_step(self, tmp_path, capsys):
         # With no term cap a step of 1e-9 still reaches the tail cut; 1e-12
         # needs more cells than float indices resolve, and fails at once.
@@ -596,6 +624,7 @@ exact = lb.ServiceCharacterization(channel, exact=True)
 lb.backlog_bound(env, exact, lb.BoundQuery(epsilon=1e-3, kind="backlog"))
 lb.delay_bound(env, exact, lb.BoundQuery(epsilon=1e-3, kind="delay"))
 lb.run_experiment(env, channel, lb.SimConfig(horizon_slots=100, replications=200))
+lb.stationary_tails([(env, channel)], "delay", [[1.0]], 200, 0)
 print(scipy_modules())
 grid = lb.ServiceCharacterization(channel, lb.DiscretizationConfig(step_delta=0.01))
 lb.backlog_bound(env, grid, lb.BoundQuery(epsilon=1e-3, kind="backlog"))
@@ -606,8 +635,8 @@ print("scipy.special" in sys.modules, "scipy.optimize" in sys.modules)
 def test_import_loads_no_scipy_optimize():
     # A fresh interpreter: importing the CLI loads no concurrent.futures,
     # which the simulator imports only when it first starts its block
-    # pool. Importing the CLI, exact-mode bounds and the simulator load
-    # no scipy module; the first CDF evaluation, here a
+    # pool. Importing the CLI, exact-mode bounds and both simulator entry
+    # points load no scipy module; the first CDF evaluation, here a
     # delta = 0.01 bound, loads scipy.special and still not scipy.optimize.
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(pathlib.Path(lb.__file__).parents[1]), os.environ.get("PYTHONPATH")])))

@@ -1,10 +1,10 @@
 """Byte-identity of the bundled scenarios' CSV tables.
 
 Each bundled scenario runs with simulation off, in its own mode, and the
-two limit-mode scenarios also run at delta = 0.01. The two scenarios that
+two limit-mode scenarios also run at delta = 0.01. The scenarios that
 enable simulation also run with it on at 2000 replications (the count CI
-uses), which pins the Monte Carlo columns: the violation frequency and
-its Wilson half-width. The expected tables live in tests/data/. A change
+uses), which pins the Monte Carlo columns: the estimated stationary tail
+at each bound and its half-width. The expected tables live in tests/data/. A change
 that moves a digit on purpose regenerates them with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -12,6 +12,7 @@ that moves a digit on purpose regenerates them with
 and lists every digit that moved.
 """
 
+import csv
 import json
 import pathlib
 from dataclasses import replace
@@ -49,6 +50,21 @@ def table(scenario: Scenario) -> str:
 )
 def test_csv_matches_golden(stem, scenario):
     assert table(scenario) == (DATA / f"{stem}.csv").read_text()
+
+
+@pytest.mark.parametrize(
+    "stem", [stem for stem, scenario in golden_cases() if scenario.simulate]
+)
+def test_simulated_tails_respect_epsilon(stem):
+    # On every stable row the estimated tail at the bound is at most
+    # epsilon, within its half-width.
+    lines = (DATA / f"{stem}.csv").read_text().splitlines()
+    rows = list(csv.DictReader(line for line in lines if not line.startswith("#")))
+    assert rows
+    for row in rows:
+        if row["stable"] == "1":
+            assert float(row["violation"]) <= (float(row["epsilon"])
+                                               + float(row["violation_halfwidth"])), row
 
 
 if __name__ == "__main__":

@@ -803,3 +803,136 @@ class TestWilsonInterval:
         with pytest.raises(ValueError):
             lb.wilson_halfwidth(0, 0)
 
+
+# Stationary tails by mean-shifted importance sampling.
+
+MS_CHANNEL = lb.ShadowingChannel(25.0, 8.0, 500e6, 1e-3)
+MS_ENV = lb.AffineEnvelope(0.0, 3.6e9 * 1e-3)  # 3.6 Gbps in 1 ms slots
+
+
+def _tails(points, kind, levels, replications=2000, seed=4):
+    return lb.stationary_tails(points, kind, levels, replications, seed)
+
+
+@pytest.fixture(scope="module")
+def delay_at_3_6_gbps():
+    # P(D > w) at w = 1 ... 4 slots; by earlier 1%-precision runs 5.45e-2,
+    # 4.80e-3, 4.22e-4 and 3.71e-5.
+    [tails] = _tails([(MS_ENV, MS_CHANNEL)], "delay", [[1, 2, 3, 4]], 20000, 11)
+    return tails
+
+
+class TestStationaryTails:
+    @pytest.mark.parametrize("rate, kind, levels, delays", [
+        (2e9, "backlog", [0.0, 1e8, 3e8, 6e8], True),
+        (2e9, "delay", [0], True),
+        (1.5e9, "backlog", [0.0, 2e8], False),
+    ])
+    def test_agrees_with_plain_monte_carlo(self, operating_channel, rate, kind, levels, delays):
+        # Where plain Monte Carlo resolves the tail (P >= 1e-2), both
+        # estimates agree within their combined half-widths. At loads of
+        # 0.36-0.48 the backlog 200 slots after an empty start is already
+        # stationary to far below these half-widths.
+        env = lb.AffineEnvelope(0.0, rate)
+        plain = lb.run_experiment(env, operating_channel, lb.SimConfig(200, 20000, 3),
+                                  delays=delays)
+        [tails] = _tails([(env, operating_channel)], kind, [levels], 20000, 5)
+        for level, (estimate, half, capped) in zip(levels, tails):
+            p, wilson = plain.exceedance(level, kind)
+            assert p >= 1e-2 and capped == 0
+            assert abs(estimate - p) <= half + wilson, (level, estimate, half, p, wilson)
+
+    def test_delay_reference(self, delay_at_3_6_gbps):
+        estimate, half, capped = delay_at_3_6_gbps[1]
+        assert capped == 0 and half < 0.01 * estimate
+        assert abs(estimate - 4.80e-3) <= half + 0.01 * 4.80e-3
+        # The tail falls by about 11x a slot.
+        estimates = [e for e, _, _ in delay_at_3_6_gbps]
+        assert all(8 < a / b < 15 for a, b in zip(estimates, estimates[1:]))
+
+    def test_detects_a_delay_one_slot_short(self, delay_at_3_6_gbps):
+        # w = 2 slots is one short of the smallest w whose tail is <= 1e-3.
+        estimate, half, _ = delay_at_3_6_gbps[1]
+        assert estimate > 1e-3 + half
+        estimate, half, _ = delay_at_3_6_gbps[2]
+        assert estimate + half < 1e-3
+
+    def test_backlog_reference_at_1e_6(self, operating_channel):
+        # The delta = 0.01 backlog bound at 3 Gbps and epsilon = 1e-6. A
+        # lattice bracket of the stationary walk put its true tail in
+        # [1.08e-8, 1.19e-8].
+        env = lb.AffineEnvelope(0.0, 3e9)
+        [[(estimate, half, capped)]] = _tails([(env, operating_channel)], "backlog",
+                                              [[11693641715.3]], 20000, 6)
+        assert capped == 0 and half < 0.03 * estimate
+        assert 1.08e-8 - half <= estimate <= 1.19e-8 + half
+
+    def test_small_cap_never_lowers_an_estimate(self, monkeypatch):
+        levels = [[1, 2, 3, 4]]
+        [reference] = _tails([(MS_ENV, MS_CHANNEL)], "delay", levels)
+        monkeypatch.setattr(simulator, "DELAY_SEARCH_CAP", 6)
+        [capped] = _tails([(MS_ENV, MS_CHANNEL)], "delay", levels)
+        assert all(c == 0 for _, _, c in reference)
+        assert all(c > 0 for _, _, c in capped[1:])
+        for (estimate, _, _), (high, _, _) in zip(reference, capped):
+            assert high >= estimate
+
+    @pytest.mark.parametrize("kind, levels, extra", [("backlog", [0.0, 3e9, 1e10], 5e8),
+                                                     ("delay", [0, 2], 1)])
+    def test_independent_of_batches_rounds_and_other_points(self, operating_channel,
+                                                            monkeypatch, kind, levels, extra):
+        rates = [lb.AffineEnvelope(0.0, r) for r in (1e9, 2e9, 3e9)]
+        sigmas = [replace(operating_channel, sigma_db=s) for s in (4.0, 8.0)]
+        points = [(env, operating_channel) for env in rates] + [(rates[2], c) for c in sigmas]
+        # A repeated point takes the union of its levels in one walk.
+        points.append(points[0])
+        point_levels = [levels] * (len(points) - 1) + [levels[::-1] + [extra]]
+        sweep = _tails(points, kind, point_levels, 2100)
+        alone = [_tails([p], kind, [lv], 2100)[0] for p, lv in zip(points, point_levels)]
+        assert sweep == alone
+        assert all(e > 0.0 for point in sweep for e, _, _ in point)
+        # Batches of one row at the widest round, or a round schedule of
+        # single slots, give the same bits.
+        monkeypatch.setattr(simulator, "_ROUND_CELLS", 1)
+        assert _tails(points, kind, point_levels, 2100) == sweep
+        monkeypatch.setattr(simulator, "_TAIL_FIRST_ROUND", 1)
+        assert _tails(points[:2], kind, point_levels[:2], 2100) == sweep[:2]
+
+    def test_deterministic_walks_draw_nothing(self, operating_channel, monkeypatch):
+        monkeypatch.setattr(simulator, "_replication_rngs", None)  # any draw fails
+        still = replace(operating_channel, sigma_db=0.0)
+        points = [(lb.AffineEnvelope(0.0, 3e9), still), (lb.AffineEnvelope(0.0, 0.0),
+                                                         operating_channel)]
+        for kind in ("backlog", "delay"):
+            assert _tails(points, kind, [[0.0, 5.0], [1.0]]) == [[(0.0, 0.0, 0)] * 2,
+                                                                  [(0.0, 0.0, 0)]]
+        with pytest.raises(ValueError, match="not stable"):
+            _tails([(lb.AffineEnvelope(0.0, 5e9), still)], "backlog", [[0.0]])
+
+    def test_infinite_level_and_one_replication(self, operating_channel):
+        env = lb.AffineEnvelope(0.0, 2e9)
+        [[never, once]] = _tails([(env, operating_channel)], "backlog", [[math.inf, 0.0]])
+        assert never == (0.0, 0.0, 0) and once[0] > 0.0
+        # One replication has no spread to measure.
+        [[(estimate, half, _)]] = _tails([(env, operating_channel)], "backlog", [[0.0]], 1)
+        assert half == math.inf and estimate >= 0.0
+
+    def test_bad_arguments(self, operating_channel):
+        point = (lb.AffineEnvelope(0.0, 1e9), operating_channel)
+        for kind, levels, replications in (("latency", [[1.0]], 10), ("delay", [[-1.0]], 10),
+                                           ("delay", [[math.nan]], 10), ("delay", [], 10),
+                                           ("backlog", [[1.0]], 0)):
+            with pytest.raises(ValueError):
+                _tails([point], kind, levels, replications)
+
+    def test_memory_does_not_grow_with_replications(self, operating_channel):
+        env = lb.AffineEnvelope(0.0, 3e9)
+        peaks = []
+        for replications in (2048, 8192):
+            tracemalloc.start()
+            try:
+                _tails([(env, operating_channel)], "backlog", [[1e9, 1e10]], replications)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < 2**21 and peaks[1] - peaks[0] < 2**16
