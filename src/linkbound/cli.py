@@ -13,13 +13,17 @@ and become bits per slot; delay bounds leave in seconds. Sweep points'
 bounds are evaluated one after another in sweep-index order on the
 calling thread, and output rows follow that order. The stable points of a
 simulated scenario are then simulated together by
-``simulator.stationary_tails`` at one master seed, on the same
-replication streams: each row's ``violation`` estimates the stationary
+``simulator.stationary_tails`` at one master seed, on common random
+numbers: replication i of every point reads the same normals, its first
+112 slots from its group of 1024 replications' stream and any later ones
+from its own. Each row's ``violation`` estimates the stationary
 probability that the backlog or delay exceeds its bound, by mean-shifted
 importance sampling, and ``violation_halfwidth`` is 1.96 times the sample
 standard deviation of the importance weights over the square root of the
-replication count. Each point's simulated columns are those of the point
-run alone, wherever it sits in the sweep. ``sim.horizon_slots`` stays in
+replication count, or infinite where a replication reached the slot cap.
+In limit mode the simulator takes each point's stability edge from its
+bounds. Each point's simulated columns are those of the point run alone,
+wherever it sits in the sweep. ``sim.horizon_slots`` stays in
 the schema, since unknown keys are rejected and existing documents set
 it, but only the library's ``run_experiment`` reads a horizon; the
 CLI's columns do not depend on it. A point whose replications reach the
@@ -34,7 +38,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import asdict, astuple, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import Any, Callable
 
 import numpy as np
@@ -367,7 +371,9 @@ def run_scenario(scenario: Scenario, capped: dict | None = None) -> list[ResultR
     together, all at the master seed _sim_seed(seed): each row's violation
     is stationary_tails' estimate of the stationary tail at its bound,
     equal to that of the point's own run at that seed, and points with
-    the same envelope and channel share one walk. ``capped``, if given,
+    the same envelope and channel share one walk. In limit mode the rows'
+    theta_upper, the exact-mode stability edge, is handed to the
+    simulator, which would otherwise search it again. ``capped``, if given,
     maps each simulated (sweep axis, sweep value) whose rows reached
     DELAY_SEARCH_CAP to the most replications capped at one of its rows.
     """
@@ -391,9 +397,13 @@ def run_scenario(scenario: Scenario, capped: dict | None = None) -> list[ResultR
         if scenario.simulate and bounds is not None:
             simulated.append(((env, channel), point_rows, bounds))
     if simulated:
+        # A limit-mode bound has found each point's exact-mode stability
+        # edge, from which the simulator shifts its normals.
+        edges = ([point_rows[0].theta_upper for _, point_rows, _ in simulated]
+                 if scenario.delta == "limit" else None)
         tails = stationary_tails([pt for pt, _, _ in simulated], scenario.kind,
                                  [bounds for _, _, bounds in simulated],
-                                 scenario.replications, _sim_seed(scenario.seed))
+                                 scenario.replications, _sim_seed(scenario.seed), edges)
         for (_, point_rows, _), point_tails in zip(simulated, tails):
             for row, (estimate, halfwidth, _) in zip(point_rows, point_tails):
                 row.violation, row.violation_halfwidth = estimate, halfwidth
@@ -415,10 +425,13 @@ def _fmt(value) -> str:
     return str(value)
 
 
+_ROW_FIELDS = tuple(f.name for f in fields(ResultRow))
+
+
 def rows_to_csv(rows: list[ResultRow], scenario: Scenario) -> str:
     lines = [f"# linkbound {__version__} scenario={scenario_hash(scenario)} schema=1",
-             ",".join(f.name for f in fields(ResultRow))]
-    lines.extend(",".join(_fmt(v) for v in astuple(row)) for row in rows)
+             ",".join(_ROW_FIELDS)]
+    lines.extend(",".join(_fmt(getattr(row, name)) for name in _ROW_FIELDS) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -428,7 +441,7 @@ def rows_to_json(rows: list[ResultRow], scenario: Scenario) -> str:
         "version": __version__,
         "scenario": scenario_hash(scenario),
         "rows": [
-            {k: _json_value(v) for k, v in asdict(r).items()} for r in rows
+            {name: _json_value(getattr(r, name)) for name in _ROW_FIELDS} for r in rows
         ],
     }
     return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"

@@ -1,12 +1,15 @@
 """Slotted fluid-queue Monte Carlo for validating the analytical bounds.
 
-Two estimators share the replication streams. ``stationary_tails``, which
-the CLI runs, estimates the stationary P(B > x) and P(D > w) that the
-bounds speak about, by mean-shifted importance sampling of the Loynes
-walk; each replication stops at its first passage over every level, a
-few tens of slots in (see its docstring). ``run_experiment`` is the plain
-reference: the transient backlog and delay after a fixed horizon from an
-empty buffer, described below.
+Two estimators. ``stationary_tails``, which the CLI runs, estimates the
+stationary P(B > x) and P(D > w) that the bounds speak about, by
+mean-shifted importance sampling of the Loynes walk; each replication
+stops at its first passage over every level, a few tens of slots in. It
+reads the first 112 slots of each group of 1024 replications from one
+group stream, slot after slot, and only a replication still open after
+them draws on from its own stream, described below (see its docstring).
+``run_experiment`` is the plain reference: the transient backlog and
+delay after a fixed horizon from an empty buffer, described below, with
+every slot drawn from the replication's own stream.
 
 Each replication draws an independent service sample path, evolves the
 backlog by the max(., 0) recursion from an empty buffer, and reads the
@@ -15,11 +18,11 @@ horizon is the number of additional slots of fresh service needed to
 drain that backlog, which under FCFS equals the first w with
 D(0, t+w) >= A(0, t).
 
-Replication i draws from its own stream, numpy's spawn-key child of the
-master seed: Generator(PCG64(SeedSequence(entropy=master_seed,
+Replication i's own stream is numpy's spawn-key child of the master
+seed: Generator(PCG64(SeedSequence(entropy=master_seed,
 spawn_key=(i,)))), bit for bit. The seed words of many indices are
 derived in one array pass over uint32 words; only the spawn word changes
-with i, so the seed's share of numpy's hash is computed once per run.
+with i, so the seed's share of numpy's hash is computed once per pass.
 
 A run simulates a list of (envelope, channel) points on the same
 replication streams, common random numbers across a sweep: replication
@@ -94,10 +97,14 @@ _TAIL_FIRST_ROUND = 16
 _TAIL_LAST_ROUND = 1024
 # Slots that one batch of a stationary_tails round holds (128 KiB of
 # float64), or one row of the widest round if that is more: a round's rows
-# are taken in batches that fit.
+# are taken in batches that fit. A group stream draws _ROUND_CELLS //
+# _TAIL_GROUP slots at a time, at least one.
 _ROUND_CELLS = 1 << 14
-# Replications whose stationary_tails weights are summed together.
+# Replications whose stationary_tails weights are summed together, and
+# whose first _TAIL_PREFIX slots come from one group stream: the first
+# three rounds, 16 + 32 + 64.
 _TAIL_GROUP = 1024
+_TAIL_PREFIX = 112
 # Block workers: one per CPU this process may run on.
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
@@ -148,16 +155,16 @@ def replication_rng(master_seed: int, index: int) -> np.random.Generator:
     return _generator(_seed_words(*_run_pool(master_seed), index))
 
 
-def _replication_rngs(master_seed: int, start: int, stop: int):
-    """Yield replication_rng(master_seed, i) for i in range(start, stop).
+def _replication_rngs(master_seed: int, indices: np.ndarray):
+    """Yield replication_rng(master_seed, i) for each i of indices, an
+    integer array of replication indices.
 
     The seed words of _SEED_CHUNK indices at a time come from one array
-    pass, so memory does not grow with the number of indices.
+    pass, and each generator is made when it is taken.
     """
     pool, const = _run_pool(master_seed)
-    for lo in range(start, stop, _SEED_CHUNK):
-        spawn = np.arange(lo, min(lo + _SEED_CHUNK, stop), dtype=np.uint64).astype(np.uint32)
-        for words in _seed_words(pool, const, spawn):
+    for lo in range(0, indices.size, _SEED_CHUNK):
+        for words in _seed_words(pool, const, indices[lo:lo + _SEED_CHUNK].astype(np.uint32)):
             yield _generator(words)
 
 
@@ -538,7 +545,7 @@ def run_experiments(points, config: SimConfig, *, delays: bool = True) -> list[S
     """
     points = list(points)
     unique = list(dict.fromkeys(points))
-    rngs = _replication_rngs(config.master_seed, 0, config.replications)
+    rngs = _replication_rngs(config.master_seed, np.arange(config.replications))
     results = _replicate(unique, config.horizon_slots, rngs, config.replications, delays)
     outcomes = {
         point: SimOutcome(backlog_samples=backlog, delay_samples=delay, censored=censored,
@@ -565,19 +572,22 @@ class _TailPoint:
 
 
 def _tail_point(env: AffineEnvelope, channel: ShadowingChannel, kind: str,
-                levels: np.ndarray) -> _TailPoint | None:
+                levels: np.ndarray, edge: float | None) -> _TailPoint | None:
     """The walk of one point over its distinct levels, or None where the
     stable walk never rises above 0: a deterministic channel or a
-    zero-rate flow. Raises ValueError at a point outside the exact-mode
-    stability region."""
-    region = stability_region(env, ServiceCharacterization(channel, exact=True))
-    if region.is_empty:
-        raise ValueError(f"no stationary tail: {env} on {channel} is not stable")
+    zero-rate flow. The shift comes from edge, the point's exact-mode
+    stability edge, when given; otherwise the edge is searched here, and a
+    point outside the exact-mode stability region raises ValueError."""
+    if edge is None:
+        region = stability_region(env, ServiceCharacterization(channel, exact=True))
+        if region.is_empty:
+            raise ValueError(f"no stationary tail: {env} on {channel} is not stable")
+        edge = region.theta_upper
     if channel.sigma_db == 0.0 or env.rate_bits_per_slot == 0.0:
         return None
     ln_mean = DB_TO_LN * channel.mean_snr_db
     ln_sigma = DB_TO_LN * channel.sigma_db
-    shift = -_log_integrand_peak(ln_mean, ln_sigma, region.theta_upper * channel.bits_per_nat)
+    shift = -_log_integrand_peak(ln_mean, ln_sigma, edge * channel.bits_per_nat)
     rate = env.rate_bits_per_slot / channel.bits_per_nat
     levels = np.unique(levels)
     thresholds = levels * rate if kind == "delay" else levels / channel.bits_per_nat
@@ -585,11 +595,14 @@ def _tail_point(env: AffineEnvelope, channel: ShadowingChannel, kind: str,
                       0.5 * shift * shift)
 
 
-def stationary_tails(points, kind: str, levels, replications: int,
-                     master_seed: int) -> list[list[tuple[float, float, int]]]:
+def stationary_tails(points, kind: str, levels, replications: int, master_seed: int,
+                     edges=None) -> list[list[tuple[float, float, int]]]:
     """Stationary P(B > x) or P(D > w) at each (envelope, channel) point and
     level, by mean-shifted importance sampling: per point, one (estimate,
-    half-width, capped count) per level in ``levels[p]``.
+    half-width, capped count) per level in ``levels[p]``. ``edges``, if
+    given, holds each point's exact-mode stability edge theta*, the
+    theta_upper of stability_region under the exact-mode service; the
+    points are then taken as stable and their edges are not searched again.
 
     The tails. With constant arrivals r per slot and i.i.d. service s_i,
     Loynes' construction gives the stationary backlog as B = sup_{m>=0}
@@ -605,9 +618,9 @@ def stationary_tails(points, kind: str, levels, replications: int,
     read as whole slots, rounded down, since D is.
 
     The sampling (Siegmund 1976; Asmussen & Glynn, Stochastic Simulation,
-    ch. VI). Replication i reads stream (master_seed, i), as
-    run_experiment does, and shifts each of its normals z0 by z_p: the slot
-    draws from N(z_p, 1), and the row carries the likelihood ratio L_m =
+    ch. VI). Replication i shifts each normal z0 of its path, drawn as
+    described below, by z_p: the slot draws from N(z_p, 1), and the row
+    carries the likelihood ratio L_m =
     prod phi(z)/phi(z - z_p) = prod exp(-z_p*z + z_p^2/2) over z = z0 + z_p,
     that is exp(-z_p * (z0_1 + ... + z0_m) - m * z_p^2 / 2). z_p is the
     peak of the normal law tilted at the Lundberg root theta*, the
@@ -622,20 +635,35 @@ def stationary_tails(points, kind: str, levels, replications: int,
     cap) = E[L_cap; tau > cap].
     The estimate is the mean weight, and the half-width 1.96 times the
     weights' sample standard deviation over sqrt(replications) (infinite
-    for one replication). A deterministic channel or a zero-rate flow
-    never queues when stable: every estimate and half-width is 0.0, with
-    no draws. An infinite level is never passed: 0.0 too.
+    for one replication). L_cap is all but 0 on a long path, so a level
+    with a capped row is unresolved: its half-width is infinite. A
+    deterministic channel or a zero-rate flow never queues when stable:
+    every estimate and half-width is 0.0, with no draws. An infinite level
+    is never passed: 0.0 too.
 
-    Streams and sums. Rows draw their normals in rounds of 16, 32, ...
-    slots, at most 1024, until every level of every point is passed or
-    the cap is reached; each point turns the same normals into its own
-    walk. Replications run in groups of _TAIL_GROUP indices, and a round's
-    rows in batches of at most _ROUND_CELLS slots. Nothing done to a row
-    depends on the rows beside it, and a group's weights are summed per
-    level and the group sums added in index order, so no result depends
-    on the batches or on the other points: each point's estimates equal,
-    bit for bit, those of the point alone, and equal points share one
-    walk. Memory holds one group, whatever the replication count.
+    Streams and sums (L'Ecuyer, Simard, Chen & Kelton 2002: streams and
+    substreams). Replications run in groups of _TAIL_GROUP = 1024
+    indices, and group g owns one stream, numpy's
+    Generator(PCG64(SeedSequence(entropy=master_seed, spawn_key=(g, 1)))),
+    which no replication stream equals. Slot m <= _TAIL_PREFIX = 112 of
+    replication i is normal (m - 1) * 1024 + (i mod 1024) of its group's
+    stream: the group draws each slot for all 1024 indices, those of
+    closed rows and of a short last group included, and stops at the
+    first piece of slots in which none of its rows is open. Slot m > 112 is
+    draw m - 113 of replication_rng(master_seed, i), the stream that
+    run_experiment reads, made only when the row first needs it. So a
+    row's normals depend on (master_seed, i, m) alone. Rows draw in rounds
+    of 16, 32, ... slots, at most 1024, until every level of every point is
+    passed or the cap is reached, a group's stream in pieces of
+    _ROUND_CELLS // 1024 slots; each point turns the same normals into its
+    own walk. A round's rows are taken in batches of at most _ROUND_CELLS
+    slots. Nothing done to a row depends on the rows beside it, and a
+    group's weights are summed per level and the group sums added in index
+    order, so no result depends on the batches, the rounds, the other
+    points or the replication count beyond the group: each point's
+    estimates equal, bit for bit, those of the point alone, and equal
+    points share one walk. Memory holds one group, whatever the
+    replication count.
     """
     if kind not in ("backlog", "delay"):
         raise ValueError("kind must be 'backlog' or 'delay'")
@@ -647,26 +675,26 @@ def stationary_tails(points, kind: str, levels, replications: int,
     levels = [np.array(point_levels, dtype=float) for point_levels in levels]
     if len(levels) != len(points):
         raise ValueError("levels must hold one sequence per point")
+    edges = [None] * len(points) if edges is None else list(edges)
+    if len(edges) != len(points):
+        raise ValueError("edges must hold one value per point")
     if any(not np.all(lv >= 0.0) for lv in levels):
         raise ValueError("levels must be non-negative")
     if kind == "delay":
         levels = [np.floor(lv) for lv in levels]
     # Equal points share one walk over the union of their levels.
     merged: dict = {}
-    for point, point_levels in zip(points, levels):
-        merged.setdefault(point, []).append(point_levels)
-    specs = {point: _tail_point(*point, kind, np.concatenate(parts))
-             for point, parts in merged.items()}
+    for point, point_levels, edge in zip(points, levels, edges):
+        merged.setdefault(point, (edge, []))[1].append(point_levels)
+    specs = {point: _tail_point(*point, kind, np.concatenate(parts), edge)
+             for point, (edge, parts) in merged.items()}
     walked = [(point, spec) for point, spec in specs.items() if spec is not None]
     sums = {point: np.zeros((3, spec.levels.size)) for point, spec in walked}
     if walked:
-        rngs = _replication_rngs(master_seed, 0, replications)
-        cells = max(_ROUND_CELLS, _TAIL_LAST_ROUND + 1)
-        buffers = [np.empty(cells) for _ in range(2)]
         for start in range(0, replications, _TAIL_GROUP):
-            group = list(itertools.islice(rngs, min(_TAIL_GROUP, replications - start)))
-            for (point, _), (weights, capped) in zip(
-                    walked, _tail_group([spec for _, spec in walked], group, buffers)):
+            for (point, _), (weights, capped) in zip(walked, _tail_group(
+                    [spec for _, spec in walked], master_seed, start,
+                    min(_TAIL_GROUP, replications - start))):
                 point_sums = sums[point]
                 point_sums[0] += weights.sum(axis=1)
                 np.square(weights, out=weights)
@@ -683,50 +711,85 @@ def stationary_tails(points, kind: str, levels, replications: int,
         total, squares, capped = sums[point][:, np.searchsorted(spec.levels, point_levels)]
         row = []
         for s1, s2, c in zip(total.tolist(), squares.tolist(), capped.tolist()):
-            var = max(s2 - s1 * s1 / n, 0.0) / (n - 1) if n > 1 else math.inf
+            var = max(s2 - s1 * s1 / n, 0.0) / (n - 1) if n > 1 and not c else math.inf
             row.append((s1 / n, 1.96 * math.sqrt(var / n), int(c)))
         results.append(row)
     return results
 
 
-def _tail_group(specs, rngs, buffers) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Walk one group of rows at every point: per point, (weights, capped),
-    each of shape (levels, rows). weights[j, i] is row i's likelihood ratio
-    at its first passage over level j, or at the cap, where capped[j, i]
-    is set."""
-    n = len(rngs)
+def _group_rng(master_seed: int, group: int) -> np.random.Generator:
+    """The stream of stationary_tails' replication group ``group``."""
+    return np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(entropy=master_seed, spawn_key=(group, 1))))
+
+
+def _tail_slots(piece: int):
+    """Yield the slot ranges (before, end) that stationary_tails walks in
+    turn: rounds of _TAIL_FIRST_ROUND slots, then twice as many each time
+    up to _TAIL_LAST_ROUND, until DELAY_SEARCH_CAP, with the slots below
+    _TAIL_PREFIX cut into pieces of at most ``piece``."""
+    before, width = 0, _TAIL_FIRST_ROUND
+    while before < DELAY_SEARCH_CAP:
+        end = min(before + width, DELAY_SEARCH_CAP)
+        while before < end:
+            stop = min(end, _TAIL_PREFIX, before + piece) if before < _TAIL_PREFIX else end
+            yield before, stop
+            before = stop
+        width = min(2 * width, _TAIL_LAST_ROUND)
+
+
+def _tail_group(specs, master_seed: int, start: int,
+                n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Walk replications start .. start + n - 1, a group, at every point:
+    per point, (weights, capped), each of shape (levels, n). weights[j, i]
+    is row i's likelihood ratio at its first passage over level j, or at
+    the cap, where capped[j, i] is set."""
     normal_sums = np.zeros(n)  # each row's z0_1 + ... + z0_m
     walk_ends = [np.zeros(n) for _ in specs]  # each point's W_m of each row
     weights = [np.zeros((spec.levels.size, n)) for spec in specs]
     # Open (level, row) pairs: not yet passed. An infinite level never is.
     open_pairs = [np.repeat(np.isfinite(spec.levels)[:, None], n, axis=1) for spec in specs]
-    before = 0
-    width = _TAIL_FIRST_ROUND
-    while before < DELAY_SEARCH_CAP:
+    # A batch's normals, a batch's walk, and a piece of the group stream.
+    z_buf, walk_buf = (np.empty(max(_ROUND_CELLS, _TAIL_LAST_ROUND + 1)) for _ in range(2))
+    piece = np.empty((max(1, _ROUND_CELLS // _TAIL_GROUP), _TAIL_GROUP))
+    group_rng = own = None
+    for before, end in _tail_slots(len(piece)):
         rows = np.flatnonzero(np.logical_or.reduce([pairs.any(axis=0) for pairs in open_pairs]))
         if not rows.size:
             break
-        width = min(width, DELAY_SEARCH_CAP - before)
-        batch = buffers[0].size // (width + 1)
+        width = end - before
+        if before < _TAIL_PREFIX:
+            if group_rng is None:
+                group_rng = _group_rng(master_seed, start // _TAIL_GROUP)
+            # Slot-major: row i's normal of slot before + 1 + c is [c, i].
+            group_rng.standard_normal(out=piece[:width])
+        elif own is None:
+            # Rows only close, so every row that will need its own stream
+            # is open now.
+            own = dict(zip(rows.tolist(), _replication_rngs(master_seed, start + rows)))
+        batch = z_buf.size // (width + 1)
         for lo in range(0, rows.size, batch):
-            _tail_round(specs, rngs, rows[lo:lo + batch], before, width, normal_sums,
-                        walk_ends, weights, open_pairs, buffers)
-        before += width
-        width = min(2 * width, _TAIL_LAST_ROUND)
+            part = rows[lo:lo + batch]
+            z = z_buf[: part.size * width].reshape(part.size, width)
+            if before < _TAIL_PREFIX:
+                z[...] = piece[:width].T[part]
+            else:
+                _draw_normals([own[i] for i in part.tolist()], z)
+            _tail_round(specs, part, before, z, normal_sums, walk_ends, weights, open_pairs,
+                        walk_buf)
     for spec, point_weights, pairs in zip(specs, weights, open_pairs):
         level, row = np.nonzero(pairs)
         point_weights[level, row] = np.exp(-spec.shift * normal_sums[row]
-                                           - before * spec.half_square)
+                                           - DELAY_SEARCH_CAP * spec.half_square)
     return list(zip(weights, open_pairs))
 
 
-def _tail_round(specs, rngs, rows, before, width, normal_sums, walk_ends, weights,
-                open_pairs, buffers) -> None:
-    """Draw slots before + 1 .. before + width of the given rows and record
-    each point's first passages among them."""
-    k = rows.size
-    z = buffers[0][: k * width].reshape(k, width)
-    _draw_normals([rngs[i] for i in rows], z)
+def _tail_round(specs, rows, before, z, normal_sums, walk_ends, weights, open_pairs,
+                walk_buf) -> None:
+    """Walk the given rows over slots before + 1 .. before + width, whose
+    normals z holds, one row each, and record each point's first passages
+    among them."""
+    k, width = z.shape
     passages = []  # (point, a level's weights, rows' positions, columns) passed
     for spec, walk_end, point_weights, pairs in zip(specs, walk_ends, weights, open_pairs):
         open_here = pairs[:, rows]
@@ -735,7 +798,7 @@ def _tail_round(specs, rngs, rows, before, width, normal_sums, walk_ends, weight
             continue
         idx, open_here = rows[sel], open_here[:, sel]
         # Column c + 1 holds W_m, in nats, at m = before + 1 + c.
-        walk = buffers[1][: sel.size * (width + 1)].reshape(sel.size, width + 1)
+        walk = walk_buf[: sel.size * (width + 1)].reshape(sel.size, width + 1)
         walk[:, 0] = walk_end[idx]
         steps = walk[:, 1:]
         np.multiply(z if sel.size == k else z[sel], -spec.slope, out=steps)

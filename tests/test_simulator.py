@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import linkbound as lb
-from linkbound import simulator
+from linkbound import cli, simulator
 from linkbound.simulator import _BLOCK_CELLS, _DRAIN_CHUNK, DELAY_SEARCH_CAP
 
 
@@ -101,7 +101,7 @@ class TestSeeding:
             out = lb.run_experiment(env, operating_channel, cfg)
             _assert_same_outcome(out, reference)
             # A run that starts and ends inside a chunk yields numpy's streams.
-            rngs = simulator._replication_rngs(2**64 + 5, 3, 20)
+            rngs = simulator._replication_rngs(2**64 + 5, np.arange(3, 20))
             for index, rng in zip(range(3, 20), rngs, strict=True):
                 expected = _numpy_rng(2**64 + 5, index).standard_normal(4)
                 assert np.array_equal(rng.standard_normal(4), expected)
@@ -810,8 +810,34 @@ MS_CHANNEL = lb.ShadowingChannel(25.0, 8.0, 500e6, 1e-3)
 MS_ENV = lb.AffineEnvelope(0.0, 3.6e9 * 1e-3)  # 3.6 Gbps in 1 ms slots
 
 
-def _tails(points, kind, levels, replications=2000, seed=4):
-    return lb.stationary_tails(points, kind, levels, replications, seed)
+LONG_ENV = lb.AffineEnvelope(0.0, 3.8e9 * 1e-3)  # 3.8 Gbps in 1 ms slots
+
+
+def _tails(points, kind, levels, replications=2000, seed=4, edges=None):
+    return lb.stationary_tails(points, kind, levels, replications, seed, edges)
+
+
+def _weights_by_hand(point, kind, level, seed, start, rows):
+    """(first passage, weight) of replications start + i, i in rows, at one
+    level: slots 1-112 from the group's stream, numpy's SeedSequence child
+    (group, 1), 1024 normals a slot, and the rest from the row's own."""
+    spec = simulator._tail_point(*point, kind, np.array([level], float), None)
+    [threshold] = spec.thresholds
+    group = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+        entropy=seed, spawn_key=(start // 1024, 1))))
+    prefix = group.standard_normal((112, 1024))
+    out = []
+    for i in rows:
+        index = start + i
+        own = _numpy_rng(seed, index).standard_normal(DELAY_SEARCH_CAP - 112)
+        z = np.concatenate([prefix[:, index % 1024], own])
+        walk = np.cumsum(spec.rate - np.log1p(np.exp(spec.offset - spec.slope * z)))
+        passage = int(np.argmax(walk > threshold)) + 1
+        assert walk[passage - 1] > threshold
+        [weight] = np.exp(np.array([-spec.shift * np.cumsum(z)[passage - 1]
+                                    - passage * spec.half_square]))
+        out.append((passage, weight))
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -874,8 +900,10 @@ class TestStationaryTails:
         [capped] = _tails([(MS_ENV, MS_CHANNEL)], "delay", levels)
         assert all(c == 0 for _, _, c in reference)
         assert all(c > 0 for _, _, c in capped[1:])
-        for (estimate, _, _), (high, _, _) in zip(reference, capped):
+        for (estimate, _, _), (high, half, c) in zip(reference, capped):
             assert high >= estimate
+            # A level with a capped row is unresolved.
+            assert (half == math.inf) == (c > 0)
 
     @pytest.mark.parametrize("kind, levels, extra", [("backlog", [0.0, 3e9, 1e10], 5e8),
                                                      ("delay", [0, 2], 1)])
@@ -899,7 +927,9 @@ class TestStationaryTails:
         assert _tails(points[:2], kind, point_levels[:2], 2100) == sweep[:2]
 
     def test_deterministic_walks_draw_nothing(self, operating_channel, monkeypatch):
-        monkeypatch.setattr(simulator, "_replication_rngs", None)  # any draw fails
+        # Making a group stream or a replication stream fails.
+        monkeypatch.setattr(simulator, "_group_rng", None)
+        monkeypatch.setattr(simulator, "_replication_rngs", None)
         still = replace(operating_channel, sigma_db=0.0)
         points = [(lb.AffineEnvelope(0.0, 3e9), still), (lb.AffineEnvelope(0.0, 0.0),
                                                          operating_channel)]
@@ -908,6 +938,80 @@ class TestStationaryTails:
                                                                   [(0.0, 0.0, 0)]]
         with pytest.raises(ValueError, match="not stable"):
             _tails([(lb.AffineEnvelope(0.0, 5e9), still)], "backlog", [[0.0]])
+
+    def test_weights_rebuilt_from_group_and_own_streams(self, monkeypatch):
+        # At delay levels 3 and 12, row 0 passes the first within the group
+        # stream's 112 slots and the second after them; it is the only row
+        # of a one-replication run, whose estimate is its weight.
+        point, levels = (LONG_ENV, MS_CHANNEL), [3, 12]
+        [tails] = _tails([point], "delay", [levels], 1, 5)
+        first = []
+        for (estimate, _, _), level in zip(tails, levels):
+            [(passage, weight)] = _weights_by_hand(point, "delay", level, 5, 0, [0])
+            assert estimate == weight
+            first.append(passage)
+        assert first[0] <= simulator._TAIL_PREFIX < first[1]
+        with monkeypatch.context() as patch:
+            # A row that ends within the group stream's slots makes no
+            # generator of its own.
+            patch.setattr(simulator, "_replication_rngs", None)
+            assert _tails([point], "delay", [levels[:1]], 1, 5) == [tails[:1]]
+        # Rows of the second group read their column of its stream.
+        spec = simulator._tail_point(*point, "delay", np.array(levels, float), None)
+        [(weights, capped)] = simulator._tail_group([spec], 5, 1024, 40)
+        assert not capped.any()
+        last = []
+        for j, level in enumerate(levels):
+            by_hand = _weights_by_hand(point, "delay", level, 5, 1024, range(40))
+            assert weights[j].tolist() == [weight for _, weight in by_hand]
+            last.append(max(passage for passage, _ in by_hand))
+        assert last[0] <= simulator._TAIL_PREFIX < last[1]
+
+    def test_rows_independent_of_replication_count(self):
+        # Rows 0-999 of a group of 1000 are those of a full group.
+        spec = simulator._tail_point(LONG_ENV, MS_CHANNEL, "delay", np.array([1.0, 3.0, 12.0]),
+                                     None)
+        [(short, short_capped)] = simulator._tail_group([spec], 9, 0, 1000)
+        [(full, full_capped)] = simulator._tail_group([spec], 9, 0, 1024)
+        assert np.array_equal(short, full[:, :1000])
+        assert np.array_equal(short_capped, full_capped[:, :1000])
+
+    def test_edges_handed_in_give_the_same_columns(self, operating_channel, monkeypatch):
+        points = [(lb.AffineEnvelope(0.0, r), operating_channel) for r in (1e9, 3e9)]
+        points.append((LONG_ENV, MS_CHANNEL))
+        levels = [[0.0, 3e9], [1e10], [2e6]]
+        fresh = _tails(points, "backlog", levels)
+        edges = [lb.stability_region(env, lb.ServiceCharacterization(channel, exact=True))
+                 .theta_upper for env, channel in points]
+        with monkeypatch.context() as patch:
+            patch.setattr(simulator, "stability_region", None)  # no edge search
+            assert _tails(points, "backlog", levels, edges=edges) == fresh
+        # A limit-mode CLI run hands its bounds' edges in.
+        doc = {"channel": {"mean_snr_db": 25.0, "sigma_db": 8.0, "bandwidth_hz": 5e8,
+                           "slot_seconds": 1e-3},
+               "arrival": {"rate_gbps": 3.0},
+               "discretization": {"delta": "limit"},
+               "query": {"kind": "delay", "epsilons": [1e-2, 1e-4]},
+               "sweep": {"axis": "rate", "grid": [3.0, 3.8]},
+               "sim": {"enabled": True, "replications": 1500, "seed": 2}}
+        scenario = cli.Scenario.from_dict(doc)
+        calls = []
+        real = simulator.stationary_tails
+        monkeypatch.setattr(cli, "stationary_tails",
+                            lambda *args: calls.append(args) or real(*args))
+        rows = cli.run_scenario(scenario)
+        [(tail_points, kind, bounds, replications, seed, edges)] = calls
+        assert edges == [rows[0].theta_upper, rows[2].theta_upper]
+        expected = real(tail_points, kind, bounds, replications, seed)
+        assert [(r.violation, r.violation_halfwidth) for r in rows] == [
+            (estimate, half) for point in expected for estimate, half, _ in point]
+
+    def test_level_no_row_passes_is_unresolved(self, operating_channel):
+        # A delay of 5e8 slots at 3 Gbps: every row reaches the cap, and its
+        # weight there underflows to 0.
+        env = lb.AffineEnvelope(0.0, 3e9)
+        [[(estimate, half, capped)]] = _tails([(env, operating_channel)], "delay", [[5e8]], 20)
+        assert (estimate, half, capped) == (0.0, math.inf, 20)
 
     def test_infinite_level_and_one_replication(self, operating_channel):
         env = lb.AffineEnvelope(0.0, 2e9)
