@@ -35,7 +35,6 @@ from .simulator import (
     SimOutcome,
     replication_rng,
     run_experiment,
-    run_experiments,
     run_replication,
     stationary_tails,
     wilson_halfwidth,
@@ -64,7 +63,6 @@ __all__ = [
     "log_kernel_bound",
     "replication_rng",
     "run_experiment",
-    "run_experiments",
     "run_replication",
     "sample_snr",
     "snr_cdf",

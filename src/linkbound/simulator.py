@@ -24,38 +24,27 @@ spawn_key=(i,)))), bit for bit. The seed words of many indices are
 derived in one array pass over uint32 words; only the spawn word changes
 with i, so the seed's share of numpy's hash is computed once per pass.
 
-A run simulates a list of (envelope, channel) points on the same
-replication streams, common random numbers across a sweep: replication
-i of every point replays stream i, so each point's samples equal, bit for
-bit, those of a run of that point alone. The streams' normals are drawn
-once. A row's backlog at the horizon T comes from the min-plus identity
-B(T) = max(0, sup_s [A(s,T) - S(s,T)]) over cumulative arrivals A and
-cumulative service S, both centred on a constant c of the channel alone,
-its capacity at the median SNR: S'_k = cumsum(s - c) and A'_k = cumsum(a
-- c). The walk W = A' - S' then gives B(T) = W_T - min(0, min_k W_k).
-S' is one prefix-sum pass per distinct channel, so once in all for a
-rate sweep and once per point for a sigma or gain sweep; A' is one row
-per point, summed once per run; and each point subtracts its A' from S'
-and takes the minimum. c depends on the channel alone, so a sweep point
-and its lone run do the same arithmetic. The centre keeps the sums near
-zero, so the backlog carries the rounding of the walk, not of the whole
-service. The drain that measures a point's delays continues each row's
-stream from the end of its horizon draws.
+A replication's backlog at the horizon T comes from the min-plus
+identity B(T) = max(0, sup_s [A(s,T) - S(s,T)]) over cumulative arrivals
+A and cumulative service S, both centred on a constant c, the channel's
+capacity at the median SNR: S'_k = cumsum(s - c) and A'_k = cumsum(a -
+c). The walk W = A' - S' then gives B(T) = W_T - min(0, min_k W_k). The
+centre keeps the sums near zero, so the backlog carries the rounding of
+the walk, not of the whole service. The drain that measures the delay
+continues the replication's stream from the end of its horizon draws.
 
 Replications are evaluated in blocks of rows, one row per replication,
 with each array operation applied to the whole block at once. Every row
 draws from its own stream in the same order as a lone replication would,
 and the arithmetic on a row does not depend on the rows beside it, so no
-sample depends on the block size, the seeding chunk, the other points of
-the run or the order in which replications run. Blocks are therefore
-spread over one worker per available CPU, but no more than leave each 16
-rows of a block, the caller and threads that end with the call, each
-with its own buffers and rows of the outputs. numpy releases the GIL
-inside the normal draws and the elementwise passes (exp, log1p, the
-subtractions and the minimum), most of a block; the 2-D prefix sum holds
-it, which is why a block makes as few as it can. The workers split one
-block's worth of slots, so memory grows neither with the number of CPUs
-nor with the points.
+sample depends on the block size, the seeding chunk or the order in
+which replications run. Blocks are therefore spread over one worker per
+available CPU, but no more than leave each 16 rows of a block, the
+caller and threads that end with the call, each with its own buffers and
+rows of the outputs. numpy releases the GIL inside the normal draws and
+the elementwise passes (exp, log1p, the subtractions and the minimum),
+most of a block; the prefix sum holds it. The workers split one block's
+worth of slots, so memory does not grow with the number of CPUs.
 """
 
 from __future__ import annotations
@@ -81,13 +70,9 @@ DELAY_SEARCH_CAP = 10_000
 # One spawn word, below 2^32, names each replication.
 MAX_REPLICATIONS = 1 << 32
 _DRAIN_CHUNK = 256
-# The leading slots of a drain round that every live row draws; only the
-# rows they do not clear draw the rest of the round.
-_DRAIN_PROBE = 8
 # Slots held by the block buffers of one call (2 MiB of float64): the
-# _BLOCK_CELLS // max(horizon, _DRAIN_CHUNK) rows, at least one, halved when
-# several points share a row's normals, are split evenly between the
-# workers, and each worker's block has its share.
+# _BLOCK_CELLS // max(horizon, _DRAIN_CHUNK) rows, at least one, are split
+# evenly between the workers, and each worker's block has its share.
 _BLOCK_CELLS = 1 << 18
 # Replication indices whose seed words are derived in one array pass.
 _SEED_CHUNK = 1024
@@ -127,16 +112,21 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         for name in ("horizon_slots", "replications", "master_seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, operator.index(value))
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.horizon_slots < 1:
             raise ValueError("horizon_slots must be at least 1")
         if not 1 <= self.replications <= MAX_REPLICATIONS:
             raise ValueError(f"replications must be between 1 and {MAX_REPLICATIONS}")
         if self.master_seed < 0:
             raise ValueError("master_seed must be non-negative")
+
+
+def _integer(name: str, value) -> int:
+    """value as a Python int. A float, even an integral one, a bool or a
+    non-number raises TypeError naming the argument ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
 
 
 def replication_rng(master_seed: int, index: int) -> np.random.Generator:
@@ -268,29 +258,14 @@ def _draw_service(channel: ShadowingChannel, rngs, out: np.ndarray) -> None:
     stream redrawn through those functions gives the same bits.
     """
     _draw_normals(rngs, out)
-    _to_service(channel, out)
+    _snr_from_normals(channel, out)
+    np.log1p(out, out=out)
+    out *= channel.bits_per_nat
 
 
 def _draw_normals(rngs, out: np.ndarray) -> None:
     for row, rng in zip(out, rngs):
         rng.standard_normal(out=row)
-
-
-def _to_service(channel: ShadowingChannel, z: np.ndarray, out=None) -> None:
-    """Write the service bits that standard normals z give to out, z itself
-    by default."""
-    out = _snr_from_normals(channel, z, out)
-    np.log1p(out, out=out)
-    out *= channel.bits_per_nat
-
-
-def _cumulative_service(channel: ShadowingChannel, centre: float, z: np.ndarray,
-                        out: np.ndarray) -> None:
-    """Write each row's centred cumulative service, cumsum(s - centre), for
-    the service s that the standard normals z give, to out, which may be z."""
-    _to_service(channel, z, out)
-    out -= centre
-    np.cumsum(out, axis=1, out=out)
 
 
 def _drain(
@@ -300,11 +275,7 @@ def _drain(
 
     Rows with a positive backlog draw _DRAIN_CHUNK slots a round from
     their own generators until the cumulative service reaches the backlog
-    or DELAY_SEARCH_CAP slots have been drawn; buf holds one round. A
-    round draws its first _DRAIN_PROBE slots for every live row, and the
-    rest only for the rows those slots do not clear. The rest's cumulative
-    sum carries on from the probe's last column, so every sum is the one a
-    single cumsum over the round gives, bit for bit.
+    or DELAY_SEARCH_CAP slots have been drawn; buf holds one round.
     """
     delay = np.zeros(backlog.size, dtype=np.int64)
     live = np.flatnonzero(backlog > 0.0)
@@ -312,29 +283,16 @@ def _drain(
     w = 0
     while live.size and w < DELAY_SEARCH_CAP:
         width = min(_DRAIN_CHUNK, DELAY_SEARCH_CAP - w)
-        probe = min(_DRAIN_PROBE, width)
-        carry = None  # each live row's sum of the round's service so far
-        for lo, hi in ((0, probe), (probe, width)):
-            if lo == hi or not live.size:
-                break
-            # One row per live row: the carried sum, if any, then hi - lo
-            # fresh slots.
-            lead = 0 if carry is None else 1
-            seg = buf[: live.size * (lead + hi - lo)].reshape(live.size, lead + hi - lo)
-            fresh = seg[:, lead:]
-            if carry is not None:
-                seg[:, 0] = carry
-            _draw_service(channel, [rngs[i] for i in live], fresh)
-            np.cumsum(seg, axis=1, out=seg)
-            carry = seg[:, -1].copy()
-            fresh += drained[:, None]
-            hit = fresh >= backlog[live, None]
-            first = hit.argmax(axis=1)
-            done = hit[np.arange(live.size), first]
-            delay[live[done]] = w + lo + first[done] + 1
-            left = ~done
-            live, drained, carry = live[left], drained[left], carry[left]
-        drained += carry
+        cum = buf[: live.size * width].reshape(live.size, width)
+        _draw_service(channel, [rngs[i] for i in live], cum)
+        np.cumsum(cum, axis=1, out=cum)
+        cum += drained[:, None]
+        hit = cum >= backlog[live, None]
+        first = hit.argmax(axis=1)
+        done = hit[np.arange(live.size), first]
+        delay[live[done]] = w + first[done] + 1
+        drained = cum[~done, -1]
+        live = live[~done]
         w += width
     delay[live] = DELAY_SEARCH_CAP
     censored = np.zeros(backlog.size, dtype=bool)
@@ -342,98 +300,57 @@ def _drain(
     return delay, censored
 
 
-def _rewind(rngs, rows, kept: dict, keep: bool) -> None:
-    """Put the generator of each of rows back at the end of its horizon
-    draws, from the state kept there. A row without one has not been
-    drained yet; its state is kept first if keep."""
-    for i in rows:
-        state = kept.get(i)
-        if state is not None:
-            rngs[i].bit_generator.state = state
-        elif keep:
-            kept[i] = rngs[i].bit_generator.state
-
-
-def _replicate(points, horizon: int, rngs, count: int, delays: bool = True) -> list[tuple]:
-    """Replicate once for each of the count generators in rngs, at every
-    (envelope, channel) point: one (backlogs, delays, censored) triple of
-    arrays per point, with None for delays and censored unless delays.
+def _replicate(env: AffineEnvelope, channel: ShadowingChannel, horizon: int, rngs,
+               count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Replicate once for each of the count generators in rngs: (backlogs,
+    delays, censored), one entry per generator.
 
     The generators are taken a block of rows at a time. Each row draws its
-    horizon's normals once. Each distinct channel turns them into its
-    cumulative service centred on its capacity c at the median SNR, S' =
-    cumsum(s - c): in place, once for all points, when every point has the
-    same channel (a rate sweep); otherwise each point writes its own
-    channel's into its buffer, the last point over the normals themselves,
-    so a sigma or gain sweep sums once per point. Each point's
-    cumulative arrivals on the same centre, A' = cumsum(a - c), are one
-    row summed before the first block. A point subtracts S' from its A'
-    into its buffer, the walk W, and reads the backlog W_T - min(0, min_k
-    W_k); its drain then runs on the row. A drain continues the row's
-    stream from the end of the horizon draws: the generator's state there
-    is kept before the row's first drain and restored before each later
-    one. The rows of one block's worth of slots are split between the
-    workers: the caller and threads joined before it returns or raises,
-    as many as get at least 16 rows each (one if none would), each with
-    one buffer pair made before any thread starts. So memory grows
-    neither with the number of CPUs nor with the number of points, nor,
-    beyond the outputs and the arrival rows, with count. The first
-    failure, an interrupt included, stops every worker; the call raises
-    the lowest block's failure.
+    horizon's normals and turns them, in place, into its walk W = A' - S':
+    the cumulative service centred on the channel's capacity c at the
+    median SNR, S' = cumsum(s - c), subtracted from the cumulative
+    arrivals on the same centre, A' = cumsum(a - c), one row summed before
+    the first block. The backlog is W_T - min(0, min_k W_k), and the drain
+    then continues the row's stream from the end of its horizon draws. The
+    rows of one block's worth of slots are split between the workers: the
+    caller and threads joined before it returns or raises, as many as get
+    at least 16 rows each (one if none would), each with one buffer pair
+    made before any thread starts. So memory grows neither with the number
+    of CPUs nor, beyond the outputs and the arrival row, with count. The
+    first failure, an interrupt included, stops every worker; the call
+    raises the lowest block's failure.
     """
     if horizon < 1:
         raise ValueError("horizon_slots must be at least 1")
     rngs = iter(rngs)
-    # A lone point forms its walk in place over its normals, and its second
-    # buffer holds a drain round; points that share the normals form their
-    # walks, and run their drains, in a second buffer as large as the first.
-    width = max(horizon, _DRAIN_CHUNK)
-    shared = len(points) > 1
-    rows = max(1, _BLOCK_CELLS // (width * (1 + shared)))
-    net_width = width if shared else _DRAIN_CHUNK
+    rows = max(1, _BLOCK_CELLS // max(horizon, _DRAIN_CHUNK))
     workers = min(_WORKERS, max(1, rows // _MIN_WORKER_ROWS))
     rows //= workers
-    centres = {channel: capacity_bits_per_slot(channel, channel.median_snr)
-               for _, channel in points}
-    cum_arrivals = [np.cumsum(generate_arrivals(env, horizon) - centres[channel])
-                    for env, channel in points]
-    one_channel = len(centres) == 1
-    last = len(points) - 1
-    outputs = [(np.empty(count), np.empty(count, dtype=np.int64) if delays else None,
-                np.empty(count, dtype=bool) if delays else None) for _ in points]
+    centre = capacity_bits_per_slot(channel, channel.median_snr)
+    cum_arrivals = np.cumsum(generate_arrivals(env, horizon) - centre)
+    backlogs = np.empty(count)
+    delays = np.empty(count, dtype=np.int64)
+    censored = np.empty(count, dtype=bool)
 
-    def replicate_block(start, block, z_buf, net_buf):
-        z = z_buf[: len(block) * horizon].reshape(len(block), horizon)
-        _draw_normals(block, z)
+    def replicate_block(start, block, walk_buf, drain_buf):
+        walk = walk_buf[: len(block) * horizon].reshape(len(block), horizon)
+        _draw_service(channel, block, walk)
+        walk -= centre
+        np.cumsum(walk, axis=1, out=walk)
+        np.subtract(cum_arrivals, walk, out=walk)
         rows_of_block = slice(start, start + len(block))
-        if one_channel:
-            _cumulative_service(points[0][1], centres[points[0][1]], z, z)
-        kept = {}  # row -> its generator's state after the horizon draws
-        for p, (_, channel) in enumerate(points):
-            # The last point's walk may overwrite what z holds.
-            walk = z if p == last else net_buf[: z.size].reshape(z.shape)
-            if one_channel:
-                np.subtract(cum_arrivals[p], z, out=walk)
-            else:
-                _cumulative_service(channel, centres[channel], z, walk)
-                np.subtract(cum_arrivals[p], walk, out=walk)
-            backlogs, point_delays, censored = outputs[p]
-            backlog = backlogs[rows_of_block]
-            np.subtract(walk[:, -1], np.minimum(walk.min(axis=1), 0.0), out=backlog)
-            if not delays:
-                continue
-            if shared:
-                _rewind(block, np.flatnonzero(backlog > 0.0).tolist(), kept, p != last)
-            point_delays[rows_of_block], censored[rows_of_block] = _drain(
-                channel, block, backlog, net_buf)
+        backlog = backlogs[rows_of_block]
+        np.subtract(walk[:, -1], np.minimum(walk.min(axis=1), 0.0), out=backlog)
+        delays[rows_of_block], censored[rows_of_block] = _drain(
+            channel, block, backlog, drain_buf)
 
-    pairs = [(np.empty(rows * horizon), np.empty(rows * net_width))
+    pairs = [(np.empty(rows * horizon), np.empty(rows * _DRAIN_CHUNK))
              for _ in range(min(workers, -(-count // rows)))]
     starts = iter(range(0, count, rows))
     lock = threading.Lock()
     failures = {}  # block start -> the exception that stopped its worker
 
-    def work(z_buf, net_buf):
+    def work(walk_buf, drain_buf):
         start = count
         try:
             while True:
@@ -442,7 +359,7 @@ def _replicate(points, horizon: int, rngs, count: int, delays: bool = True) -> l
                     if start == count or failures:
                         return
                     block = list(itertools.islice(rngs, rows))
-                replicate_block(start, block, z_buf, net_buf)
+                replicate_block(start, block, walk_buf, drain_buf)
         except BaseException as exc:
             failures.setdefault(start, exc)
 
@@ -461,7 +378,7 @@ def _replicate(points, horizon: int, rngs, count: int, delays: bool = True) -> l
                 failures.setdefault(count, exc)
     if failures:
         raise failures[min(failures)]
-    return outputs
+    return backlogs, delays, censored
 
 
 def run_replication(
@@ -476,7 +393,7 @@ def run_replication(
     The virtual delay is capped at DELAY_SEARCH_CAP; a censored sample
     counts as exceeding every finite threshold downstream.
     """
-    [(backlog, delay, censored)] = _replicate([(env, channel)], horizon_slots, (rng,), 1)
+    backlog, delay, censored = _replicate(env, channel, horizon_slots, (rng,), 1)
     return float(backlog[0]), int(delay[0]), bool(censored[0])
 
 
@@ -486,13 +403,12 @@ class SimOutcome:
 
     backlog_samples and delay_samples are aligned by replication index;
     ``censored`` marks delay samples that hit the search cap and must be
-    treated as exceeding every finite threshold. A run without delays
-    holds None in delay_samples and censored.
+    treated as exceeding every finite threshold.
     """
 
     backlog_samples: np.ndarray
-    delay_samples: np.ndarray | None
-    censored: np.ndarray | None
+    delay_samples: np.ndarray
+    censored: np.ndarray
     master_seed: int
 
     @property
@@ -504,8 +420,6 @@ class SimOutcome:
         if kind == "backlog":
             count = int(np.count_nonzero(self.backlog_samples > threshold))
         elif kind == "delay":
-            if self.delay_samples is None:
-                raise ValueError("this outcome was simulated without delays")
             exceeds = (self.delay_samples > threshold) | self.censored
             count = int(np.count_nonzero(exceeds))
         else:
@@ -525,34 +439,17 @@ def wilson_halfwidth(successes: int, n: int, z: float = 1.96) -> float:
 
 
 def run_experiment(
-    env: AffineEnvelope, channel: ShadowingChannel, config: SimConfig, *, delays: bool = True
+    env: AffineEnvelope, channel: ShadowingChannel, config: SimConfig
 ) -> SimOutcome:
     """Run the configured replications and collect samples by index.
 
-    Every replication seeds itself from (master_seed, index), so the
-    outcome is identical for any execution order. Without delays, no
-    backlog is drained and the outcome holds backlog samples only.
+    Replication i runs on replication_rng(master_seed, i), so the outcome
+    is identical for any execution order.
     """
-    return run_experiments([(env, channel)], config, delays=delays)[0]
-
-
-def run_experiments(points, config: SimConfig, *, delays: bool = True) -> list[SimOutcome]:
-    """run_experiment at each (envelope, channel) point, all in one run.
-
-    Every point replays the same replication streams, so each outcome
-    equals, bit for bit, run_experiment of its point alone, and equal
-    points share one outcome.
-    """
-    points = list(points)
-    unique = list(dict.fromkeys(points))
     rngs = _replication_rngs(config.master_seed, np.arange(config.replications))
-    results = _replicate(unique, config.horizon_slots, rngs, config.replications, delays)
-    outcomes = {
-        point: SimOutcome(backlog_samples=backlog, delay_samples=delay, censored=censored,
-                          master_seed=config.master_seed)
-        for point, (backlog, delay, censored) in zip(unique, results)
-    }
-    return [outcomes[point] for point in points]
+    backlogs, delays, censored = _replicate(env, channel, config.horizon_slots, rngs,
+                                            config.replications)
+    return SimOutcome(backlogs, delays, censored, config.master_seed)
 
 
 @dataclass(frozen=True)
@@ -667,6 +564,8 @@ def stationary_tails(points, kind: str, levels, replications: int, master_seed: 
     """
     if kind not in ("backlog", "delay"):
         raise ValueError("kind must be 'backlog' or 'delay'")
+    replications = _integer("replications", replications)
+    master_seed = _integer("master_seed", master_seed)
     if not 1 <= replications <= MAX_REPLICATIONS:
         raise ValueError(f"replications must be between 1 and {MAX_REPLICATIONS}")
     if master_seed < 0:

@@ -1,4 +1,3 @@
-import contextlib
 import itertools
 import math
 import multiprocessing
@@ -9,7 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 import linkbound as lb
 from linkbound import cli, simulator
@@ -475,140 +474,6 @@ class TestBlockWorkers:
         _assert_same_outcome(lb.SimOutcome(*samples, master_seed=self.CFG.master_seed), serial)
 
 
-@contextlib.contextmanager
-def _engine(workers: int, cells: int):
-    """The simulator at that many block workers and block cells."""
-    with pytest.MonkeyPatch.context() as mp:
-        _set_workers(mp, workers)
-        mp.setattr(simulator, "_BLOCK_CELLS", cells)
-        yield
-
-
-SWEEP_CHANNEL = lb.ShadowingChannel(22.0, 6.0, 5e8, 1.0)
-# Grid values of each axis, below, near and above the mean capacity (3.4
-# Gbps at 22/6 dB), so that most points drain some rows and not others.
-SWEEP_GRIDS = {
-    "rate": (1.0e9, 3.0e9, 3.4e9, 4.2e9),
-    "sigma": (0.0, 2.0, 6.0, 9.0),
-    "gain": (18.0, 22.0, 26.0),
-}
-
-
-def _sweep_point(axis: str, value: float):
-    env = lb.AffineEnvelope(0.0, value if axis == "rate" else 3.0e9)
-    if axis == "sigma":
-        return env, replace(SWEEP_CHANNEL, sigma_db=value)
-    if axis == "gain":
-        return env, replace(SWEEP_CHANNEL, mean_snr_db=value)
-    return env, SWEEP_CHANNEL
-
-
-class TestSweepStreams:
-    """Every point of a run replays the same replication streams: its
-    samples equal those of run_experiment at that point alone."""
-
-    @settings(derandomize=True, max_examples=20, deadline=None)
-    @given(axis=st.sampled_from(sorted(SWEEP_GRIDS)), data=st.data(),
-           horizon=st.sampled_from((1, 60, 300)), replications=st.integers(1, 40),
-           seed=st.integers(0, 2**64 - 1), delays=st.booleans())
-    def test_points_equal_lone_runs(self, axis, data, horizon, replications, seed, delays):
-        # Values may repeat, and a repeated point shares one outcome.
-        values = data.draw(st.lists(st.sampled_from(SWEEP_GRIDS[axis]), min_size=1,
-                                    max_size=5))
-        points = [_sweep_point(axis, value) for value in values]
-        cfg = lb.SimConfig(horizon, replications, seed)
-        lone = [lb.run_experiment(env, channel, cfg, delays=delays) for env, channel in points]
-        for workers, cells in ((1, _BLOCK_CELLS), (3, 3 * 2 * 256)):
-            with _engine(workers, cells):
-                outs = simulator.run_experiments(points, cfg, delays=delays)
-            assert len(outs) == len(points)
-            for out, reference in zip(outs, lone):
-                assert np.array_equal(out.backlog_samples, reference.backlog_samples)
-                if delays:
-                    _assert_same_outcome(out, reference)
-                else:
-                    assert out.delay_samples is None and out.censored is None
-
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_long_drains_equal_lone_runs(self, workers):
-        # Above capacity the drains take several rounds, and each round
-        # must continue the row's stream where the one before it stopped.
-        points = [_sweep_point("rate", rate) for rate in (3.4e9, 4.2e9, 3.0e9, 5.0e9)]
-        cfg = lb.SimConfig(2000, 60, master_seed=21)
-        lone = [lb.run_experiment(env, channel, cfg) for env, channel in points]
-        assert any(np.any(out.delay_samples > 2 * _DRAIN_CHUNK) for out in lone)
-        with _engine(workers, 5 * 2 * 2000):
-            outs = simulator.run_experiments(points, cfg)
-        for out, reference in zip(outs, lone):
-            _assert_same_outcome(out, reference)
-
-    def test_equal_points_share_one_outcome(self):
-        env, channel = _sweep_point("rate", 3.0e9)
-        outs = simulator.run_experiments([(env, channel)] * 3, lb.SimConfig(100, 20, 4))
-        assert outs[0] is outs[1] is outs[2]
-
-
-class TestBacklogOnly:
-    """A run without delays drains nothing and keeps its backlogs."""
-
-    def test_backlogs_without_drain(self, operating_channel, monkeypatch):
-        env = lb.AffineEnvelope(0.0, 4.1e9)
-        cfg = lb.SimConfig(500, 300, master_seed=12)
-        full = lb.run_experiment(env, operating_channel, cfg)
-
-        def no_drain(*args):
-            raise AssertionError("a run without delays drained a backlog")
-
-        monkeypatch.setattr(simulator, "_drain", no_drain)
-        out = lb.run_experiment(env, operating_channel, cfg, delays=False)
-        assert np.array_equal(out.backlog_samples, full.backlog_samples)
-        assert out.delay_samples is None and out.censored is None
-        threshold = float(np.median(full.backlog_samples))
-        assert out.exceedance(threshold) == full.exceedance(threshold)
-        with pytest.raises(ValueError, match="without delays"):
-            out.exceedance(1.0, kind="delay")
-
-
-class _CumsumCounter:
-    """numpy as the simulator module sees it, counting its 2-D prefix sums."""
-
-    def __init__(self):
-        self.passes = 0
-
-    def __getattr__(self, name):
-        return getattr(np, name)
-
-    def cumsum(self, a, *args, **kwargs):
-        self.passes += np.ndim(a) == 2
-        return np.cumsum(a, *args, **kwargs)
-
-
-@pytest.mark.parametrize("axis, values, per_block", [
-    ("rate", (1.0e9, 3.0e9, 4.2e9), 1),
-    ("sigma", (0.0, 2.0, 6.0, 9.0), 4),
-])
-def test_one_prefix_sum_per_channel_and_block(monkeypatch, axis, values, per_block):
-    # A block sums the cumulative service once per distinct channel: once
-    # for a rate sweep, once per point for a sigma sweep. Without delays
-    # no drain runs, so every 2-D prefix sum is one of these.
-    points = [_sweep_point(axis, value) for value in values]
-    blocks = []
-    draw = simulator._draw_normals
-
-    def counted_draw(rngs, out):
-        blocks.append(len(out))
-        return draw(rngs, out)
-
-    counter = _CumsumCounter()
-    _set_workers(monkeypatch, 1)
-    monkeypatch.setattr(simulator, "_BLOCK_CELLS", 2 * 5 * 300)
-    monkeypatch.setattr(simulator, "_draw_normals", counted_draw)
-    monkeypatch.setattr(simulator, "np", counter)
-    simulator.run_experiments(points, lb.SimConfig(300, 23, 4), delays=False)
-    assert blocks == [5, 5, 5, 5, 3]
-    assert counter.passes == per_block * len(blocks)
-
-
 # (mean_snr_db, sigma_db, load), the load against the mean of the service drawn.
 PRECISION_POINTS = [(20.0, 6.0, 0.3), (20.0, 6.0, 0.9), (25.0, 2.0, 0.95), (15.0, 4.0, 1.1),
                     (30.0, 8.0, 0.5)]
@@ -628,100 +493,90 @@ def test_backlog_matches_long_double_walk(gain, sigma, load):
     rate = load * float(np.mean(service))
     walk = np.cumsum(np.longdouble(rate) - service, axis=1)
     reference = walk[:, -1] - np.minimum(walk.min(axis=1), 0.0)
-    out = lb.run_experiment(lb.AffineEnvelope(0.0, rate), channel, cfg, delays=False)
+    out = lb.run_experiment(lb.AffineEnvelope(0.0, rate), channel, cfg)
     assert np.all(np.abs(out.backlog_samples - reference) <= 0.1)
     zero = reference == 0.0
     assert np.all(out.backlog_samples[zero] == 0.0)
     assert zero.any() == (load < 1.0)
 
 
-def _one_cumsum_drain(channel, rngs, backlog, buf):
-    """The drain before the probe split, verbatim: every live row draws a
-    whole round, and one cumsum runs over it."""
-    delay = np.zeros(backlog.size, dtype=np.int64)
-    live = np.flatnonzero(backlog > 0.0)
-    drained = np.zeros(live.size)
-    w = 0
-    while live.size and w < simulator.DELAY_SEARCH_CAP:
-        width = min(_DRAIN_CHUNK, simulator.DELAY_SEARCH_CAP - w)
-        cum = buf[: live.size * width].reshape(live.size, width)
-        simulator._draw_service(channel, [rngs[i] for i in live], cum)
-        np.cumsum(cum, axis=1, out=cum)
-        cum += drained[:, None]
-        hit = cum >= backlog[live, None]
-        first = hit.argmax(axis=1)
-        done = hit[np.arange(live.size), first]
-        delay[live[done]] = w + first[done] + 1
-        drained = cum[~done, -1]
-        live = live[~done]
-        w += width
-    delay[live] = simulator.DELAY_SEARCH_CAP
-    censored = np.zeros(backlog.size, dtype=bool)
-    censored[live] = True
-    return delay, censored
+def _drain_by_hand(channel, cfg, backlogs):
+    """(delays, censored) of each replication from its own stream alone:
+    the service that sample_snr draws after the horizon's, summed
+    _DRAIN_CHUNK slots a round onto the service of the rounds before,
+    until it reaches the backlog or simulator.DELAY_SEARCH_CAP slots."""
+    cap = simulator.DELAY_SEARCH_CAP
+    delays, censored = [], []
+    for index, backlog in enumerate(backlogs.tolist()):
+        delay, capped = 0, False
+        if backlog > 0.0:
+            rng = lb.replication_rng(cfg.master_seed, index)
+            service = lb.capacity_bits_per_slot(
+                channel, lb.sample_snr(channel, rng, cfg.horizon_slots + cap))
+            fresh, drained = service[cfg.horizon_slots:], 0.0
+            delay, capped = cap, True
+            for w in range(0, cap, _DRAIN_CHUNK):
+                cum = np.cumsum(fresh[w:w + _DRAIN_CHUNK]) + drained
+                hit = np.flatnonzero(cum >= backlog)
+                if hit.size:
+                    delay, capped = w + int(hit[0]) + 1, False
+                    break
+                drained = cum[-1]
+        delays.append(delay)
+        censored.append(capped)
+    return delays, censored
 
 
-class TestDrainProbe:
-    """The probe's split draws and split cumsum give the delays of one
-    cumsum over each whole round, bit for bit."""
+class TestDrainRounds:
+    """The drain continues each row's stream round after round: its delays
+    equal those summed by hand from the row's own stream, bit for bit."""
 
     # Caps: the default; a round and a short second one; below one round;
-    # a round that the probe fills.
+    # three slots.
     @pytest.mark.parametrize("cap", [DELAY_SEARCH_CAP, _DRAIN_CHUNK + 44, 200, 3])
     @pytest.mark.parametrize("workers", [1, 3])
-    def test_matches_one_cumsum_per_round(self, operating_channel, monkeypatch, cap, workers):
+    def test_matches_rounds_by_hand(self, operating_channel, monkeypatch, cap, workers):
         # Mean capacity is 4.16 Gbps: at 4.1 Gbps most delays end inside
-        # the probe, and at 5.5 Gbps every one runs into a third round.
+        # the first round, and at 5.5 Gbps every one runs into a third round.
         cfg = lb.SimConfig(2000, 150, master_seed=3)
         monkeypatch.setattr(simulator, "DELAY_SEARCH_CAP", cap)
         _set_workers(monkeypatch, workers)
-        monkeypatch.setattr(simulator, "_BLOCK_CELLS", 7 * 2 * 2000)
+        monkeypatch.setattr(simulator, "_BLOCK_CELLS", 14 * 2000)
         outs = []
         for rate in (4.1e9, 5.5e9):
-            env = lb.AffineEnvelope(0.0, rate)
-            with monkeypatch.context() as mp:
-                mp.setattr(simulator, "_drain", _one_cumsum_drain)
-                reference = lb.run_experiment(env, operating_channel, cfg)
-            out = lb.run_experiment(env, operating_channel, cfg)
-            _assert_same_outcome(out, reference)
+            out = lb.run_experiment(lb.AffineEnvelope(0.0, rate), operating_channel, cfg)
+            delays, censored = _drain_by_hand(operating_channel, cfg, out.backlog_samples)
+            assert out.delay_samples.tolist() == delays
+            assert out.censored.tolist() == censored
             outs.append(out)
         delay = np.concatenate([out.delay_samples for out in outs])
         censored = np.concatenate([out.censored for out in outs])
-        assert np.any((delay > 0) & (delay <= min(cap, simulator._DRAIN_PROBE)) & ~censored)
+        assert np.any((delay > 0) & (delay <= min(cap, _DRAIN_CHUNK)) & ~censored)
         if cap == DELAY_SEARCH_CAP:
             assert np.any(delay > 2 * _DRAIN_CHUNK) and not censored.any()
         else:
             assert censored.any() and np.all(delay[censored] == cap)
 
 
-def _traced_peak(points, cfg) -> int:
+def _traced_peak(env, channel, cfg) -> int:
     tracemalloc.start()
     try:
-        simulator.run_experiments(points, cfg)
+        lb.run_experiment(env, channel, cfg)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
-# Output bytes of one point per replication: backlog, delay and censored.
-OUTPUT_BYTES = 8 + 8 + 1
-
-
 def test_experiment_memory_is_one_block(operating_channel):
     # One pair of block buffers per worker, which together hold 2 MiB
-    # whatever the number of workers and points; holding every
-    # replication's path at once would take 16 MiB for 1000 replications
-    # and 64 MiB for 4000, and a buffer pair per point 8 MiB for a 4-point
-    # sigma sweep. Beyond the other points' outputs, the sweep grows with
-    # the replication count no more than its last point alone.
+    # whatever the number of workers; holding every replication's path at
+    # once would take 16 MiB for 1000 replications and 64 MiB for 4000.
+    # The outputs aside, a run does not grow with the replication count.
     env = lb.AffineEnvelope(0.0, 3.9e9)
-    sweep = [(env, replace(operating_channel, sigma_db=s)) for s in (2.0, 4.0, 6.0, 8.0)]
-    for points, replications in ((sweep[-1:], 4000), (sweep, 2000)):
-        small = _traced_peak(points, lb.SimConfig(2000, 1000, 1))
-        large = _traced_peak(points, lb.SimConfig(2000, replications, 1))
-        assert small < 4 * 2**20
-        more_outputs = (len(points) - 1) * (replications - 1000) * OUTPUT_BYTES
-        assert large - small < 2**18 + more_outputs
+    small = _traced_peak(env, operating_channel, lb.SimConfig(2000, 1000, 1))
+    large = _traced_peak(env, operating_channel, lb.SimConfig(2000, 4000, 1))
+    assert small < 4 * 2**20
+    assert large - small < 2**18
 
 
 @pytest.mark.parametrize("workers", [4, 64])
@@ -732,14 +587,13 @@ def test_experiment_memory_does_not_grow_with_workers(operating_channel, monkeyp
 
 
 def test_workers_keep_16_rows_per_block(operating_channel, monkeypatch):
-    # At 2000 slots a block holds 131 rows, or 65 when several points
-    # share them, so 64 CPUs start only the 8 or 4 workers that get at
-    # least 16 rows each; the samples are those of one worker.
+    # At 2000 slots a block holds 131 rows, so 64 CPUs start only the 8
+    # workers that get at least 16 rows each; the samples are those of one
+    # worker.
     env = lb.AffineEnvelope(0.0, 3.9e9)
-    sweep = [(env, replace(operating_channel, sigma_db=s)) for s in (2.0, 4.0, 6.0, 8.0)]
     cfg = lb.SimConfig(2000, 200, master_seed=8)
     monkeypatch.setattr(simulator, "_WORKERS", 1)
-    serial = [simulator.run_experiments(points, cfg) for points in (sweep[-1:], sweep)]
+    serial = lb.run_experiment(env, operating_channel, cfg)
     started = []
 
     class CountedThread(threading.Thread):
@@ -749,12 +603,9 @@ def test_workers_keep_16_rows_per_block(operating_channel, monkeypatch):
 
     monkeypatch.setattr(simulator, "_WORKERS", 64)
     monkeypatch.setattr(threading, "Thread", CountedThread)
-    for points, workers, reference in zip((sweep[-1:], sweep), (8, 4), serial):
-        started.clear()
-        outs = simulator.run_experiments(points, cfg)
-        assert len(started) == workers - 1
-        for out, ref in zip(outs, reference):
-            _assert_same_outcome(out, ref)
+    out = lb.run_experiment(env, operating_channel, cfg)
+    assert len(started) == 8 - 1
+    _assert_same_outcome(out, serial)
 
 
 @pytest.fixture(scope="module")
@@ -849,19 +700,18 @@ def delay_at_3_6_gbps():
 
 
 class TestStationaryTails:
-    @pytest.mark.parametrize("rate, kind, levels, delays", [
-        (2e9, "backlog", [0.0, 1e8, 3e8, 6e8], True),
-        (2e9, "delay", [0], True),
-        (1.5e9, "backlog", [0.0, 2e8], False),
+    @pytest.mark.parametrize("rate, kind, levels", [
+        (2e9, "backlog", [0.0, 1e8, 3e8, 6e8]),
+        (2e9, "delay", [0]),
+        (1.5e9, "backlog", [0.0, 2e8]),
     ])
-    def test_agrees_with_plain_monte_carlo(self, operating_channel, rate, kind, levels, delays):
+    def test_agrees_with_plain_monte_carlo(self, operating_channel, rate, kind, levels):
         # Where plain Monte Carlo resolves the tail (P >= 1e-2), both
         # estimates agree within their combined half-widths. At loads of
         # 0.36-0.48 the backlog 200 slots after an empty start is already
         # stationary to far below these half-widths.
         env = lb.AffineEnvelope(0.0, rate)
-        plain = lb.run_experiment(env, operating_channel, lb.SimConfig(200, 20000, 3),
-                                  delays=delays)
+        plain = lb.run_experiment(env, operating_channel, lb.SimConfig(200, 20000, 3))
         [tails] = _tails([(env, operating_channel)], kind, [levels], 20000, 5)
         for level, (estimate, half, capped) in zip(levels, tails):
             p, wilson = plain.exceedance(level, kind)
@@ -967,6 +817,27 @@ class TestStationaryTails:
             last.append(max(passage for passage, _ in by_hand))
         assert last[0] <= simulator._TAIL_PREFIX < last[1]
 
+    def test_zero_shift_is_plain_monte_carlo(self, monkeypatch):
+        # z_p = 0: every weight is exactly 1, and a row is capped at a level
+        # iff its unshifted walk, rebuilt by hand from the group stream,
+        # does not pass the level within the cap.
+        cap = 60
+        monkeypatch.setattr(simulator, "DELAY_SEARCH_CAP", cap)
+        levels = np.array([1.0, 2.0])
+        spec = simulator._tail_point(MS_ENV, MS_CHANNEL, "delay", levels, None)
+        spec = replace(spec, shift=0.0, half_square=0.0,
+                       offset=lb.channel.DB_TO_LN * MS_CHANNEL.mean_snr_db)
+        [(weights, capped)] = simulator._tail_group([spec], 4, 0, 1024)
+        assert np.all(weights == 1.0)
+        group = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+            entropy=4, spawn_key=(0, 1))))
+        z = group.standard_normal((112, 1024))[:cap].T
+        walk = np.cumsum(spec.rate - np.log1p(np.exp(spec.offset - spec.slope * z)), axis=1)
+        peak = walk.max(axis=1)
+        for j, threshold in enumerate(spec.thresholds):
+            assert np.array_equal(capped[j], ~(peak > threshold))
+            assert 0 < capped[j].sum() < 1024
+
     def test_rows_independent_of_replication_count(self):
         # Rows 0-999 of a group of 1000 are those of a full group.
         spec = simulator._tail_point(LONG_ENV, MS_CHANNEL, "delay", np.array([1.0, 3.0, 12.0]),
@@ -1028,6 +899,18 @@ class TestStationaryTails:
                                            ("backlog", [[1.0]], 0)):
             with pytest.raises(ValueError):
                 _tails([point], kind, levels, replications)
+        # Counts and seeds are integers: a bool, a float or a string raises
+        # a TypeError that names the argument, and a numpy integer is read
+        # as a Python int.
+        for bad in (True, 10.0, "10", 1.5, None):
+            with pytest.raises(TypeError, match="replications"):
+                _tails([point], "backlog", [[0.0]], bad, 4)
+            with pytest.raises(TypeError, match="master_seed"):
+                _tails([point], "backlog", [[0.0]], 10, bad)
+        reference = _tails([point], "backlog", [[0.0]], 10, 4)
+        tails = _tails([point], "backlog", [[0.0]], np.int64(10), np.uint32(4))
+        assert tails == reference
+        assert all(type(v) is float for v in tails[0][0][:2])
 
     def test_memory_does_not_grow_with_replications(self, operating_channel):
         env = lb.AffineEnvelope(0.0, 3e9)
