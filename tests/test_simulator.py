@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import linkbound as lb
 from linkbound import cli, simulator
@@ -474,6 +474,102 @@ class TestBlockWorkers:
         _assert_same_outcome(lb.SimOutcome(*samples, master_seed=self.CFG.master_seed), serial)
 
 
+class TestLoneRows:
+    """Every row of a run replays its replication's own stream: it equals
+    run_replication on that stream alone, whatever the point, the horizon,
+    the seed, the block size or the number of workers."""
+
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(rate=st.sampled_from((1.0e9, 3.9e9, 4.2e9, 5.0e9)),
+           sigma=st.sampled_from((0.0, 2.0, 8.0, 9.0)), horizon=st.sampled_from((1, 60, 300)),
+           replications=st.integers(1, 40), seed=st.integers(0, 2**64 - 1))
+    def test_rows_equal_lone_replications(self, operating_channel, rate, sigma, horizon,
+                                          replications, seed):
+        env = lb.AffineEnvelope(0.0, rate)
+        channel = replace(operating_channel, sigma_db=sigma)
+        cfg = lb.SimConfig(horizon, replications, seed)
+        for workers, cells in ((1, _BLOCK_CELLS), (3, 3 * 2 * 256)):
+            with pytest.MonkeyPatch.context() as mp:
+                _set_workers(mp, workers)
+                mp.setattr(simulator, "_BLOCK_CELLS", cells)
+                out = lb.run_experiment(env, channel, cfg)
+            _assert_matches_replications(env, channel, cfg, out)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_long_drains_equal_lone_replications(self, monkeypatch, workers):
+        # At and above the mean capacity (3.4 Gbps at 22/6 dB) the drains
+        # take several rounds, and each round must continue the row's
+        # stream where the one before it stopped.
+        channel = lb.ShadowingChannel(22.0, 6.0, 5e8, 1.0)
+        cfg = lb.SimConfig(2000, 60, master_seed=21)
+        _set_workers(monkeypatch, workers)
+        monkeypatch.setattr(simulator, "_BLOCK_CELLS", 5 * 2000)
+        longest = 0
+        for rate in (3.4e9, 4.2e9, 5.0e9):
+            env = lb.AffineEnvelope(0.0, rate)
+            out = lb.run_experiment(env, channel, cfg)
+            _assert_matches_replications(env, channel, cfg, out)
+            longest = max(longest, int(out.delay_samples.max()))
+        assert longest > 2 * _DRAIN_CHUNK
+
+
+def test_backlogs_do_not_depend_on_the_drain(operating_channel, monkeypatch):
+    # The drain only continues each row's stream after its horizon: a cap
+    # that stops it after three slots leaves every backlog as it was, and
+    # every delay of at most three slots.
+    env = lb.AffineEnvelope(0.0, 4.1e9)
+    cfg = lb.SimConfig(500, 300, master_seed=12)
+    full = lb.run_experiment(env, operating_channel, cfg)
+    short = full.delay_samples <= 3
+    assert not short.all() and np.any(full.delay_samples[short] > 0)
+    monkeypatch.setattr(simulator, "DELAY_SEARCH_CAP", 3)
+    capped = lb.run_experiment(env, operating_channel, cfg)
+    assert np.array_equal(capped.backlog_samples, full.backlog_samples)
+    assert np.array_equal(capped.delay_samples[short], full.delay_samples[short])
+    assert np.array_equal(capped.censored, ~short)
+    assert np.all(capped.delay_samples[~short] == 3)
+    threshold = float(np.median(full.backlog_samples))
+    assert capped.exceedance(threshold) == full.exceedance(threshold)
+
+
+class _CumsumCounter:
+    """numpy as the simulator module sees it, counting its 2-D prefix sums."""
+
+    def __init__(self):
+        self.passes = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def cumsum(self, a, *args, **kwargs):
+        self.passes += np.ndim(a) == 2
+        return np.cumsum(a, *args, **kwargs)
+
+
+@pytest.mark.parametrize("rate, rounds", [(1.0e9, 0), (4.7e9, 5)])
+def test_one_prefix_sum_per_draw(operating_channel, monkeypatch, rate, rounds):
+    # A block draws its horizon's service once and each drain round once,
+    # and sums each draw once; no other 2-D prefix sum runs. At 1 Gbps no
+    # row has a backlog to drain, and at 4.7 Gbps every row of each of
+    # the five blocks drains within one round.
+    draws = []
+    draw = simulator._draw_service
+
+    def counted_draw(channel, rngs, out):
+        draws.append(out.shape)
+        return draw(channel, rngs, out)
+
+    counter = _CumsumCounter()
+    _set_workers(monkeypatch, 1)
+    monkeypatch.setattr(simulator, "_BLOCK_CELLS", 5 * 300)
+    monkeypatch.setattr(simulator, "_draw_service", counted_draw)
+    monkeypatch.setattr(simulator, "np", counter)
+    lb.run_experiment(lb.AffineEnvelope(0.0, rate), operating_channel, lb.SimConfig(300, 23, 4))
+    assert [rows for rows, width in draws if width == 300] == [5, 5, 5, 5, 3]
+    assert len(draws) == 5 + rounds
+    assert counter.passes == len(draws)
+
+
 # (mean_snr_db, sigma_db, load), the load against the mean of the service drawn.
 PRECISION_POINTS = [(20.0, 6.0, 0.3), (20.0, 6.0, 0.9), (25.0, 2.0, 0.95), (15.0, 4.0, 1.1),
                     (30.0, 8.0, 0.5)]
@@ -626,6 +722,18 @@ class TestSimOutcome:
         )
         p, _ = out.exceedance(10 * DELAY_SEARCH_CAP, kind="delay")
         assert p == 0.5
+
+    def test_every_run_holds_delays(self, outcome, operating_channel):
+        # A delay tail counts the samples past the threshold and the
+        # censored ones, on any run, even one in which no row drains.
+        for threshold in (0, 1, 5):
+            count = int(np.count_nonzero((outcome.delay_samples > threshold) | outcome.censored))
+            assert outcome.exceedance(threshold, kind="delay") == (
+                count / 4000, lb.wilson_halfwidth(count, 4000))
+        idle = lb.run_experiment(lb.AffineEnvelope(0.0, 0.0), operating_channel,
+                                 lb.SimConfig(50, 30, master_seed=2))
+        assert not idle.delay_samples.any() and not idle.censored.any()
+        assert idle.exceedance(0, kind="delay") == (0.0, lb.wilson_halfwidth(0, 30))
 
     def test_bad_kind(self, outcome):
         with pytest.raises(ValueError):
