@@ -148,20 +148,17 @@ def snr_cdf(channel: ShadowingChannel, x):
     return out
 
 
-def _snr_from_normals(channel: ShadowingChannel, z: np.ndarray, out=None) -> np.ndarray:
-    """Write the linear SNR of standard normals z to out and return out.
+def _snr_from_normals(channel: ShadowingChannel, z: np.ndarray) -> np.ndarray:
+    """Overwrite standard normals z with their linear SNR and return z.
 
-    out defaults to z itself, overwritten in place; an out of z's shape
-    leaves z as it was. The SNR is exp(DB_TO_LN * (mean_snr_db - sigma_db
-    * z)). sample_snr and the simulator both draw through this one
-    transform, so a stream redrawn through sample_snr gives the
-    simulator's samples bit for bit.
+    The SNR is exp(DB_TO_LN * (mean_snr_db - sigma_db * z)). sample_snr
+    and the simulator both draw through this one transform, so a stream
+    redrawn through sample_snr gives the simulator's samples bit for bit.
     """
-    out = z if out is None else out
-    np.multiply(z, channel.sigma_db, out=out)
-    np.subtract(channel.mean_snr_db, out, out=out)
-    np.multiply(out, DB_TO_LN, out=out)
-    return np.exp(out, out=out)
+    np.multiply(z, channel.sigma_db, out=z)
+    np.subtract(channel.mean_snr_db, z, out=z)
+    np.multiply(z, DB_TO_LN, out=z)
+    return np.exp(z, out=z)
 
 
 def sample_snr(channel: ShadowingChannel, rng: np.random.Generator, size=None):

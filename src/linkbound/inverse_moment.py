@@ -50,7 +50,12 @@ import numpy as np
 from .channel import DB_TO_LN, ShadowingChannel
 
 # The only floor on a per-slot factor: every inverse moment returned here,
-# by the grid, the table or the exact rule, is clamped to [_FACTOR_FLOOR, 1].
+# by the grid, the table or the exact rule, is its sum plus _FACTOR_FLOOR,
+# capped at 1. Added rather than clamped to, the floor keeps the factor an
+# upper bound, log-convex and smooth in theta, so its slope is the true
+# derivative; in float it leaves any sum above about 1e-284 bit for bit.
+# It still decides the stability edge where the factor reaches it before
+# the flow's own edge: ln(1e300) / rate at 25 dB, sigma = 0.5 dB, 1 Gbps.
 _FACTOR_FLOOR = 1e-300
 _CHUNK = 2_000_000
 # The truncation search also stops once survival * (1+x)^(-theta) falls
@@ -277,7 +282,7 @@ def inverse_moment_bound_many(cdf, thetas, config: DiscretizationConfig) -> np.n
                 end_survival = 1.0 - float(f[m - 1])
                 parts.append(end_survival * math.exp(-theta * math.log1p(right[m - 1])))
         prev_right, prev_f = float(right[-1]), float(f[-1])
-    out[active] = np.clip([math.fsum(p) for p in partials], _FACTOR_FLOOR, 1.0)
+    out[active] = np.minimum(np.array([math.fsum(p) for p in partials]) + _FACTOR_FLOOR, 1.0)
     return out
 
 
@@ -287,12 +292,13 @@ def inverse_moment_bound(cdf, theta: float, config: DiscretizationConfig) -> flo
     Returns the truncated staircase sum over cells k = 1..N
     ``sum_k [F(k delta) - F((k-1) delta)] * (1+(k-1) delta)^(-theta)``
     plus the end term ``[1 - F(N delta)] * (1+N delta)^(-theta)``, with
-    F(0) read as 0 and N fixed by the truncation rules in ``config``. The
-    value is an upper bound on the expectation for every truncation, lies
-    in [_FACTOR_FLOOR, 1], and tightens monotonically as the step shrinks
-    or terms are added. It is 1.0 at theta = 0. Above the floor it is
-    also first-order tight: since 1 - (1+u)^(-theta) <= theta u, each
-    cell overestimates by at most theta delta times its own term, so
+    F(0) read as 0 and N fixed by the truncation rules in ``config``, plus
+    _FACTOR_FLOOR, capped at 1. The value is an upper bound on the
+    expectation for every truncation, and tightens monotonically as the
+    step shrinks or terms are added. It is 1.0 at theta = 0. Above the
+    floor it is also first-order tight: since 1 - (1+u)^(-theta) <=
+    theta u, each cell overestimates by at most theta delta times its own
+    term, so
     ``exact <= value <= exact + theta * delta * value + end term``.
 
     ``cdf`` maps a float array to an array of the same shape. Raises
@@ -521,12 +527,14 @@ class StieltjesTable:
     def bound(self, theta: float) -> tuple[float, float]:
         """Upper bound on E[(1+X)^(-theta)] from the aggregated blocks, and its slope.
 
-        The slope is the derivative of the bound's log in theta: minus the
-        tilted mean of log1p(x) under the blocks' staircase, and 0 on a
-        floored bound. It comes from the sums the bound forms: the
-        contraction of the L-weighted segment moments beside the moments
-        on the series, the l-weighted sum of the same prefix on the exp
-        pass.
+        The bound is the staircase sum plus _FACTOR_FLOOR, capped at 1. The
+        slope is the derivative of its log in theta, -(l-weighted sum) /
+        (sum + floor): minus the tilted mean of log1p(x) under the blocks'
+        staircase where the floor is negligible, half that where the sum
+        equals the floor, and 0 where the sum underflows. It comes from the
+        sums the bound forms: the contraction of the L-weighted segment
+        moments beside the moments on the series, the l-weighted sum of the
+        same prefix on the exp pass.
         """
         if theta * _SEGMENT_WIDTH <= 1.0:
             # No BLAS: einsum without optimize runs numpy's own loops, so the
@@ -548,8 +556,8 @@ class StieltjesTable:
             first += end * self.end_log_edge
         else:
             val, first = self._exp_pass(theta)
-        return (min(max(val, _FACTOR_FLOOR), 1.0),
-                0.0 if val < _FACTOR_FLOOR else -first / val)
+        val += _FACTOR_FLOOR
+        return min(val, 1.0), -first / val
 
     def _exp_pass(self, theta: float) -> tuple[float, float]:
         """Staircase sum plus end term, from the shortest prefix of blocks that meets it.
@@ -719,11 +727,14 @@ def exact_inverse_moment(channel: ShadowingChannel, theta: float, with_slope: bo
 
     A fixed-step trapezoid rule in the Gaussian variable, summed in the log
     domain (``_lognormal_log_exact``); halving its step or widening its
-    window moves the log by less than 1e-12 relative. The value is clamped
-    to [_FACTOR_FLOOR, 1]. With ``with_slope``, returns (value, slope), the
-    slope being the derivative of the value's log in theta, 0 on a floored
-    value. Raises TypeError unless ``channel`` is a ShadowingChannel and
-    ValueError for a negative, infinite or NaN theta.
+    window moves the log by less than 1e-12 relative. A deterministic
+    channel (sigma_db == 0) takes the closed form instead. The value is the
+    moment plus _FACTOR_FLOOR, capped at 1. With ``with_slope``, returns
+    (value, slope), the slope being the derivative of the value's log in
+    theta: that of the moment's log scaled by moment / value, so half of
+    it where the moment equals the floor. Raises TypeError unless
+    ``channel`` is a ShadowingChannel and ValueError for a negative,
+    infinite or NaN theta.
     """
     if not isinstance(channel, ShadowingChannel):
         raise TypeError("exact_inverse_moment needs a ShadowingChannel")
@@ -731,11 +742,11 @@ def exact_inverse_moment(channel: ShadowingChannel, theta: float, with_slope: bo
         raise ValueError("theta must be non-negative and finite")
     if channel.sigma_db == 0.0:
         log_gain = math.log1p(channel.median_snr)
-        value, slope = math.exp(-theta * log_gain), -log_gain
+        log_value, slope = -theta * log_gain, -log_gain
     else:
         log_value, slope = _lognormal_log_exact(channel, theta)
-        value = math.exp(log_value)
-        if value < _FACTOR_FLOOR:
-            value, slope = _FACTOR_FLOOR, 0.0
-        value = 1.0 if theta == 0 else min(value, 1.0)
+    moment = math.exp(log_value)
+    value = moment + _FACTOR_FLOOR
+    slope *= moment / value
+    value = 1.0 if theta == 0 else min(value, 1.0)
     return (value, slope) if with_slope else value

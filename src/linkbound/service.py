@@ -29,12 +29,16 @@ Every route also returns the log factor's slope in theta, minus
 bits_per_nat times the tilted mean of ln(1 + SNR), from the sums it
 already forms: one more contraction of the table's segment moments or the
 l-weighted sum of its exp pass, the same trapezoid nodes in exact mode,
-the closed form at sigma_db == 0, and 0 on a floored factor. The memo
+and the closed form at sigma_db == 0. The floor is added to the factor,
+not clamped to, so the slope is its log's true derivative, smooth in
+theta, and falls to 0 where the route's sum underflows. The memo
 keeps the (log factor, slope) pair of every theta it has computed, beside
 the sorted list of those thetas, so that the bounds' searches can step by
 the slope and start between known probes.
 This module adds no floor, clamp or term cap; the only floor is that of
-``inverse_moment`` (``_FACTOR_FLOOR``), on the table and exact routes.
+``inverse_moment`` (``_FACTOR_FLOOR``, added to the sum), on the table and
+exact routes. It still decides the stability edge where the factor
+reaches it first, as at 25 dB and sigma_db = 0.5.
 """
 
 from __future__ import annotations
@@ -129,8 +133,9 @@ class ServiceCharacterization:
 
         With ``with_slope``, returns (ln bound, its derivative in theta):
         minus bits_per_nat times the tilted mean of ln(1 + SNR) under the
-        route's distribution, 0 where the factor is floored. Raises
-        ValueError unless theta is positive and finite.
+        route's distribution, scaled by sum / (sum + floor), so half of it
+        where the route's sum equals the added floor and 0 where the sum
+        underflows. Raises ValueError unless theta is positive and finite.
         """
         if not 0 < theta < math.inf:
             raise ValueError("theta must be positive and finite")

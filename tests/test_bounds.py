@@ -445,8 +445,9 @@ def reference_minimum(env, svc, hi: float, objective) -> float:
          epsilons=[1e-9, 1e-1])
 @example(channel=(25.0, 1.5), exact=True, kind="delay", burst=1e9, load=0.1,
          epsilons=[1e-1, 1e-6])
-# The factor floor binds just above the minimum: a kink, at which the better
-# of two lattice thetas lay 2e-8 above the reference.
+# The factor floor starts to bind just above the minimum. Added to the sum,
+# it leaves the objective smooth there, with no kink for a lattice theta to
+# straddle.
 @example(channel=(25.0, 0.5), exact=True, kind="delay", burst=1e6, load=0.496,
          epsilons=[1e-1, 1e-6])
 def test_search_matches_bounded_reference(channel, exact, kind, burst, load, epsilons):

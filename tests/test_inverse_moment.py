@@ -231,6 +231,21 @@ class TestExactInverseMoment:
         assert log_value == pytest.approx(reference, rel=1e-10)
         assert lb.exact_inverse_moment(chan, 1600.0) == 1e-300
 
+    def test_sigma_zero_takes_the_floor(self):
+        # A point mass at 25 dB: the moment exp(-t ln(1 + SNR)) gets the
+        # same added floor as the trapezoid rule's, and the slope the same
+        # scaling by moment / value. At t = 1000 the moment underflows to 0.
+        chan = lb.ShadowingChannel(25.0, 0.0, 500e6, 1.0)
+        log_gain = math.log1p(chan.median_snr)
+        assert lb.exact_inverse_moment(chan, 1000.0, with_slope=True) == (_FACTOR_FLOOR, 0.0)
+        value, slope = lb.exact_inverse_moment(chan, 5.0, with_slope=True)
+        assert (value, slope) == (math.exp(-5.0 * log_gain), -log_gain)
+        # Where the moment equals the floor, the value is twice the floor
+        # and the slope half the moment's.
+        value, slope = lb.exact_inverse_moment(chan, math.log(1e300) / log_gain, with_slope=True)
+        assert value == pytest.approx(2.0 * _FACTOR_FLOOR, rel=1e-12)
+        assert slope == pytest.approx(-0.5 * log_gain, rel=1e-12)
+
     @pytest.mark.parametrize("exponent", [0.5, 5.0, 721.0, 7.2e10])
     @pytest.mark.parametrize("mean_db, sigma_db", [(25.0, 8.0), (25.0, 0.5), (5.0, 2.0),
                                                    (40.0, 8.0), (-10.0, 12.0), (3080.0, 4.0)])
@@ -472,7 +487,7 @@ class TestTruncationAndTable:
         for theta in thetas:
             full = _staircase_sum(table.log_edges, table.mass, theta)
             full += table.end_survival * math.exp(-theta * table.end_log_edge)
-            full = min(max(full, _FACTOR_FLOOR), 1.0)
+            full = min(full + _FACTOR_FLOOR, 1.0)
             assert full <= table.bound(theta)[0] <= full * (1.0 + 2.0**-50)
 
     @pytest.mark.parametrize("kind, bound", [("backlog", lb.backlog_bound),

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import linkbound as lb
+from linkbound.inverse_moment import _lognormal_log_exact, _staircase_sum
 from linkbound.service import _BLOCK_LOG_WIDTH
 
 
@@ -259,6 +260,43 @@ class TestFactorSlope:
         lf, slope = svc.log_per_slot_bound(theta, with_slope=True)
         assert lf == math.log(1e-300)
         assert slope == 0.0 == self.central_difference(svc, theta)
+
+    @pytest.mark.parametrize("exact", [False, True], ids=["table", "exact"])
+    def test_slope_continuous_across_the_floor(self, exact):
+        # The floor is added to the route's sum, so the log factor is
+        # ln(v + 1e-300), smooth in theta: where the unfloored sum v equals
+        # the floor, its slope is half v's own. At 25 dB and sigma = 0.5 dB
+        # that exponent is about 143 in both modes.
+        chan = lb.ShadowingChannel(25.0, 0.5, 500e6, 1.0)
+        svc = lb.ServiceCharacterization(chan, exact=exact)
+        if exact:
+            def unfloored(t):
+                return _lognormal_log_exact(chan, t)
+        else:
+            table = svc._ensure_table()
+
+            def unfloored(t):
+                # The full exp pass over every block, plus the end term.
+                end = table.end_survival * math.exp(-t * table.end_log_edge)
+                total = _staircase_sum(table.log_edges, table.mass, t) + end
+                first = _staircase_sum(table.log_edges, table.mass * table.log_edges, t)
+                return math.log(total), -(first + end * table.end_log_edge) / total
+
+        # Newton steps on the convex ln v - ln(1e-300) from below its root.
+        t = 100.0
+        for _ in range(50):
+            log_v, dlog_v = unfloored(t)
+            step = (log_v - math.log(1e-300)) / dlog_v
+            t -= step
+            if abs(step) <= 1e-12 * t:
+                break
+        assert 140.0 < t < 146.0
+        log_v, dlog_v = unfloored(t)
+        theta = t / chan.bits_per_nat
+        lf, slope = svc.log_per_slot_bound(theta, with_slope=True)
+        assert lf == pytest.approx(math.log(2e-300), rel=1e-12)
+        assert slope == pytest.approx(0.5 * chan.bits_per_nat * dlog_v, rel=1e-9)
+        assert slope == pytest.approx(self.central_difference(svc, theta, rel=1e-7), rel=1e-4)
 
     def test_memo_keeps_probed_thetas_in_order(self, operating_channel):
         svc = lb.ServiceCharacterization(operating_channel, exact=True)
