@@ -45,7 +45,13 @@ import numpy as np
 
 from . import __version__
 from .arrival import AffineEnvelope
-from .bounds import BoundQuery, UnstableSystemError, backlog_bound, delay_bound
+from .bounds import (
+    EXTEND_THETA_CAP,
+    BoundQuery,
+    UnstableSystemError,
+    backlog_bound,
+    delay_bound,
+)
 from .channel import MAX_MEAN_SNR_DB, LinkBudget, ShadowingChannel, system_gain_db
 from .inverse_moment import DiscretizationConfig
 from .service import ServiceCharacterization
@@ -221,7 +227,9 @@ class Scenario:
         field must meet its range rule. A sweep grid value replaces one
         field, so it is checked against that field's rule alone (an
         epsilon against 0 < epsilon < 1), and its error reads
-        ``sweep.grid value {value}: {rule's message}``.
+        ``sweep.grid value {value}: {rule's message}``. In limit mode the
+        bandwidth times the slot must keep the exact factor's exponent
+        finite at the bounds' theta cap.
         """
         values = [getattr(self, f.attr) for f in _FIELDS]
         flat = [x for v in values for x in (v if isinstance(v, tuple) else (v,))]
@@ -233,6 +241,15 @@ class Scenario:
                 raise ScenarioError(message)
         if self.kind not in ("backlog", "delay"):
             raise ScenarioError("query.kind must be 'backlog' or 'delay'")
+        if self.delta == "limit":
+            # The exact factor needs a finite exponent theta * bits_per_nat
+            # at every theta the bounds may probe, the cap included.
+            bits_per_nat = ShadowingChannel(self.mean_snr_db, self.sigma_db, self.bandwidth_hz,
+                                            self.slot_seconds).bits_per_nat
+            if not math.isfinite(EXTEND_THETA_CAP * bits_per_nat):
+                raise ScenarioError(
+                    "channel.bandwidth_hz * channel.slot_seconds is too large for limit "
+                    f"mode: the exponent at theta = {EXTEND_THETA_CAP:g} overflows")
         if self.sweep_axis not in _AXIS_FIELDS:
             raise ScenarioError(f"sweep.axis must be one of {tuple(_AXIS_FIELDS)}")
         if self.sweep_axis != "epsilon" and not self.epsilons:
@@ -523,7 +540,9 @@ def main(argv=None) -> int:
     try:
         rows = run_scenario(scenario, capped)
         out.write((rows_to_csv if args.format == "csv" else rows_to_json)(rows, scenario))
-    except (ValueError, OSError) as exc:  # such as a grid step too fine for the table
+    # Such as a grid step too fine for the table (ValueError) or a delay
+    # past the search's 2^40 slots (RuntimeError).
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

@@ -6,11 +6,15 @@ which overestimates because the integrand is decreasing. Truncating the
 grid at any point keeps it an upper bound; extending the truncation or
 shrinking the step only tightens it. ``exact_inverse_moment`` computes the
 exact expectation of a log-normal SNR and serves as the delta -> 0
-reference: a trapezoid rule in the Gaussian variable, of fixed step 0.05
-over 12 either side of the log-integrand's peak, summed in the log
-domain. The integrand is analytic and log-concave, so the rule converges
-geometrically in the step; halving the step or widening the window moves
-its log by less than 1e-12 relative.
+reference: a trapezoid rule in the Gaussian variable on the fixed lattice
+of step 0.05, over the nodes within 12 of the one nearest the
+log-integrand's peak, summed in the log domain. The integrand is analytic
+and log-concave, so the rule converges geometrically in the step,
+whatever the offset of its nodes; halving the step, widening the window
+or centring it on the peak moves its log by less than 1e-12 relative.
+The node values z^2 / 2 and ln(1 + x) depend on the channel alone: they
+are placed once for the last channel asked for, over the union of its
+windows, so that a factor only combines two slices of them.
 
 Both discretized engines, the unmerged grid of ``inverse_moment_bound``
 and the block-merged ``StieltjesTable``, compute one staircase sum:
@@ -86,10 +90,15 @@ _TABLE_CHUNK = 1 << 15
 # stops once the mass past the prefix, charged at its cut, is at most this
 # share of the prefix sum: 2^-6 of half an ulp.
 _PREFIX_RTOL = 2.0**-60
-# The exact mode's trapezoid rule: nodes at this step in the Gaussian
-# variable, within this half-width of the log-integrand's peak.
+# The exact mode's trapezoid rule: nodes on the lattice of this step in the
+# Gaussian variable, within this half-width of the lattice node nearest the
+# log-integrand's peak. The shared node values of one channel span at most
+# _NODE_LATTICE_MAX nodes (512 kB for both arrays): the union of its
+# windows from the theta floor to the cap, at 500 MHz and 1 s slots, for
+# sigma >= 0.1 dB at gains up to 60 dB. A window farther out replaces them.
 _TRAPEZOID_STEP = 0.05
 _TRAPEZOID_HALF_WIDTH = 12.0
+_NODE_LATTICE_MAX = 1 << 15
 # Newton steps allowed to the log-integrand's peak; it takes at most six at
 # gains of -10 to 60 dB and 15 at thousands of dB.
 _PEAK_STEPS = 64
@@ -645,13 +654,68 @@ def _chunk_moments(edges: np.ndarray, mass: np.ndarray, local: np.ndarray,
         out[k] = np.add.reduceat(powers, local)
 
 
-def _trapezoid_nodes(step: float, half_width: float) -> tuple[np.ndarray, float]:
-    """(node offsets from the peak, ln of the node weight step / sqrt(2 pi))."""
-    k = round(half_width / step)
-    return step * np.arange(-k, k + 1.0), math.log(step / math.sqrt(2.0 * math.pi))
+def _node_values(ln_mean: float, ln_sigma: float, step: float, k0: int, k1: int
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """(z^2 / 2, ln(1 + x)) at the lattice nodes z = k step, k = k0..k1-1."""
+    z = np.arange(k0, k1, dtype=float) * step
+    return 0.5 * z * z, np.logaddexp(0.0, ln_mean + ln_sigma * z)
 
 
-_TRAPEZOID_NODES = _trapezoid_nodes(_TRAPEZOID_STEP, _TRAPEZOID_HALF_WIDTH)
+@dataclass(frozen=True)
+class _NodeLattice:
+    """The exact rule's node values for one key over k = k_lo..k_hi-1, read-only.
+
+    The key is (ln_mean, ln_sigma, step): the channel and the lattice step.
+    ``half_sq`` holds z^2 / 2 and ``log_gain`` ln(1 + x) at each node
+    z = k step, x being the SNR there. Each value depends on its k alone,
+    not on the range it was placed with.
+    """
+
+    key: tuple[float, float, float]
+    k_lo: int
+    k_hi: int
+    half_sq: np.ndarray
+    log_gain: np.ndarray
+
+    def holds(self, key: tuple[float, float, float], k0: int, k1: int) -> bool:
+        return self.key == key and self.k_lo <= k0 and k1 <= self.k_hi
+
+
+# The node values of the last channel and step the exact rule asked for,
+# over the union of the windows asked for since, up to _NODE_LATTICE_MAX
+# nodes. Swapped whole, as _lattice is, so a reader that takes it once sees
+# a key and arrays that belong together, and a window it holds needs no
+# lock; the lock makes concurrent callers wait for one extension instead
+# of each placing their own, and keeps one caller's extension from
+# dropping another's.
+_nodes: _NodeLattice | None = None
+_nodes_lock = threading.Lock()
+
+
+def _node_lattice(ln_mean: float, ln_sigma: float, step: float, k0: int, k1: int
+                  ) -> _NodeLattice:
+    """The shared node values, extended or replaced so that they hold k = k0..k1-1."""
+    global _nodes
+    key = (ln_mean, ln_sigma, step)
+    nodes = _nodes
+    if nodes is not None and nodes.holds(key, k0, k1):
+        return nodes
+    with _nodes_lock:
+        nodes = _nodes
+        if nodes is not None and nodes.holds(key, k0, k1):
+            return nodes
+        same = nodes is not None and nodes.key == key
+        lo, hi = (min(k0, nodes.k_lo), max(k1, nodes.k_hi)) if same else (k0, k1)
+        if same and hi - lo <= _NODE_LATTICE_MAX:
+            parts = (_node_values(*key, lo, nodes.k_lo), (nodes.half_sq, nodes.log_gain),
+                     _node_values(*key, nodes.k_hi, hi))
+            half_sq, log_gain = (np.concatenate(arrays) for arrays in zip(*parts))
+        else:
+            lo, hi = k0, k1
+            half_sq, log_gain = _node_values(*key, lo, hi)
+        half_sq.flags.writeable = log_gain.flags.writeable = False
+        nodes = _nodes = _NodeLattice(key, lo, hi, half_sq, log_gain)
+        return nodes
 
 
 def _log_integrand_peak(ln_mean: float, ln_sigma: float, theta: float) -> float:
@@ -695,30 +759,42 @@ def _log_integrand_peak(ln_mean: float, ln_sigma: float, theta: float) -> float:
 
 
 def _lognormal_log_exact(channel: ShadowingChannel, theta: float,
-                         nodes: tuple[np.ndarray, float] = _TRAPEZOID_NODES
-                         ) -> tuple[float, float]:
+                         step: float = _TRAPEZOID_STEP,
+                         half_width: float = _TRAPEZOID_HALF_WIDTH) -> tuple[float, float]:
     """ln E[(1+X)^(-theta)] of the log-normal SNR by a trapezoid rule in z, and its slope.
 
     Substitutes x = exp(ln10/10 * (mean_db + sigma_db z)) with z standard
     normal. The log-integrand f(z) = -z^2/2 - theta ln(1 + x) is concave
-    with curvature at most -1. The nodes lie at ``nodes``' offsets (by
-    default k * 0.05, k = -240..240) from a centre within 0.025 of the
-    peak of f (``_log_integrand_peak``), so past the last node the
-    integrand is below exp(-71) of its peak value. exp(f) is summed
+    with curvature at most -1. The nodes lie on the fixed lattice
+    z = k step (by default 0.05), the round(half_width / step) of them
+    either side of the node c nearest a z within 0.025 of the peak of f
+    (``_log_integrand_peak``): 481 nodes by default, reaching at least
+    11.95 past the peak, so past the last node the integrand is below
+    exp(-71) of its peak value. The rule is exponentially accurate in its
+    step whatever its nodes' offset, so the value and slope match a rule
+    centred on the peak within 1e-12 relative. z^2 / 2 and ln(1 + x) at
+    the nodes come from the shared lattice of the channel and step
+    (``_node_lattice``), so a call only combines them. exp(f) is summed
     relative to its largest term, so no exponent overflows or underflows
     whatever theta is. The slope, the derivative of the log in theta at
     fixed nodes, is minus the mean of ln(1 + x) under the same weights.
     """
     ln_mean = DB_TO_LN * channel.mean_snr_db
     ln_sigma = DB_TO_LN * channel.sigma_db
-    offsets, ln_weight = nodes
-    z = offsets + _log_integrand_peak(ln_mean, ln_sigma, theta)
-    log_gain = np.logaddexp(0.0, ln_mean + ln_sigma * z)
-    f = -0.5 * z * z - theta * log_gain
+    half = round(half_width / step)
+    centre = round(_log_integrand_peak(ln_mean, ln_sigma, theta) / step)
+    nodes = _node_lattice(ln_mean, ln_sigma, step, centre - half, centre + half + 1)
+    window = slice(centre - half - nodes.k_lo, centre + half + 1 - nodes.k_lo)
+    log_gain = nodes.log_gain[window]
+    # f = -theta ln(1 + x) - z^2 / 2, in one buffer reused for the weights.
+    f = log_gain * -theta
+    f -= nodes.half_sq[window]
     top = float(f.max())
-    weights = np.exp(f - top)
+    f -= top
+    weights = np.exp(f, out=f)
     total = float(weights.sum())
     weights *= log_gain
+    ln_weight = math.log(step / math.sqrt(2.0 * math.pi))
     return top + math.log(total) + ln_weight, -float(weights.sum()) / total
 
 

@@ -9,9 +9,10 @@ bound is that factor to the n-th power, carried in the log domain.
 
 The per-slot factor comes from one of two routes, each for every exponent:
 
-  * exact mode: the exact inverse moment, by a trapezoid rule of fixed
-    step 0.05 in the Gaussian variable over 12 either side of the
-    log-integrand's peak, summed in the log domain;
+  * exact mode: the exact inverse moment, by a trapezoid rule in the
+    Gaussian variable on the fixed lattice of step 0.05, over the nodes
+    within 12 of the one nearest the log-integrand's peak, summed in the
+    log domain from node values shared by every factor of the channel;
   * discretized mode: a mass-aggregated table of the discretized grid,
     built once per service and truncated where the tail mass falls below
     the configured tolerance. It is an upper bound, looser than the

@@ -540,6 +540,31 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("error: grid step 1e-12 is too fine") and err.count("\n") == 1
 
+    def test_delay_past_the_slot_cap_exit_code(self, tmp_path, capsys):
+        # A burst of 1e308 bits at 1 Gbps needs more than the delay
+        # search's 2^40 slots: one error line, not a traceback.
+        doc = base_doc(arrival={"rate_gbps": 1.0, "burst_bits": 1e308},
+                       discretization={"delta": "limit"},
+                       query={"kind": "delay", "epsilons": [0.01]})
+        assert main(["--scenario", self.write_scenario(tmp_path, doc)]) == 2
+        assert capsys.readouterr().err == (
+            "error: delay search exceeded 2^40 slots; epsilon unreachable\n")
+
+    @pytest.mark.parametrize("bandwidth_hz, slot_seconds", [(1e308, 1.0), (1e300, 1e10)])
+    def test_exponent_overflow_names_its_fields(self, tmp_path, capsys, bandwidth_hz,
+                                                slot_seconds):
+        # theta * bits_per_nat overflows at the theta cap of 100, which
+        # limit mode's exact factor rejects; the error names the fields.
+        doc = base_doc(discretization={"delta": "limit"})
+        doc["channel"].update(bandwidth_hz=bandwidth_hz, slot_seconds=slot_seconds)
+        assert main(["--scenario", self.write_scenario(tmp_path, doc)]) == 2
+        assert capsys.readouterr().err == (
+            "error: channel.bandwidth_hz * channel.slot_seconds is too large for limit mode: "
+            "the exponent at theta = 100 overflows\n")
+        doc["channel"].update(bandwidth_hz=1e306, slot_seconds=1.0)
+        out = tmp_path / "rows.csv"
+        assert main(["--scenario", self.write_scenario(tmp_path, doc), "--out", str(out)]) == 0
+
     def test_unstable_exit_code(self, tmp_path, capsys):
         doc = base_doc()
         doc["channel"]["sigma_db"] = 0.0

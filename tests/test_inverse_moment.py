@@ -27,7 +27,6 @@ from linkbound.inverse_moment import (
     _lognormal_log_exact,
     _pairwise_prefixes,
     _staircase_sum,
-    _trapezoid_nodes,
     truncation_point,
 )
 
@@ -259,18 +258,137 @@ class TestExactInverseMoment:
     def test_step_and_window_are_certified(self):
         # Halving the step or widening the window by 4 moves nothing that
         # the rule reports, from the smallest exponents to the theta cap.
+        # Both variants run the lattice rule, and each moves some value by
+        # rounding at least, so neither is a call of the default rule.
         step = inverse_moment._TRAPEZOID_STEP
         half_width = inverse_moment._TRAPEZOID_HALF_WIDTH
-        variants = (_trapezoid_nodes(step / 2, half_width),
-                    _trapezoid_nodes(step, half_width + 4.0))
+        variants = ((step / 2, half_width), (step, half_width + 4.0))
+        moved_any = [False, False]
         for mean_db in (5.0, 12.0, 25.0, 40.0):
             for sigma_db in (0.5, 2.0, 4.0, 8.0):
                 chan = lb.ShadowingChannel(mean_db, sigma_db, 500e6, 1.0)
                 for exponent in np.geomspace(1e-3, 1e11, 40):
                     base = _lognormal_log_exact(chan, exponent)[0]
-                    for nodes in variants:
-                        moved = _lognormal_log_exact(chan, exponent, nodes)[0] - base
+                    for i, variant in enumerate(variants):
+                        moved = _lognormal_log_exact(chan, exponent, *variant)[0] - base
                         assert abs(moved) <= 1e-12 * abs(base), (mean_db, sigma_db, exponent)
+                        moved_any[i] |= moved != 0.0
+        assert moved_any == [True, True]
+
+    def test_lattice_matches_peak_centred_rule(self):
+        # Nodes on the fixed lattice k * 0.05 instead of at offsets from the
+        # peak: the trapezoid rule hardly depends on where its nodes sit.
+        for mean_db in (5.0, 12.0, 25.0, 40.0):
+            for sigma_db in (0.5, 1.0, 2.0, 4.0, 8.0):
+                chan = lb.ShadowingChannel(mean_db, sigma_db, 500e6, 1.0)
+                for exponent in np.geomspace(1e-3, 1e11, 40):
+                    log_value, slope = _lognormal_log_exact(chan, exponent)
+                    ref_value, ref_slope = peak_centred_log_exact(chan, exponent)
+                    where = (mean_db, sigma_db, exponent)
+                    assert abs(log_value - ref_value) <= 1e-12 * abs(ref_value), where
+                    assert slope == pytest.approx(ref_slope, rel=1e-12), where
+
+
+def peak_centred_log_exact(channel, theta, step=0.05, half_width=12.0):
+    """The exact rule with its nodes at k * step, k = -240..240, from the estimated peak."""
+    ln_mean = DB_TO_LN * channel.mean_snr_db
+    ln_sigma = DB_TO_LN * channel.sigma_db
+    k = round(half_width / step)
+    z = step * np.arange(-k, k + 1.0) + _log_integrand_peak(ln_mean, ln_sigma, theta)
+    log_gain = np.logaddexp(0.0, ln_mean + ln_sigma * z)
+    f = -0.5 * z * z - theta * log_gain
+    top = float(f.max())
+    weights = np.exp(f - top)
+    total = float(weights.sum())
+    weights *= log_gain
+    ln_weight = math.log(step / math.sqrt(2.0 * math.pi))
+    return top + math.log(total) + ln_weight, -float(weights.sum()) / total
+
+
+class TestNodeLattice:
+    """An exact factor depends on (channel, theta) alone, whatever the shared node values hold."""
+
+    CHANNEL = lb.ShadowingChannel(25.0, 0.5, 500e6, 1.0)
+    # Each differs from CHANNEL in one of the two parameters of the nodes.
+    OTHERS = (lb.ShadowingChannel(25.0, 6.0, 500e6, 1.0),
+              lb.ShadowingChannel(20.0, 0.5, 500e6, 1.0))
+    # The stability search's floor and cap at 1 s slots and 500 MHz, and
+    # the exponents between.
+    EXPONENTS = [1e-14 * CHANNEL.bits_per_nat, 0.5, 5.0, 143.0, 1600.0, 7.2e5,
+                 1e2 * CHANNEL.bits_per_nat]
+
+    @pytest.fixture(autouse=True)
+    def cleared_nodes(self, monkeypatch):
+        monkeypatch.setattr(inverse_moment, "_nodes", None)
+
+    def cold(self, monkeypatch, channel, exponent):
+        monkeypatch.setattr(inverse_moment, "_nodes", None)
+        return lb.exact_inverse_moment(channel, exponent, with_slope=True)
+
+    @pytest.mark.parametrize("other", OTHERS, ids=["sigma", "mean"])
+    def test_cold_warm_and_after_another_channel(self, monkeypatch, other):
+        reference = {t: self.cold(monkeypatch, self.CHANNEL, t) for t in self.EXPONENTS}
+        others = {t: self.cold(monkeypatch, other, t) for t in self.EXPONENTS}
+        monkeypatch.setattr(inverse_moment, "_nodes", None)
+        for t in self.EXPONENTS + self.EXPONENTS[::-1]:
+            assert lb.exact_inverse_moment(self.CHANNEL, t, with_slope=True) == reference[t], t
+        for t in self.EXPONENTS:
+            assert lb.exact_inverse_moment(other, t, with_slope=True) == others[t], t
+            assert lb.exact_inverse_moment(self.CHANNEL, t, with_slope=True) == reference[t], t
+
+    def test_after_a_cap_probe_extends_the_range(self, monkeypatch):
+        cap = self.EXPONENTS[-1]
+        reference = {t: self.cold(monkeypatch, self.CHANNEL, t) for t in self.EXPONENTS}
+        monkeypatch.setattr(inverse_moment, "_nodes", None)
+        lb.exact_inverse_moment(self.CHANNEL, self.EXPONENTS[0])
+        before = inverse_moment._nodes
+        assert (before.k_lo, before.k_hi) == (-240, 241)
+        lb.exact_inverse_moment(self.CHANNEL, cap)
+        after = inverse_moment._nodes
+        # The cap's window lies near z = -202, and the range now spans it,
+        # the floor's window and, as the peak falls with theta, every
+        # window between.
+        assert after.k_lo < -4000 and after.k_hi == before.k_hi
+        assert not after.log_gain.flags.writeable
+        for t in self.EXPONENTS:
+            assert lb.exact_inverse_moment(self.CHANNEL, t, with_slope=True) == reference[t], t
+        assert inverse_moment._nodes is after
+
+    def test_far_window_replaces_the_range(self, monkeypatch):
+        # At sigma = 0.01 dB the cap's peak lies near z = -8000: the union
+        # with a window near 0 would pass the size cap, so the far window
+        # replaces the range instead, and the values are those of a cold call.
+        chan = lb.ShadowingChannel(25.0, 0.01, 500e6, 1.0)
+        cap = 1e2 * chan.bits_per_nat
+        reference = {t: self.cold(monkeypatch, chan, t) for t in (0.5, cap)}
+        lb.exact_inverse_moment(chan, 0.5)
+        assert lb.exact_inverse_moment(chan, cap, with_slope=True) == reference[cap]
+        nodes = inverse_moment._nodes
+        assert nodes.k_hi - nodes.k_lo == 481
+        assert lb.exact_inverse_moment(chan, 0.5, with_slope=True) == reference[0.5]
+
+    def test_concurrent_threads(self, monkeypatch):
+        # Four threads, two per channel, each walking the exponents up or
+        # down, so that the snapshot is swapped and extended under them.
+        per_channel = {chan: [(chan, t) for t in self.EXPONENTS]
+                       for chan in (self.CHANNEL, self.OTHERS[0])}
+        reference = {job: self.cold(monkeypatch, *job)
+                     for jobs in per_channel.values() for job in jobs}
+        picks = [jobs[::step] for jobs in per_channel.values() for step in (1, -1)] * 3
+        monkeypatch.setattr(inverse_moment, "_nodes", None)
+
+        def factors(jobs):
+            return [lb.exact_inverse_moment(*job, with_slope=True) for job in jobs]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(factors, jobs) for jobs in picks]
+                results = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [[reference[job] for job in jobs] for jobs in picks]
 
 
 @pytest.mark.parametrize("theta", [math.nan, math.inf])
