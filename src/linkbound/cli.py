@@ -227,9 +227,9 @@ class Scenario:
         field must meet its range rule. A sweep grid value replaces one
         field, so it is checked against that field's rule alone (an
         epsilon against 0 < epsilon < 1), and its error reads
-        ``sweep.grid value {value}: {rule's message}``. In limit mode the
-        bandwidth times the slot must keep the exact factor's exponent
-        finite at the bounds' theta cap.
+        ``sweep.grid value {value}: {rule's message}``. The bandwidth
+        times the slot must keep the per-slot factor's exponent finite at
+        the bounds' theta cap, in either mode.
         """
         values = [getattr(self, f.attr) for f in _FIELDS]
         flat = [x for v in values for x in (v if isinstance(v, tuple) else (v,))]
@@ -241,15 +241,14 @@ class Scenario:
                 raise ScenarioError(message)
         if self.kind not in ("backlog", "delay"):
             raise ScenarioError("query.kind must be 'backlog' or 'delay'")
-        if self.delta == "limit":
-            # The exact factor needs a finite exponent theta * bits_per_nat
-            # at every theta the bounds may probe, the cap included.
-            bits_per_nat = ShadowingChannel(self.mean_snr_db, self.sigma_db, self.bandwidth_hz,
-                                            self.slot_seconds).bits_per_nat
-            if not math.isfinite(EXTEND_THETA_CAP * bits_per_nat):
-                raise ScenarioError(
-                    "channel.bandwidth_hz * channel.slot_seconds is too large for limit "
-                    f"mode: the exponent at theta = {EXTEND_THETA_CAP:g} overflows")
+        # Either route's factor needs a finite exponent theta * bits_per_nat
+        # at every theta the bounds may probe, the cap included.
+        bits_per_nat = ShadowingChannel(self.mean_snr_db, self.sigma_db, self.bandwidth_hz,
+                                        self.slot_seconds).bits_per_nat
+        if not math.isfinite(EXTEND_THETA_CAP * bits_per_nat):
+            raise ScenarioError(
+                "channel.bandwidth_hz * channel.slot_seconds is too large: "
+                f"the exponent at theta = {EXTEND_THETA_CAP:g} overflows")
         if self.sweep_axis not in _AXIS_FIELDS:
             raise ScenarioError(f"sweep.axis must be one of {tuple(_AXIS_FIELDS)}")
         if self.sweep_axis != "epsilon" and not self.epsilons:

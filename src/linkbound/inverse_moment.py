@@ -23,15 +23,17 @@ times (1+x_cut)^(-theta). Masses are differences of the CDF at cell right
 edges, so no term cancels, whatever the exponent. The grid streams in
 fixed-size chunks so that fine steps never materialize the whole grid.
 The table's block lattice, the first cell x = m delta of each block, is a
-function of the step and the block width alone: it is placed once per
-(step, width) in the process, x beside its log1p, and every table takes a
-prefix of it, so a sweep places it once and a single table in a fresh
-process gains nothing. A table's own work is one pass over chunks of
-about 2^15 blocks, whole segments each: the CDF at the chunk's right
-edges, the block masses it closes and the chunk's segment moments, so no
-temporary of the build outgrows a chunk. The table sums exponents up to
-64 as a short power series about the left edge of each of a few hundred
-segments, with moments stored at build time. A larger exponent takes an
+function of the step and the block width alone: it is kept for the last
+(step, width) in the process, x beside its log1p, placed whole for the
+most cells any table of that pair has asked for, and every table takes a
+prefix of it. A table that needs more cells drops it and places a larger
+one from cell 0, so a sweep places it once per growth and a single table
+in a fresh process gains nothing. A table's own work is one pass over
+chunks of about 2^15 blocks, whole segments each: the CDF at the chunk's
+right edges, the block masses it closes and the chunk's segment moments,
+so no temporary of the build outgrows a chunk. The table sums exponents
+up to 64 as a short power series about the left edge of each of a few
+hundred segments, with moments stored at build time. A larger exponent takes an
 exp pass over the shortest prefix of the blocks past which the rest of
 the mass, charged at the prefix's cut, can no longer move the sum. Both
 equal the staircase to rounding, and truncating the series or charging
@@ -83,8 +85,8 @@ _NUDGE_PASSES = 128
 # l - L are exact floats.
 _SERIES_TERMS = 18
 _SEGMENT_WIDTH = 1.0 / 64.0
-# Cells or lattice ids per chunk of the lattice placement, and blocks per
-# chunk of a table build, rounded to whole segments: 256 kB per float array.
+# Lattice ids per chunk of the lattice placement, and blocks per chunk of a
+# table build, rounded to whole segments: 256 kB per float array.
 _TABLE_CHUNK = 1 << 15
 # Above the series, an exponent sums a growing prefix of the blocks and
 # stops once the mass past the prefix, charged at its cut, is at most this
@@ -323,38 +325,22 @@ def _block_id(m, delta: float, width: float):
     return np.floor(np.log1p(m * delta) / width)
 
 
-def _block_starts(delta: float, n_terms: int, width: float, first: int = 0,
-                  last_id: float = -1.0):
+def _block_starts(delta: float, n_terms: int, width: float):
     """Yield (x, log1p(x)) for the left edge x = m delta of every block, in chunks.
 
     Cell m, [m delta, (m+1) delta], belongs to block _block_id(m), and a
-    block starts at its first cell. The first ceil(1 / width) cells, which
-    at the usual steps span a lattice step or more each, are assigned ids
-    one by one; above them the first cell of lattice id j is guessed as
-    ceil(expm1(j width) / delta) and nudged a cell per pass until it is the
-    smallest m whose float id is at least j. Either way a chunk covers at
-    most _TABLE_CHUNK cells or ids, and each start lands where a build of
-    all of them at once puts it. Starts increase strictly, across chunks
-    too.
-
-    Only the starts at cells ``first`` and above are yielded, given the id
-    ``last_id`` of cell first - 1: a cell starts a block when its id
-    exceeds that of the cell before, so these starts do not depend on the
-    cells below ``first``.
+    block starts at its first cell: cell 0, then, for each lattice id j >= 1
+    up to that of cell n_terms - 1, the smallest m whose float id is at
+    least j. That cell is guessed as ceil(expm1(j width) / delta) and
+    nudged a cell per pass until it is that smallest m, which is never
+    cell 0, so the cell below it is never -1. An id that no cell holds
+    finds the start of the next id and is dropped. A chunk covers at most
+    _TABLE_CHUNK ids. Starts increase strictly, across chunks too.
     """
-    n_dense = min(n_terms, math.ceil(1.0 / width))
-    for m0 in range(first, n_dense, _TABLE_CHUNK):
-        x = np.arange(m0, min(m0 + _TABLE_CHUNK, n_dense), dtype=float) * delta
-        log_x = np.log1p(x)
-        ids = np.floor(log_x / width)
-        new = np.diff(ids, prepend=last_id) != 0
-        last_id = float(ids[-1])
-        yield x[new], log_x[new]
+    yield np.zeros(1), np.zeros(1)
     top = float(_block_id(float(n_terms - 1), delta, width))
-    if n_dense == n_terms or top <= last_id:
-        return
-    last_m = -1.0
-    for j0 in np.arange(last_id + 1.0, top + 1.0, _TABLE_CHUNK).tolist():
+    last_m = 0.0
+    for j0 in np.arange(1.0, top + 1.0, _TABLE_CHUNK).tolist():
         j = j0 + np.arange(min(_TABLE_CHUNK, top + 1.0 - j0))
         m = np.minimum(np.ceil(np.expm1(j * width) / delta), n_terms - 1.0)
         x = m * delta
@@ -400,13 +386,8 @@ class _Lattice:
         return int(np.searchsorted(self.x, (n_terms - 1.0) * self.delta, side="right"))
 
 
-def _place_lattice(delta: float, n_terms: int, width: float,
-                   base: _Lattice | None = None) -> _Lattice:
-    """Place the block starts of the first ``n_terms`` cells into one read-only lattice.
-
-    ``base``, a lattice of the same (delta, width) and fewer cells, is
-    extended: its starts are copied and only the cells above it placed.
-    """
+def _place_lattice(delta: float, n_terms: int, width: float) -> _Lattice:
+    """Place the block starts of the first ``n_terms`` cells into one read-only lattice, whole."""
     # Each of the first ceil(1 / width) cells starts at most one block, and
     # so does each lattice id above the last of theirs.
     n_dense = min(n_terms, math.ceil(1.0 / width))
@@ -414,13 +395,8 @@ def _place_lattice(delta: float, n_terms: int, width: float,
     top = float(_block_id(float(n_terms - 1), delta, width))
     capacity = int(min(n_dense, dense_top + 1.0) + max(top - dense_top, 0.0))
     x, log_edges = np.empty(capacity), np.empty(capacity)
-    first, last_id, n = 0, -1.0, 0
-    if base is not None:
-        # The cells from base's last start up to its end share that start's id.
-        first, n = base.n_terms, base.x.size
-        last_id = float(np.floor(base.log_edges[-1] / width))
-        x[:n], log_edges[:n] = base.x, base.log_edges
-    for x_new, log_new in _block_starts(delta, n_terms, width, first, last_id):
+    n = 0
+    for x_new, log_new in _block_starts(delta, n_terms, width):
         x[n:n + x_new.size], log_edges[n:n + x_new.size] = x_new, log_new
         n += x_new.size
     x, log_edges = x[:n], log_edges[:n]
@@ -428,7 +404,7 @@ def _place_lattice(delta: float, n_terms: int, width: float,
     return _Lattice(delta, width, n_terms, log_edges, x)
 
 
-# The lattice of the last (delta, width) a table asked for, extended to the
+# The lattice of the last (delta, width) a table asked for, placed for the
 # most cells any table of that pair has asked for. It is swapped whole, so a
 # reader that takes it once sees a key and arrays that belong together. The
 # lock makes concurrent tables, the points of a sweep, wait for one
@@ -438,14 +414,16 @@ _lattice_lock = threading.Lock()
 
 
 def _shared_lattice(delta: float, n_terms: int, width: float) -> _Lattice:
-    """The shared lattice of (delta, width), extended if it holds fewer than ``n_terms`` cells."""
+    """The shared lattice of (delta, width), placed anew if it has fewer than ``n_terms`` cells."""
     global _lattice
     with _lattice_lock:
         lattice = _lattice
-        same = lattice is not None and lattice.delta == delta and lattice.width == width
-        if not same or lattice.n_terms < n_terms:
-            lattice = _lattice = _place_lattice(delta, n_terms, width,
-                                                lattice if same else None)
+        if (lattice is None or lattice.delta != delta or lattice.width != width
+                or lattice.n_terms < n_terms):
+            # The old lattice is dropped before the new one is placed, so
+            # that, with no table holding it, the two never coexist.
+            lattice = _lattice = None
+            lattice = _lattice = _place_lattice(delta, n_terms, width)
         return lattice
 
 
@@ -460,18 +438,17 @@ class StieltjesTable:
     a factor exp(theta * block_log_width) - 1.
 
     The first grid cell of each block, the block lattice, depends on delta
-    and block_log_width alone, not on the CDF. It is placed once per
-    (delta, block_log_width) in the process, in chunks of _TABLE_CHUNK
-    (2^15) cells or lattice ids, and shared: the first table of a pair
-    places it, a table of more cells extends it, placing only the cells
-    above it, and every table takes the prefix of the starts with
-    x <= (n_terms - 1) delta. The lattice keeps each start x = m delta
-    beside its log edge; ``log_edges`` is a read-only view of the prefix,
-    so a sweep places the lattice once and keeps its log edges once; a
-    single table in a fresh process gains nothing. The number of blocks is
-    at most 1 + log1p(delta * n_terms) / block_log_width, whatever the
-    step, and the placement handles at most 1 / block_log_width more ids
-    than that. More than 2^53 cells raise ValueError.
+    and block_log_width alone, not on the CDF. It is placed whole, in
+    chunks of _TABLE_CHUNK (2^15) lattice ids, and shared: the first table
+    of a (delta, block_log_width) pair places it, a table of more cells
+    drops it and places a larger one, and every table takes the prefix of
+    the starts with x <= (n_terms - 1) delta. The lattice keeps each start
+    x = m delta beside its log edge; ``log_edges`` is a read-only view of
+    the prefix, so the tables of one lattice share its log edges; a single
+    table in a fresh process gains nothing. The number of blocks, and of the ids the
+    placement handles, is at most 1 + log1p(delta * n_terms) /
+    block_log_width, whatever the step. More than 2^53 cells raise
+    ValueError.
 
     The build groups the blocks into segments of width 1/64 in log1p(x)
     and makes one pass over chunks of whole segments, each starting at the

@@ -18,9 +18,10 @@ The per-slot factor comes from one of two routes, each for every exponent:
     the configured tolerance. It is an upper bound, looser than the
     unmerged grid by a factor of at most exp(t * _BLOCK_LOG_WIDTH). Its
     block lattice is a function of the step and _BLOCK_LOG_WIDTH alone,
-    placed once per process and sliced by every service's table, so the
-    points of a sweep share one placement; a single point in a fresh
-    process places it as before.
+    kept, one per process, and sliced by every service's table, so the
+    points of a sweep share it; a table of more cells places a larger
+    one whole in its place, and a single point in a fresh process places
+    it as before.
 
 Both return an upper bound on the exact per-slot factor, which is the
 property all downstream guarantees rest on. Both are Laplace transforms of

@@ -553,17 +553,20 @@ class TestMain:
     @pytest.mark.parametrize("bandwidth_hz, slot_seconds", [(1e308, 1.0), (1e300, 1e10)])
     def test_exponent_overflow_names_its_fields(self, tmp_path, capsys, bandwidth_hz,
                                                 slot_seconds):
-        # theta * bits_per_nat overflows at the theta cap of 100, which
-        # limit mode's exact factor rejects; the error names the fields.
-        doc = base_doc(discretization={"delta": "limit"})
-        doc["channel"].update(bandwidth_hz=bandwidth_hz, slot_seconds=slot_seconds)
-        assert main(["--scenario", self.write_scenario(tmp_path, doc)]) == 2
-        assert capsys.readouterr().err == (
-            "error: channel.bandwidth_hz * channel.slot_seconds is too large for limit mode: "
-            "the exponent at theta = 100 overflows\n")
-        doc["channel"].update(bandwidth_hz=1e306, slot_seconds=1.0)
-        out = tmp_path / "rows.csv"
-        assert main(["--scenario", self.write_scenario(tmp_path, doc), "--out", str(out)]) == 0
+        # theta * bits_per_nat overflows at the theta cap of 100, where
+        # neither mode's factor is defined (the table's sum would pass
+        # through a NaN); the error names the fields.
+        for delta in ("limit", 0.01):
+            doc = base_doc(discretization={"delta": delta})
+            doc["channel"].update(bandwidth_hz=bandwidth_hz, slot_seconds=slot_seconds)
+            assert main(["--scenario", self.write_scenario(tmp_path, doc)]) == 2
+            assert capsys.readouterr().err == (
+                "error: channel.bandwidth_hz * channel.slot_seconds is too large: "
+                "the exponent at theta = 100 overflows\n"), delta
+            doc["channel"].update(bandwidth_hz=1e306, slot_seconds=1.0)
+            out = tmp_path / "rows.csv"
+            assert main(["--scenario", self.write_scenario(tmp_path, doc), "--out", str(out)]) == 0
+            assert capsys.readouterr().err == ""
 
     def test_unstable_exit_code(self, tmp_path, capsys):
         doc = base_doc()

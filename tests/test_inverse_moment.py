@@ -887,7 +887,7 @@ class TestSharedLattice:
 
     @pytest.mark.parametrize("channel, steps, width, ns", _lattice_cases())
     def test_prefix_matches_a_cleared_lattice(self, monkeypatch, channel, steps, width, ns):
-        # Ascending counts extend the lattice table by table; after the
+        # Ascending counts grow the lattice table by table; after the
         # 2^53-cell table the descending order slices every smaller table's
         # x and log edges from the largest lattice.
         cdf = lognormal_cdf(channel)
@@ -924,19 +924,47 @@ class TestSharedLattice:
         assert lattice.prefix(n_terms) == placed.size
 
     @pytest.mark.parametrize("delta, n_base, n_terms", [
-        (1e-2, 49_999, 50_001),  # across the last cell assigned one by one
+        (1e-2, 49_999, 50_001),  # across cell ceil(1 / width), where the capacity changes form
         (1e-2, 100_000, 2**40),
         (1e-11, 2**40, 2**53),
+        # Cells wider than many lattice steps, where cell 1 is the start
+        # of id 1 and most ids hold no cell.
+        (1.0, 1, 2),
+        (1.0, 2, 50_001),
+        (2.0, 1, 2),
+        (2.0, 2, 50_001),
     ])
-    def test_extension_keeps_the_base(self, delta, n_base, n_terms):
+    def test_smaller_lattice_is_a_prefix(self, delta, n_base, n_terms):
+        # A table of fewer cells slices the larger lattice, so the starts of
+        # its own placement must be exactly the larger one's first starts.
         base = inverse_moment._place_lattice(delta, n_base, 2e-5)
-        grown = inverse_moment._place_lattice(delta, n_terms, 2e-5, base)
-        fresh = inverse_moment._place_lattice(delta, n_terms, 2e-5)
-        kept = base.x.size
+        grown = inverse_moment._place_lattice(delta, n_terms, 2e-5)
+        kept = grown.prefix(n_base)
+        assert kept == base.x.size
         assert np.array_equal(grown.x[:kept], base.x)
         assert np.array_equal(grown.log_edges[:kept], base.log_edges)
-        assert np.array_equal(grown.x, fresh.x)
-        assert np.array_equal(grown.log_edges, fresh.log_edges)
+        if n_terms <= 50_001:
+            # A block starts at each cell whose id exceeds the last cell's.
+            x = np.arange(n_terms, dtype=float) * delta
+            ids = np.floor(np.log1p(x) / 2e-5)
+            assert np.array_equal(grown.x, x[np.diff(ids, prepend=-1.0) != 0])
+
+    def test_growth_releases_the_old_lattice_first(self, monkeypatch):
+        # With no table alive only the shared slot holds the lattice, so a
+        # growth places the larger one with the smaller one already freed.
+        inverse_moment._shared_lattice(1e-2, 1_000_000, 2e-5)
+        old = weakref.ref(inverse_moment._lattice)
+        place = inverse_moment._place_lattice
+        placed = []
+
+        def place_after_release(*args):
+            assert old() is None
+            placed.append(args)
+            return place(*args)
+
+        monkeypatch.setattr(inverse_moment, "_place_lattice", place_after_release)
+        assert inverse_moment._shared_lattice(1e-2, 15_000_000, 2e-5).n_terms == 15_000_000
+        assert placed == [(1e-2, 15_000_000, 2e-5)]
 
     def test_second_table_allocates_no_log_edges(self, operating_channel):
         # At 25/8 dB the log edges take 2.3 MB; a table at the same step and
