@@ -6,7 +6,8 @@ mean-shifted importance sampling of the Loynes walk; each replication
 stops at its first passage over every level, a few tens of slots in. It
 reads the first 112 slots of each group of 1024 replications from one
 group stream, slot after slot, and only a replication still open after
-them draws on from its own stream, described below (see its docstring).
+them draws on from its own stream, described below, in rounds of up to
+256 slots (see its docstring).
 ``run_experiment`` is the plain reference: the transient backlog and
 delay after a fixed horizon from an empty buffer, described below, with
 every slot drawn from the replication's own stream.
@@ -78,13 +79,18 @@ _BLOCK_CELLS = 1 << 18
 _SEED_CHUNK = 1024
 # Slots that stationary_tails draws per row in its first round; each round
 # doubles the last, up to the widest, which repeats up to DELAY_SEARCH_CAP.
+# A row's own stream costs about 20 ns a normal and 1.4 us a draw call, so a
+# round past the group prefix is cut at 256 slots: wider rounds draw more
+# normals past the rows' passages than the calls they save.
 _TAIL_FIRST_ROUND = 16
-_TAIL_LAST_ROUND = 1024
-# Slots that one batch of a stationary_tails round holds (128 KiB of
+_TAIL_LAST_ROUND = 256
+# Slots that one batch of a stationary_tails round holds (256 KiB of
 # float64), or one row of the widest round if that is more: a round's rows
-# are taken in batches that fit. A group stream draws _ROUND_CELLS //
-# _TAIL_GROUP slots at a time, at least one.
-_ROUND_CELLS = 1 << 14
+# are taken in batches that fit, each paying a fixed bookkeeping cost per
+# point. In the prefix a group stream draws half as many slots at a time,
+# _ROUND_CELLS // (2 * _TAIL_GROUP), at least one, and its batches hold one
+# such piece.
+_ROUND_CELLS = 1 << 15
 # Replications whose stationary_tails weights are summed together, and
 # whose first _TAIL_PREFIX slots come from one group stream: the first
 # three rounds, 16 + 32 + 64.
@@ -163,15 +169,17 @@ def _generator(words: np.ndarray) -> np.random.Generator:
 
 
 class _SeedWords(ISeedSequence):
-    """The four precomputed uint64 words that seed one PCG64."""
+    """The four precomputed uint64 words that seed one PCG64, handed over
+    once: the seeded generator holds no copy of them."""
 
     def __init__(self, words: np.ndarray) -> None:
         self.words = words
 
     def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
-            raise ValueError("holds the four uint64 words of a PCG64 seed only")
-        return self.words
+        if n_words != 4 or np.dtype(dtype) != np.uint64 or self.words is None:
+            raise ValueError("holds the four uint64 words of one PCG64 seed only, once")
+        words, self.words = self.words, None
+        return words
 
 
 # The constants of numpy's SeedSequence hash (numpy/random/bit_generator.pyx).
@@ -460,6 +468,7 @@ class _TailPoint:
     the shifted normal z0 + shift."""
 
     levels: np.ndarray  # distinct, in bits (backlog) or whole slots (delay)
+    finite: int  # how many levels are finite, the ones a row can pass
     thresholds: np.ndarray  # each level's threshold on W, in nats
     rate: float  # r / bits_per_nat
     slope: float  # ln_sigma
@@ -482,14 +491,16 @@ def _tail_point(env: AffineEnvelope, channel: ShadowingChannel, kind: str,
         edge = region.theta_upper
     if channel.sigma_db == 0.0 or env.rate_bits_per_slot == 0.0:
         return None
+    if not math.isfinite(edge):
+        raise ValueError(f"edges must be finite where the walk is random, got {edge!r}")
     ln_mean = DB_TO_LN * channel.mean_snr_db
     ln_sigma = DB_TO_LN * channel.sigma_db
     shift = -_log_integrand_peak(ln_mean, ln_sigma, edge * channel.bits_per_nat)
     rate = env.rate_bits_per_slot / channel.bits_per_nat
     levels = np.unique(levels)
     thresholds = levels * rate if kind == "delay" else levels / channel.bits_per_nat
-    return _TailPoint(levels, thresholds, rate, ln_sigma, ln_mean - ln_sigma * shift, shift,
-                      0.5 * shift * shift)
+    return _TailPoint(levels, int(np.isfinite(levels).sum()), thresholds, rate, ln_sigma,
+                      ln_mean - ln_sigma * shift, shift, 0.5 * shift * shift)
 
 
 def stationary_tails(points, kind: str, levels, replications: int, master_seed: int,
@@ -500,6 +511,9 @@ def stationary_tails(points, kind: str, levels, replications: int, master_seed: 
     given, holds each point's exact-mode stability edge theta*, the
     theta_upper of stability_region under the exact-mode service; the
     points are then taken as stable and their edges are not searched again.
+    Each edge must be positive, and finite where the walk is random: an
+    infinite one, a zero-rate flow's, is taken only at a point that never
+    queues. Any other raises ValueError before anything is drawn.
 
     The tails. With constant arrivals r per slot and i.i.d. service s_i,
     Loynes' construction gives the stationary backlog as B = sup_{m>=0}
@@ -548,13 +562,19 @@ def stationary_tails(points, kind: str, levels, replications: int, master_seed: 
     closed rows and of a short last group included, and stops at the
     first piece of slots in which none of its rows is open. Slot m > 112 is
     draw m - 113 of replication_rng(master_seed, i), the stream that
-    run_experiment reads, made only when the row first needs it. So a
-    row's normals depend on (master_seed, i, m) alone. Rows draw in rounds
-    of 16, 32, ... slots, at most 1024, until every level of every point is
-    passed or the cap is reached, a group's stream in pieces of
-    _ROUND_CELLS // 1024 slots; each point turns the same normals into its
-    own walk. A round's rows are taken in batches of at most _ROUND_CELLS
-    slots. Nothing done to a row depends on the rows beside it, and a
+    run_experiment reads, made only when the row first needs it and
+    dropped once the row has passed every level. So a row's normals
+    depend on (master_seed, i, m) alone. Rows draw in rounds of 16, 32,
+    ... slots, at most 256, until every level of every point is passed or
+    the cap is reached, a group's stream in pieces of _ROUND_CELLS // 2048
+    slots; each point turns the same normals into its own walk. A round's
+    rows are taken in batches of at most _ROUND_CELLS slots, one piece in
+    the prefix. The levels of a point are sorted, so a row passes them in
+    order, and a count per row tells which it has passed. A row's walk and
+    its sum of normals are sequential prefix sums, each round's added to
+    the last round's end, so they carry the same bits however the rounds
+    are cut and whether a batch is laid out by row or, as in the prefix,
+    by slot. Nothing done to a row depends on the rows beside it, and a
     group's weights are summed per level and the group sums added in index
     order, so no result depends on the batches, the rounds, the other
     points or the replication count beyond the group: each point's
@@ -577,6 +597,9 @@ def stationary_tails(points, kind: str, levels, replications: int, master_seed: 
     edges = [None] * len(points) if edges is None else list(edges)
     if len(edges) != len(points):
         raise ValueError("edges must hold one value per point")
+    for edge in edges:
+        if edge is not None and not edge > 0.0:
+            raise ValueError(f"edges must be positive, got {edge!r}")
     if any(not np.all(lv >= 0.0) for lv in levels):
         raise ValueError("levels must be non-negative")
     if kind == "delay":
@@ -646,81 +669,136 @@ def _tail_group(specs, master_seed: int, start: int,
     normal_sums = np.zeros(n)  # each row's z0_1 + ... + z0_m
     walk_ends = [np.zeros(n) for _ in specs]  # each point's W_m of each row
     weights = [np.zeros((spec.levels.size, n)) for spec in specs]
-    # Open (level, row) pairs: not yet passed. An infinite level never is.
-    open_pairs = [np.repeat(np.isfinite(spec.levels)[:, None], n, axis=1) for spec in specs]
-    # A batch's normals, a batch's walk, and a piece of the group stream.
-    z_buf, walk_buf = (np.empty(max(_ROUND_CELLS, _TAIL_LAST_ROUND + 1)) for _ in range(2))
-    piece = np.empty((max(1, _ROUND_CELLS // _TAIL_GROUP), _TAIL_GROUP))
-    group_rng = own = None
+    # Levels each row has passed at each point. The levels are sorted, so a
+    # row passes them in order: row i is open at level j iff passed[i] <= j.
+    # An infinite level is never passed, so a row with every finite level
+    # passed is closed there.
+    passed = [np.zeros(n, dtype=np.intp) for _ in specs]
+    # A piece of the group stream: half a batch's slots, of all its rows.
+    piece = np.empty((max(1, _ROUND_CELLS // (2 * _TAIL_GROUP)), _TAIL_GROUP))
+    group_rng = _group_rng(master_seed, start // _TAIL_GROUP)
+    # A batch's normals and its walk: in the prefix, at most a piece's worth.
+    z_buf, walk_buf = (np.empty(min(piece.size, _ROUND_CELLS)) for _ in range(2))
+    own = None  # each row's own stream, by row; None once it has closed
     for before, end in _tail_slots(len(piece)):
-        rows = np.flatnonzero(np.logical_or.reduce([pairs.any(axis=0) for pairs in open_pairs]))
+        open_rows = np.logical_or.reduce([p < spec.finite for p, spec in zip(passed, specs)])
+        rows = np.flatnonzero(open_rows)
         if not rows.size:
             break
         width = end - before
         if before < _TAIL_PREFIX:
-            if group_rng is None:
-                group_rng = _group_rng(master_seed, start // _TAIL_GROUP)
             # Slot-major: row i's normal of slot before + 1 + c is [c, i].
             group_rng.standard_normal(out=piece[:width])
         elif own is None:
             # Rows only close, so every row that will need its own stream
-            # is open now.
-            own = dict(zip(rows.tolist(), _replication_rngs(master_seed, start + rows)))
-        batch = z_buf.size // (width + 1)
+            # is open now. The prefix's buffers, z's view of them included,
+            # go before the streams are made; the rounds after the prefix
+            # take whole batches.
+            piece = group_rng = z_buf = walk_buf = z = None
+            z_buf, walk_buf = (np.empty(max(_ROUND_CELLS, _TAIL_LAST_ROUND)) for _ in range(2))
+            own = np.empty(n, dtype=object)
+            own[rows] = np.fromiter(_replication_rngs(master_seed, start + rows), object,
+                                    rows.size)
+        else:
+            own[~open_rows] = None  # a closed row's stream is dropped
+        batch = z_buf.size // width
         for lo in range(0, rows.size, batch):
             part = rows[lo:lo + batch]
             z = z_buf[: part.size * width].reshape(part.size, width)
-            if before < _TAIL_PREFIX:
-                z[...] = piece[:width].T[part]
+            if piece is None:
+                _draw_normals(own[part], z)
             else:
-                _draw_normals([own[i] for i in part.tolist()], z)
-            _tail_round(specs, part, before, z, normal_sums, walk_ends, weights, open_pairs,
+                # Slot-major, as the piece: z's slot c is one run of its rows.
+                z = np.take(piece[:width], part, axis=1, out=z.reshape(width, part.size)).T
+            _tail_round(specs, part, before, z, normal_sums, walk_ends, weights, passed,
                         walk_buf)
-    for spec, point_weights, pairs in zip(specs, weights, open_pairs):
-        level, row = np.nonzero(pairs)
+    capped = [(np.arange(spec.levels.size)[:, None] >= point_passed)
+              & np.isfinite(spec.levels)[:, None] for spec, point_passed in zip(specs, passed)]
+    for spec, point_weights, open_pairs in zip(specs, weights, capped):
+        level, row = np.nonzero(open_pairs)
         point_weights[level, row] = np.exp(-spec.shift * normal_sums[row]
                                            - DELAY_SEARCH_CAP * spec.half_square)
-    return list(zip(weights, open_pairs))
+    return list(zip(weights, capped))
 
 
-def _tail_round(specs, rows, before, z, normal_sums, walk_ends, weights, open_pairs,
+def _tail_round(specs, rows, before, z, normal_sums, walk_ends, weights, passed,
                 walk_buf) -> None:
     """Walk the given rows over slots before + 1 .. before + width, whose
     normals z holds, one row each, and record each point's first passages
-    among them."""
+    among them. z is row-major, each row's slots contiguous, or slot-major,
+    each slot's rows contiguous as in a piece of the group stream; each
+    point's walk is laid out as z is."""
     k, width = z.shape
     passages = []  # (point, a level's weights, rows' positions, columns) passed
-    for spec, walk_end, point_weights, pairs in zip(specs, walk_ends, weights, open_pairs):
-        open_here = pairs[:, rows]
-        sel = np.flatnonzero(open_here.any(axis=0))
+    for spec, walk_end, point_weights, point_passed in zip(specs, walk_ends, weights, passed):
+        done = point_passed[rows]
+        sel = np.flatnonzero(done < spec.finite)
         if not sel.size:
             continue
-        idx, open_here = rows[sel], open_here[:, sel]
-        # Column c + 1 holds W_m, in nats, at m = before + 1 + c.
-        walk = walk_buf[: sel.size * (width + 1)].reshape(sel.size, width + 1)
-        walk[:, 0] = walk_end[idx]
-        steps = walk[:, 1:]
-        np.multiply(z if sel.size == k else z[sel], -spec.slope, out=steps)
-        steps += spec.offset
-        np.exp(steps, out=steps)
-        np.log1p(steps, out=steps)
-        np.subtract(spec.rate, steps, out=steps)
-        np.cumsum(walk, axis=1, out=walk)
+        idx, done = rows[sel], done[sel]
+        # Column c holds the step to W_m, in nats, at m = before + 1 + c, and
+        # after the prefix sum W_m itself: the first step carries the last
+        # round's end, so the sum runs on from it, whatever the round's cut.
+        walk = _rows_like(z, walk_buf, sel.size)
+        np.multiply(z if sel.size == k else _take_rows(z, sel, walk), -spec.slope, out=walk)
+        walk += spec.offset
+        np.exp(walk, out=walk)
+        np.log1p(walk, out=walk)
+        np.subtract(spec.rate, walk, out=walk)
+        walk[:, 0] += walk_end[idx]
+        _running_sums(walk)
         walk_end[idx] = walk[:, -1]
         # Only the rows whose peak in this round passes a level search the
-        # round for their first passage.
-        peak = walk[:, 1:].max(axis=1)
+        # round for their first passage; the peak passes the levels below
+        # the highest it passes, so the search stops at the first it does
+        # not.
+        peak = walk.max(axis=1)
         for level, threshold in enumerate(spec.thresholds.tolist()):
-            row = np.flatnonzero((peak > threshold) & open_here[level])
+            over = peak > threshold
+            if not over.any():
+                break
+            row = np.flatnonzero(over & (done <= level))
             if not row.size:
                 continue
-            first = (walk[row, 1:] > threshold).argmax(axis=1)
+            # Compared whole, then gathered: booleans, not the rows' walks.
+            first = (walk > threshold)[row].argmax(axis=1)
             passages.append((spec, point_weights[level], sel[row], first))
-            pairs[level, idx[row]] = False
+            point_passed[idx[row]] = level + 1
     # Each row's z0_1 + ... + z0_m at m = before + 1 + c, in column c.
     z[:, 0] += normal_sums[rows]
-    np.cumsum(z, axis=1, out=z)
+    _running_sums(z)
     normal_sums[rows] = z[:, -1]
     for spec, level_weights, pos, first in passages:
         level_weights[rows[pos]] = np.exp(-spec.shift * z[pos, first]
                                           - (before + 1 + first) * spec.half_square)
+
+
+def _rows_like(z: np.ndarray, buf: np.ndarray, k: int) -> np.ndarray:
+    """A (k, width) view of buf for k of z's rows, laid out as z is:
+    row-major or slot-major."""
+    width = z.shape[1]
+    if z.flags.c_contiguous:
+        return buf[: k * width].reshape(k, width)
+    return buf[: k * width].reshape(width, k).T
+
+
+def _take_rows(z: np.ndarray, sel: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """z[sel] into out, laid out as z, with no temporary."""
+    if z.flags.c_contiguous:
+        return z.take(sel, axis=0, out=out)
+    return np.take(z.T, sel, axis=1, out=out.T).T
+
+
+def _running_sums(a: np.ndarray) -> None:
+    """Each row's prefix sums, in place: a[:, c] += a[:, c - 1] for c = 1, 2,
+    .... A row-major a takes numpy's cumsum along each row, one dependent
+    add after another, about 4 ns a term. A slot-major one takes one vector
+    add per slot, across its rows, several times faster on the hundreds of
+    rows of a group stream piece. Each row's terms are added in the same
+    order either way, so the sums carry the same bits."""
+    if a.flags.c_contiguous:
+        np.cumsum(a, axis=1, out=a)
+        return
+    slots = list(a.T)
+    for before, slot in zip(slots, slots[1:]):
+        np.add(before, slot, out=slot)
