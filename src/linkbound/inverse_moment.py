@@ -31,7 +31,13 @@ one from cell 0, so a sweep places it once per growth and a single table
 in a fresh process gains nothing. A table's own work is one pass over
 chunks of about 2^15 blocks, whole segments each: the CDF at the chunk's
 right edges, the block masses it closes and the chunk's segment moments,
-so no temporary of the build outgrows a chunk. The table sums exponents
+so no temporary of the build outgrows a chunk. A table of 2^17 blocks or
+more is built in two contiguous parts of its chunks where the process may
+run on two CPUs: the calling thread takes the first, a thread started for
+the build and joined before it returns or raises the second. No value
+depends on the split or on the CPU count: every mass and segment moment
+is that of the one-part build, bit for bit, and a failed build raises
+the error the one-part build raises first. The table sums exponents
 up to 64 as a short power series about the left edge of each of a few
 hundred segments, with moments stored at build time. A larger exponent takes an
 exp pass over the shortest prefix of the blocks past which the rest of
@@ -48,6 +54,7 @@ since its cost follows the log-range.
 from __future__ import annotations
 
 import math
+import os
 import threading
 from dataclasses import dataclass
 
@@ -88,6 +95,17 @@ _SEGMENT_WIDTH = 1.0 / 64.0
 # Lattice ids per chunk of the lattice placement, and blocks per chunk of a
 # table build, rounded to whole segments: 256 kB per float array.
 _TABLE_CHUNK = 1 << 15
+# The number of CPUs this process may run on, so that taskset decides it:
+# the workers of a large table build, up to _MAX_PARTS, and of the
+# simulator's blocks, which imports it. No value depends on it.
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+# A table of at least _MIN_SPLIT_BLOCKS blocks is built in up to _MAX_PARTS
+# parts, one per worker; a smaller one on the calling thread alone, as a
+# second part gained nothing up to 100k blocks. Each part holds up to
+# 0.5 MB of chunk temporaries at a time; more than two were not measured.
+_MIN_SPLIT_BLOCKS = 1 << 17
+_MAX_PARTS = 2
 # Above the series, an exponent sums a growing prefix of the blocks and
 # stops once the mass past the prefix, charged at its cut, is at most this
 # share of the prefix sum: 2^-6 of half an ulp.
@@ -227,7 +245,13 @@ def truncation_point(cdf, theta: float, config: DiscretizationConfig) -> float:
     return pts[i_hi]
 
 
-def _check_chunk(f: np.ndarray, prev_last: float) -> np.ndarray:
+def _chunk_masses(f: np.ndarray, prev_f: float, mass: np.ndarray) -> np.ndarray:
+    """Check one chunk's CDF values f and write their differences into ``mass``.
+
+    ``mass`` gets f[0] - prev_f, then each f[i] - f[i - 1]; the monotone
+    check reads them, so it needs no temporary. Values within 1e-9 outside
+    [0, 1] are clipped first. Returns f, clipped.
+    """
     lo, hi = f.min(), f.max()
     # min and max propagate NaN, which every comparison below would pass.
     if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -236,7 +260,9 @@ def _check_chunk(f: np.ndarray, prev_last: float) -> np.ndarray:
         raise CdfContractError("cdf values outside [0, 1] on the evaluation grid")
     if lo < 0.0 or hi > 1.0:
         f = np.clip(f, 0.0, 1.0)
-    if f[0] < prev_last - 1e-12 or (f.size > 1 and np.any(np.diff(f) < -1e-12)):
+    mass[0] = f[0] - prev_f
+    np.subtract(f[1:], f[:-1], out=mass[1:])
+    if f[0] < prev_f - 1e-12 or (f.size > 1 and mass[1:].min() < -1e-12):
         raise CdfContractError("cdf is not monotone non-decreasing on the evaluation grid")
     return f
 
@@ -281,9 +307,9 @@ def inverse_moment_bound_many(cdf, thetas, config: DiscretizationConfig) -> np.n
     for k0 in range(1, n_max + 1, _CHUNK):
         k1 = min(k0 + _CHUNK - 1, n_max)
         right = np.arange(k0, k1 + 1, dtype=float) * delta
-        f = _check_chunk(cdfv(right), prev_f)
+        mass = np.empty(right.size)
+        f = _chunk_masses(cdfv(right), prev_f, mass)
         log_left = np.log1p(np.concatenate(([prev_right], right[:-1])))
-        mass = np.diff(f, prepend=prev_f)
         for theta, n, parts in zip(act, n_terms, partials):
             if n < k0:
                 continue
@@ -459,7 +485,24 @@ class StieltjesTable:
     preallocated array. While they are still in cache it stores, for each
     of its segments s with left edge L_s, the local moments sum of
     mass * (l - L_s)^k / k! for k = 0..18, and after the pass the same
-    moments times L_s, for the slope. An exponent t <= 64 is then summed
+    moments times L_s, for the slope.
+
+    A table of at least 2^17 blocks splits its chunks into up to two
+    contiguous parts of about equal block counts, one per CPU the process
+    may run on; a smaller table, or one in a process bound to one CPU, is
+    built by the calling thread alone. The calling thread runs the first part's
+    chunks, a thread started for the build the second's, and the build
+    joins it before it returns or raises. The second part's first mass is
+    the CDF at its first right edge less that at the first part's last:
+    it is written after the join, with the monotonicity check across the
+    boundary, and the moments of the segment that holds it are summed
+    then. Each segment's moments are one reduceat over its own blocks and
+    chunk cuts never split a segment, so every mass and moment is that of
+    the one-part build, bit for bit. A failed build raises the error the
+    one-part build raises first, by chunk order: each part stops at its
+    own first failure, or once a part before it has failed.
+
+    An exponent t <= 64 is then summed
     as sum_s exp(-t L_s) * sum_k (-t)^k moment_{k,s}, which equals the
     staircase to rounding at the cost of one exp per segment.
     A larger exponent takes an exp pass over a growing prefix of the
@@ -486,26 +529,75 @@ class StieltjesTable:
         terms = _SERIES_TERMS + 1
         self._seg_moments = np.empty((2 * terms, self._seg_left.size))
         moments = self._seg_moments[:terms]
-        # A block closes at the next block's start, the last one at the grid
-        # end; the CDF there less the CDF where the block before closed, 0
-        # before the first, is its mass. The right edges are a lattice view,
-        # or in the last chunk a copy left unnamed, freed before the check.
-        prev_f = 0.0
-        for c0, c1 in zip(cuts, cuts[1:]):
+        parts = _split_chunks(cuts, first,
+                              min(_WORKERS, _MAX_PARTS) if n >= _MIN_SPLIT_BLOCKS else 1)
+
+        def close(c0, c1, prev_f):
+            """Check the CDF at the right edges of segments c0..c1-1 and write their masses.
+
+            Returns the CDF at the first and at the last right edge.
+            """
+            # A block closes at the next block's start, the last one at the
+            # grid end; the CDF there less the CDF where the block before
+            # closed is its mass. The right edges are a lattice view, or in
+            # the last chunk a copy left unnamed, freed before the check.
+            # The CDF's output is freed on return, before the moment pass
+            # takes two buffers like it; it is not reused, as the CDF may
+            # return a read-only array or one it keeps.
             b0, b1 = int(first[c0]), int(first[c1])
-            f = _check_chunk(cdfv(lattice.x[b0 + 1:b1 + 1] if b1 < n else
-                                  np.append(lattice.x[b0 + 1:n], n_terms * delta)), prev_f)
-            mass = self.mass[b0:b1]
-            mass[0] = f[0] - prev_f
-            np.subtract(f[1:], f[:-1], out=mass[1:])
-            prev_f = float(f[-1])
-            # Freed before the moment pass takes two buffers like it; not
-            # reused, as the CDF may return a read-only array or one it keeps.
-            del f
-            _chunk_moments(self.log_edges[b0:b1], mass, first[c0:c1] - b0, moments[:, c0:c1])
+            f = _chunk_masses(cdfv(lattice.x[b0 + 1:b1 + 1] if b1 < n else
+                                   np.append(lattice.x[b0 + 1:n], n_terms * delta)),
+                              prev_f, self.mass[b0:b1])
+            return float(f[0]), float(f[-1])
+
+        def sum_moments(c0, c1):
+            b0, b1 = int(first[c0]), int(first[c1])
+            if b0 < b1:
+                _chunk_moments(self.log_edges[b0:b1], self.mass[b0:b1], first[c0:c1] - b0,
+                               moments[:, c0:c1])
+
+        # Per part: the CDF at its first right edge, set once its first chunk
+        # passes its own checks, and at its last; the exception that stopped it.
+        heads, tails, errors = [None] * len(parts), [0.0] * len(parts), [None] * len(parts)
+
+        def build(p):
+            part = parts[p]
+            try:
+                # The CDF where the part before this one ends is not known
+                # yet: a later part's first mass is written after the join,
+                # and the moments of its first segment are summed then.
+                (c0, c1), *rest = part
+                heads[p], prev_f = close(c0, c1, -math.inf if p else 0.0)
+                sum_moments(c0 + 1 if p else c0, c1)
+                for c0, c1 in rest:
+                    if any(errors[:p]):  # an earlier part has failed the build
+                        return
+                    prev_f = close(c0, c1, prev_f)[1]
+                    sum_moments(c0, c1)
+                tails[p] = prev_f
+            except BaseException as exc:
+                errors[p] = exc
+
+        def interrupted(exc):  # outside a chunk: stops every part, raised first
+            errors[0] = errors[0] or exc
+
+        _run_workers(build, len(parts), interrupted)
+        # Parts in chunk order, each boundary checked before the part's own
+        # failure, which comes later in chunk order or, on its first chunk,
+        # before the boundary is read: the first failure is the one-part
+        # build's.
+        for p, part in enumerate(parts):
+            if p and heads[p] is not None:
+                # The boundary mass and its check, as a one-block chunk.
+                c0 = part[0][0]
+                b0 = int(first[c0])
+                _chunk_masses(np.asarray(heads[p:p + 1]), tails[p - 1], self.mass[b0:b0 + 1])
+                sum_moments(c0, c0 + 1)
+            if errors[p] is not None:
+                raise errors[p]
         moments /= np.cumprod(np.arange(float(terms)).clip(1.0))[:, None]
         np.multiply(moments, self._seg_left, out=self._seg_moments[terms:])
-        self.end_survival = 1.0 - prev_f
+        self.end_survival = 1.0 - tails[-1]
         self.end_log_edge = math.log1p(n_terms * delta)
         # The exp pass's mass past each prefix cut, end survival included.
         self._tail_mass: dict[int, float] = {}
@@ -610,6 +702,44 @@ def _segments(log_edges: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[int]]
     first = np.append(first[held], n)
     cuts = np.unique(np.searchsorted(first, np.arange(0, n, _TABLE_CHUNK), side="right") - 1)
     return lattice[held], first, cuts.tolist() + [first.size - 1]
+
+
+def _run_workers(work, count: int, fail) -> None:
+    """Run work(0) on the calling thread and work(1), ..., work(count - 1) on threads.
+
+    The threads are started here and joined before this returns, also if
+    the calling thread is interrupted. An exception raised outside work,
+    such as an interrupt while the threads start or are joined, goes to
+    fail at once; work handles its own.
+    """
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(1, count)]
+    try:
+        for thread in threads:
+            thread.start()
+        work(0)
+    except BaseException as exc:
+        fail(exc)
+    for thread in threads:
+        while thread.is_alive():
+            try:
+                thread.join()
+            except BaseException as exc:
+                fail(exc)
+
+
+def _split_chunks(cuts: list[int], first: np.ndarray, workers: int) -> list[list[tuple[int, int]]]:
+    """The chunks between ``cuts``, segment ranges (c0, c1), in up to ``workers`` contiguous parts.
+
+    Part p starts at the chunk whose first block, first[c0], lies nearest
+    p / workers of the blocks, so parts hold about equal block counts;
+    parts that would start at one chunk are merged. No chunk is cut, so a
+    failing build checks each chunk as the one-part build does.
+    """
+    starts = first[cuts[:-1]]
+    targets = np.arange(workers) * (first[-1] / workers)
+    bounds = sorted({int(np.abs(starts - t).argmin()) for t in targets.tolist()} | {len(starts)})
+    chunks = list(zip(cuts, cuts[1:]))
+    return [chunks[i:j] for i, j in zip(bounds, bounds[1:])]
 
 
 def _chunk_moments(edges: np.ndarray, mass: np.ndarray, local: np.ndarray,

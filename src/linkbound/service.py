@@ -21,7 +21,10 @@ The per-slot factor comes from one of two routes, each for every exponent:
     kept, one per process, and sliced by every service's table, so the
     points of a sweep share it; a table of more cells places a larger
     one whole in its place, and a single point in a fresh process places
-    it as before.
+    it as before. A table of 2^17 blocks or more is built on two threads
+    where the process may run on two CPUs: the calling thread and one
+    started and joined by the build. Its values are those of the
+    one-thread build, bit for bit, whatever the CPU count.
 
 Both return an upper bound on the exact per-slot factor, which is the
 property all downstream guarantees rest on. Both are Laplace transforms of

@@ -54,7 +54,6 @@ import itertools
 import math
 import numbers
 import operator
-import os
 import threading
 from dataclasses import dataclass
 
@@ -64,7 +63,10 @@ from numpy.random.bit_generator import ISeedSequence
 from .arrival import AffineEnvelope, generate_arrivals
 from .bounds import stability_region
 from .channel import DB_TO_LN, ShadowingChannel, _snr_from_normals, capacity_bits_per_slot
-from .inverse_moment import _log_integrand_peak
+# _WORKERS, one block worker per CPU this process may run on, is the table
+# build's count too, so that the CPUs the process may use decide both; the
+# two start and join their threads alike, by _run_workers.
+from .inverse_moment import _WORKERS, _log_integrand_peak, _run_workers
 from .service import ServiceCharacterization
 
 DELAY_SEARCH_CAP = 10_000
@@ -96,9 +98,6 @@ _ROUND_CELLS = 1 << 15
 # three rounds, 16 + 32 + 64.
 _TAIL_GROUP = 1024
 _TAIL_PREFIX = 112
-# Block workers: one per CPU this process may run on.
-_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
 # A call starts no more workers than leave each at least this many rows per
 # block: per-block Python work and GIL hand-offs dominate smaller blocks.
 _MIN_WORKER_ROWS = 16
@@ -358,7 +357,8 @@ def _replicate(env: AffineEnvelope, channel: ShadowingChannel, horizon: int, rng
     lock = threading.Lock()
     failures = {}  # block start -> the exception that stopped its worker
 
-    def work(walk_buf, drain_buf):
+    def work(i):
+        walk_buf, drain_buf = pairs[i]
         start = count
         try:
             while True:
@@ -371,19 +371,8 @@ def _replicate(env: AffineEnvelope, channel: ShadowingChannel, horizon: int, rng
         except BaseException as exc:
             failures.setdefault(start, exc)
 
-    threads = [threading.Thread(target=work, args=pair) for pair in pairs[1:]]
-    try:
-        for thread in threads:
-            thread.start()
-        work(*pairs[0])
-    except BaseException as exc:  # an interrupt outside a block
-        failures.setdefault(count, exc)
-    for thread in threads:
-        while thread.is_alive():
-            try:
-                thread.join()
-            except BaseException as exc:
-                failures.setdefault(count, exc)
+    # An interrupt outside a block stops every worker and ranks last.
+    _run_workers(work, len(pairs), lambda exc: failures.setdefault(count, exc))
     if failures:
         raise failures[min(failures)]
     return backlogs, delays, censored

@@ -1,6 +1,8 @@
 import hashlib
 import math
+import os
 import sys
+import threading
 import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
@@ -11,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import linkbound as lb
-from linkbound import inverse_moment
+from linkbound import inverse_moment, simulator
 from linkbound.channel import DB_TO_LN
 from linkbound.inverse_moment import (
     _FACTOR_FLOOR,
@@ -1019,3 +1021,153 @@ class TestSharedLattice:
         StieltjesTable(cdf, 2e-2, 100_000, block_log_width=2e-5)
         assert lattice() is None
         assert edges() is None
+
+
+def _set_parts(monkeypatch, parts):
+    """Build every table in up to that many parts, however few its blocks."""
+    monkeypatch.setattr(inverse_moment, "_WORKERS", parts)
+    monkeypatch.setattr(inverse_moment, "_MAX_PARTS", parts)
+    monkeypatch.setattr(inverse_moment, "_MIN_SPLIT_BLOCKS", 1)
+
+
+def _part_starts(delta, n_terms, width, parts):
+    """(lattice x, first block of each part) of the table build at that many parts."""
+    lattice = inverse_moment._shared_lattice(delta, n_terms, width)
+    _, first, cuts = inverse_moment._segments(lattice.log_edges[:lattice.prefix(n_terms)])
+    split = inverse_moment._split_chunks(cuts, first, parts)
+    return lattice.x, [int(first[part[0][0]]) for part in split]
+
+
+class TestSplitBuild:
+    """A large table is built in contiguous parts of its chunks, one per worker;
+    no bit of it, and no error it raises, may depend on the number of parts."""
+
+    @pytest.mark.parametrize(
+        "mean_snr_db, sigma_db, delta, width, n_terms, chunks",
+        [
+            (25.0, 8.0, 1e-2, 2e-5, None, 9),
+            (30.0, 8.0, 1e-2, 2e-5, None, 11),
+            (10.0, 4.0, 1e-2, 2e-5, None, 1),
+            # The grid whose first guesses of a block start are a cell off.
+            (50.0, 8.0, 1.0, math.log(2.0) / 1000, 2**53, 2),
+        ],
+        ids=["25/8 dB", "30/8 dB", "10/4 dB", "delta 1, width ln 2 / 1000"],
+    )
+    def test_parts_move_no_bit(self, monkeypatch, mean_snr_db, sigma_db, delta, width, n_terms,
+                               chunks):
+        cdf = lognormal_cdf(lb.ShadowingChannel(mean_snr_db, sigma_db, 5e8))
+        if n_terms is None:
+            cfg = lb.DiscretizationConfig(step_delta=delta)
+            n_terms = int(math.ceil(truncation_point(cdf, 0.0, cfg) / delta))
+        lattice = inverse_moment._shared_lattice(delta, n_terms, width)
+        cuts = inverse_moment._segments(lattice.log_edges[:lattice.prefix(n_terms)])[2]
+        assert len(cuts) - 1 == chunks
+        digests = []
+        for parts in (1, 2, 3):
+            _set_parts(monkeypatch, parts)
+            digests.append(table_digest(cdf, delta, n_terms, width))
+        assert digests == digests[:1] * 3
+
+    def test_many_parts_under_fast_switching(self, monkeypatch, operating_channel):
+        # Eight parts at once, with the interpreter switching threads
+        # every microsecond, write the masses and moments of disjoint chunks.
+        cdf = lognormal_cdf(operating_channel)
+        n = int(math.ceil(truncation_point(cdf, 0.0, lb.DiscretizationConfig()) / 1e-2))
+        reference = table_digest(cdf, 1e-2, n)
+        _set_parts(monkeypatch, 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            digests = [table_digest(cdf, 1e-2, n) for _ in range(3)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert digests == [reference] * 3
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_large_tables_split_by_default(self, monkeypatch, operating_channel, workers):
+        # The CPUs this process may run on decide the simulator's workers and
+        # a table's parts: the 25/8 dB table (292k blocks) takes up to two,
+        # a table of 100k cells (and blocks) one.
+        assert simulator._WORKERS is inverse_moment._WORKERS
+        assert inverse_moment._WORKERS == len(os.sched_getaffinity(0))
+        monkeypatch.setattr(inverse_moment, "_WORKERS", workers)
+        split, parts = inverse_moment._split_chunks, []
+
+        def counted(*args):
+            parts.append(len(split(*args)))
+            return split(*args)
+
+        monkeypatch.setattr(inverse_moment, "_split_chunks", counted)
+        cdf = lognormal_cdf(operating_channel)
+        n = int(math.ceil(truncation_point(cdf, 0.0, lb.DiscretizationConfig()) / 1e-2))
+        StieltjesTable(cdf, 1e-2, n, block_log_width=2e-5)
+        StieltjesTable(cdf, 1e-2, 100_000, block_log_width=2e-5)
+        assert parts == [min(workers, 2), 1]
+
+    @pytest.fixture
+    def operating_cdf(self, operating_channel):
+        """(cdf, cells) of the 25/8 dB table: 292k blocks in 9 chunks."""
+        cdf = lognormal_cdf(operating_channel)
+        return cdf, int(math.ceil(truncation_point(cdf, 0.0, lb.DiscretizationConfig()) / 1e-2))
+
+    @staticmethod
+    def _raised(monkeypatch, cdf, n, parts):
+        """(type, message) of the failed build in that many parts; no thread outlives it."""
+        _set_parts(monkeypatch, parts)
+        before = set(threading.enumerate())
+        with pytest.raises(lb.CdfContractError) as info:
+            StieltjesTable(cdf, 1e-2, n, block_log_width=2e-5)
+        assert set(threading.enumerate()) == before
+        return type(info.value), str(info.value)
+
+    @pytest.mark.parametrize("parts", [2, 3])
+    def test_nan_in_the_last_part(self, monkeypatch, operating_cdf, parts):
+        cdf, n = operating_cdf
+        x, starts = _part_starts(1e-2, n, 2e-5, parts)
+        assert len(starts) == parts
+        # The right edges of the last part's blocks lie past its first block's left edge.
+        edge = x[starts[-1]]
+        broken = lambda x: np.where(x > edge, np.nan, cdf(x))
+        expected = (lb.CdfContractError, "cdf returned a non-finite value on the evaluation grid")
+        assert self._raised(monkeypatch, broken, n, 1) == expected
+        assert self._raised(monkeypatch, broken, n, parts) == expected
+
+    @pytest.mark.parametrize("parts", [2, 3])
+    def test_first_part_error_wins(self, monkeypatch, operating_cdf, parts):
+        # The last part fails on its first chunk, before the first part
+        # fails at its very last right edge.
+        cdf, n = operating_cdf
+        x, starts = _part_starts(1e-2, n, 2e-5, parts)
+        last, bad = x[starts[-1]], x[starts[1]]
+        broken = lambda x: np.where(x > last, np.nan, np.where(x == bad, 1.5, cdf(x)))
+        expected = (lb.CdfContractError, "cdf values outside [0, 1] on the evaluation grid")
+        assert self._raised(monkeypatch, broken, n, 1) == expected
+        assert self._raised(monkeypatch, broken, n, parts) == expected
+
+    @pytest.mark.parametrize("parts, boundary", [(2, 1), (3, 1), (3, 2)])
+    def test_drop_at_a_part_boundary(self, monkeypatch, operating_cdf, parts, boundary):
+        # The CDF drops by 0.01 between the last right edge of one part and
+        # the first of the next, and nowhere else.
+        cdf, n = operating_cdf
+        x, starts = _part_starts(1e-2, n, 2e-5, parts)
+        edge = x[starts[boundary]]
+        broken = lambda x: cdf(x) - np.where(x > edge, 0.01, 0.0)
+        expected = (lb.CdfContractError, "cdf is not monotone non-decreasing on the evaluation grid")
+        assert self._raised(monkeypatch, broken, n, 1) == expected
+        assert self._raised(monkeypatch, broken, n, parts) == expected
+
+    def test_no_thread_outlives_a_build(self, monkeypatch, operating_channel):
+        cdf = lognormal_cdf(operating_channel)
+        _set_parts(monkeypatch, 3)
+        before = set(threading.enumerate())
+        StieltjesTable(cdf, 1e-2, 6_000_000, block_log_width=2e-5)
+        assert set(threading.enumerate()) == before
+
+        def failing(x):
+            if x[0] > 100.0:
+                raise RuntimeError("cdf failed")
+            return cdf(x)
+
+        with pytest.raises(RuntimeError, match="cdf failed"):
+            StieltjesTable(failing, 1e-2, 6_000_000, block_log_width=2e-5)
+        assert set(threading.enumerate()) == before
